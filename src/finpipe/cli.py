@@ -11,7 +11,6 @@ success, 1 on data errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import sys
 from dataclasses import dataclass
@@ -19,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, table
 from .errors import (
+    AlignError,
     DegenerateDispersionError,
     FormatError,
     MetricError,
@@ -305,36 +305,19 @@ def provenance_lines(command: str, opts: dict) -> list[str]:
     return [f"#config_hash={config_hash}", f"#seed={seed}", f"#version={__version__}"]
 
 
-def _write_lines(path, lines) -> None:
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _read_input_table(path) -> table.Table:
+    """A curve or quote table; a file without any row is an error."""
+    tab = table.read_table(path)
+    if tab.header is None:
+        raise FormatError(f"{tab.path}: empty file")
+    return tab
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Non-panel CSV reader: header plus string rows, comments skipped."""
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
-        raise FormatError(f"{path}: empty file")
-    return [c.strip() for c in rows[0]], rows[1:]
-
-
-def _table_floats(path, header, rows, column: str) -> np.ndarray:
-    idx = header.index(column)
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        try:
-            out[i] = float(row[idx])
-        except (ValueError, IndexError):
-            raise FormatError(
-                f"{path}: row {i + 2}: bad value in column {column!r}"
-            ) from None
-    return out
+def _column_floats(tab: table.Table, path, column: str) -> np.ndarray:
+    values, n_good = table.cast(tab.cells[:, tab.header.index(column)], float)
+    if n_good < len(tab.cells):
+        raise FormatError(f"{path}: row {n_good + 2}: bad value in column {column!r}")
+    return values
 
 
 def cmd_preprocess(opts: dict) -> None:
@@ -408,7 +391,7 @@ def cmd_evaluate(opts: dict) -> None:
         rows.append(("msir", "NA"))
     lines = provenance_lines("evaluate", opts) + ["metric,value"]
     lines.extend(f"{name},{value}" for name, value in rows)
-    _write_lines(opts["output"], lines)
+    table.write_lines(opts["output"], lines)
 
 
 def cmd_backtest(opts: dict) -> None:
@@ -417,6 +400,13 @@ def cmd_backtest(opts: dict) -> None:
     spec = _windows_for_forecast_file(panel, opts["forecasts"])
     windows = sliding_windows(panel, spec)
     batch = load_forecasts(opts["forecasts"], windows)
+    gaps = np.flatnonzero(np.diff(batch.sample_order) != 1)
+    if gaps.size:
+        before, after = batch.sample_order[gaps[0] : gaps[0] + 2]
+        raise AlignError(
+            f"{opts['forecasts']}: sample ids jump from {before} to {after}; "
+            f"backtest needs every sample id between the first and the last"
+        )
 
     signal = difference_signal(batch)
     dd = diff_in_diff(signal, opts["window"])
@@ -453,81 +443,84 @@ def cmd_backtest(opts: dict) -> None:
 
     lines = provenance_lines("backtest", opts)
     lines.append("timestamp,net_value,period_return,position")
-    for i, label in enumerate(curve.timestamps):
-        if strategy == "topk":
-            held = [a for a, w in zip(positions.assets, positions.weights[i]) if w > 0]
-            position = "|".join(held)
-        else:
-            position = repr(float(positions.weights[i, 0]))
-        lines.append(
-            f"{label},{repr(float(curve.net_values[i]))},"
-            f"{repr(float(curve.period_returns[i]))},{position}"
+    if strategy == "topk":
+        held = ["|".join(a for a, w in zip(positions.assets, row) if w > 0)
+                for row in positions.weights.tolist()]
+    else:
+        held = list(map(repr, positions.weights[:, 0].tolist()))
+    lines.extend(
+        f"{label},{net!r},{ret!r},{position}"
+        for label, net, ret, position in zip(
+            curve.timestamps, curve.net_values.tolist(), curve.period_returns.tolist(), held
         )
-    _write_lines(opts["output"], lines)
+    )
+    table.write_lines(opts["output"], lines)
 
 
 def cmd_report(opts: dict) -> None:
-    header, rows = _read_table(opts["input"])
+    curve_file = _read_input_table(opts["input"])
+    header = curve_file.header
     for column in ("timestamp", "net_value", "period_return"):
         if column not in header:
             raise FormatError(f"{opts['input']}: curve file lacks column {column!r}")
-    if not rows:
+    if not curve_file.n_rows:
         raise FormatError(f"{opts['input']}: curve file has no rows")
-    ts_idx = header.index("timestamp")
-    timestamps = tuple(row[ts_idx].strip() for row in rows)
-    net = _table_floats(opts["input"], header, rows, "net_value")
-    rets = _table_floats(opts["input"], header, rows, "period_return")
+    net = _column_floats(curve_file, opts["input"], "net_value")
+    rets = _column_floats(curve_file, opts["input"], "period_return")
+    if curve_file.ragged:
+        raise curve_file.ragged
+    timestamps = tuple(label.strip() for label in curve_file.cells[:, header.index("timestamp")])
     curve = EquityCurve(timestamps, rets, net)
     report = full_report(curve, opts["periods_per_year"], opts["risk_free"])
     lines = provenance_lines("report", opts) + ["metric,value"]
     for name, value in report.rows():
         lines.append(f"{name},{'NA' if value is None else repr(float(value))}")
-    _write_lines(opts["output"], lines)
+    table.write_lines(opts["output"], lines)
 
 
 def cmd_option_analytics(opts: dict) -> None:
-    header, rows = _read_table(opts["input"])
+    quotes = _read_input_table(opts["input"])
+    header = quotes.header
     required = ("timestamp", "spot", "strike", "rate", "expiry", "kind", "market_price")
     missing = [c for c in required if c not in header]
     if missing:
         raise FormatError(f"{opts['input']}: quote file lacks column(s) {missing}")
-    if not rows:
+    if not quotes.n_rows:
         raise FormatError(f"{opts['input']}: quote file has no rows")
-    spot = _table_floats(opts["input"], header, rows, "spot")
-    strike = _table_floats(opts["input"], header, rows, "strike")
-    rate = _table_floats(opts["input"], header, rows, "rate")
-    expiry = _table_floats(opts["input"], header, rows, "expiry")
-    price = _table_floats(opts["input"], header, rows, "market_price")
-    kind_idx = header.index("kind")
+    spot, strike, rate, expiry, price = (
+        _column_floats(quotes, opts["input"], column)
+        for column in ("spot", "strike", "rate", "expiry", "market_price")
+    )
+    if quotes.ragged:
+        raise quotes.ragged
 
-    extended = []
-    for i, row in enumerate(rows):
-        kind = row[kind_idx].strip().lower()
-        quote = OptionQuote(spot[i], strike[i], rate[i], expiry[i], kind, price[i])
+    extended = np.empty((len(quotes.cells), 6))
+    for i, kind in enumerate(quotes.cells[:, header.index("kind")]):
+        quote = OptionQuote(spot[i], strike[i], rate[i], expiry[i], kind.strip().lower(), price[i])
         iv = implied_vol(quote)
         g = greeks(quote, iv)
-        extended.append([iv, g.delta, g.theta, g.gamma, g.vega, g.rho_rate])
+        extended[i] = (iv, g.delta, g.theta, g.gamma, g.vega, g.rho_rate)
 
     hv_column = None
     if opts["hv_window"] is not None:
         source = opts["hv_source"]
         if source not in header:
             raise FormatError(f"{opts['input']}: no hv source column {source!r}")
-        series = _table_floats(opts["input"], header, rows, source)
+        series = _column_floats(quotes, opts["input"], source)
         hv = historical_vol(series, opts["hv_window"])
-        hv_column = [""] * (opts["hv_window"] - 1) + [repr(float(v)) for v in hv]
+        hv_column = [""] * (opts["hv_window"] - 1) + list(map(repr, hv.tolist()))
 
     out_header = header + ["iv", "delta", "theta", "gamma", "vega", "rho"]
     if hv_column is not None:
         out_header.append("hv")
     lines = provenance_lines("option-analytics", opts)
     lines.append(",".join(out_header))
-    for i, row in enumerate(rows):
-        cells = [c.strip() for c in row] + [repr(float(v)) for v in extended[i]]
+    for i, (row, values) in enumerate(zip(quotes.cells.tolist(), extended.tolist())):
+        cells = [c.strip() for c in row] + list(map(repr, values))
         if hv_column is not None:
             cells.append(hv_column[i])
         lines.append(",".join(cells))
-    _write_lines(opts["output"], lines)
+    table.write_lines(opts["output"], lines)
 
 
 COMMANDS = {

@@ -8,7 +8,8 @@ headers ``#L=``, ``#H=``, ``#model=`` (and ``#variables=``) followed by
 
 from __future__ import annotations
 
-import csv
+import functools
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import AlignError, FormatError, WindowError
 from .frame import WindowSet
 from .metrics import ForecastBatch
+from .table import cast, read_table, write_lines
 
 DEFAULT_NOISE_STD = 0.001
 
@@ -88,12 +90,14 @@ def write_forecasts(
     lines.append(f"#model={model}")
     lines.append(f"#variables={','.join(batch.variables)}")
     lines.append("sample_id,step,variable,y_pred")
-    for i in range(b):
-        sample_id = int(batch.sample_order[i])
-        for step in range(h):
-            for j, var in enumerate(batch.variables):
-                lines.append(f"{sample_id},{step + 1},{var},{repr(float(batch.y_pred[i, step, j]))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    keys = [f",{step + 1},{var}," for step in range(h) for var in batch.variables]
+
+    def samples():  # one block of H*C lines per sample
+        for sample_id, values in zip(batch.sample_order.tolist(), batch.y_pred.reshape(b, h * c)):
+            prefix = str(int(sample_id))
+            yield "\n".join([prefix + key + repr(value) for key, value in zip(keys, values.tolist())])
+
+    write_lines(path, chain(lines, samples()))
 
 
 def read_metadata(path) -> dict:
@@ -129,10 +133,8 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
     windows' target variables and the sample ids a subset of the window
     indices.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"no such forecast file: {path}")
     meta = read_metadata(path)
+    path = Path(path)
     horizon = truth_windows.spec.horizon
     if "H" not in meta:
         raise FormatError(f"{path}: missing #H header")
@@ -144,68 +146,89 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
             f"{truth_windows.spec.input_len}"
         )
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or [c.strip() for c in rows[0]] != ["sample_id", "step", "variable", "y_pred"]:
+    table = read_table(path, FormatError, "forecast file")
+    if table.header != ["sample_id", "step", "variable", "y_pred"]:
         raise FormatError(f"{path}: expected header sample_id,step,variable,y_pred")
-
-    records: dict[tuple[int, int, str], float] = {}
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise FormatError(f"{path}: row {r} has {len(row)} fields, expected 4")
-        try:
-            sample_id = int(row[0])
-            step = int(row[1])
-            value = float(row[3])
-        except ValueError:
-            raise FormatError(f"{path}: row {r}: malformed record {row!r}") from None
-        variable = row[2].strip()
-        key = (sample_id, step, variable)
-        if key in records:
-            raise FormatError(
-                f"{path}: duplicate record for sample {sample_id}, step {step}, "
-                f"variable {variable!r}"
-            )
-        records[key] = value
-    if not records:
+    cells = table.cells
+    (ids, n_ids), (steps, n_steps), (values, n_values) = (
+        cast(cells[:, j], dtype) for j, dtype in ((0, np.int64), (1, np.int64), (3, float))
+    )
+    n_good = min(n_ids, n_steps, n_values)
+    ids, steps, values = ids[:n_good], steps[:n_good], values[:n_good]
+    targets = tuple(truth_windows.target_vars)
+    names = list(targets)  # a variable's code is its index here; other names follow the targets
+    code = functools.cache(lambda raw: _append_index(names, raw.strip()))
+    var_codes = np.fromiter(map(code, cells[:n_good, 2]), np.int64, n_good)
+    # Row checks in file order: a duplicate before the first bad row, that
+    # row, then the first row with the wrong field count.
+    dup = _first_duplicate(ids, steps, var_codes)
+    if dup is not None:
+        raise FormatError(
+            f"{path}: duplicate record for sample {ids[dup]}, step {steps[dup]}, "
+            f"variable {names[var_codes[dup]]!r}"
+        )
+    if n_good < len(cells):
+        raise FormatError(f"{path}: row {n_good + 2}: malformed record {list(cells[n_good])!r}")
+    if table.ragged:
+        raise table.ragged
+    if not table.n_rows:
         raise FormatError(f"{path}: no forecast records")
 
-    sample_ids = sorted({k[0] for k in records})
-    file_vars = {k[2] for k in records}
-    targets = tuple(truth_windows.target_vars)
-    unknown = sorted(file_vars - set(targets))
+    used = np.flatnonzero(np.bincount(var_codes, minlength=len(names)))
+    unknown = sorted(names[i] for i in used if i >= len(targets))
     if unknown:
         raise AlignError(f"forecast variable(s) not in truth targets: {unknown}")
-    variables = tuple(v for v in targets if v in file_vars)
-    out_of_range = [s for s in sample_ids if not 0 <= s < len(truth_windows)]
+    variables = tuple(targets[i] for i in used)
+    sample_ids = np.unique(ids)
+    out_of_range = sample_ids[(sample_ids < 0) | (sample_ids >= len(truth_windows))].tolist()
     if out_of_range:
         raise AlignError(
             f"sample id(s) {out_of_range} outside the {len(truth_windows)} truth windows"
         )
 
-    preds = np.empty((len(sample_ids), horizon, len(variables)))
-    for i, sample_id in enumerate(sample_ids):
-        for step in range(1, horizon + 1):
-            for j, variable in enumerate(variables):
-                key = (sample_id, step, variable)
-                if key not in records:
-                    raise FormatError(
-                        f"{path}: missing step {step} of sample {sample_id} "
-                        f"for variable {variable!r}"
-                    )
-                preds[i, step - 1, j] = records[key]
-    if len(records) != preds.size:
-        extra = len(records) - preds.size
+    # Ids and variables are in range now and steps outside 1..H are screened
+    # out, so each record's key sample*H*C + (step-1)*C + var is its own cell.
+    shape = (len(sample_ids), horizon, len(variables))
+    on_grid = (steps >= 1) & (steps <= horizon)
+    key = np.ravel_multi_index((np.searchsorted(sample_ids, ids[on_grid]), steps[on_grid] - 1,
+                                np.searchsorted(used, var_codes[on_grid])), shape)
+    filled = np.zeros(shape, dtype=bool)
+    filled.flat[key] = True
+    if not filled.all():
+        sample, step, var = np.unravel_index(np.argmin(filled), shape)
+        raise FormatError(
+            f"{path}: missing step {step + 1} of sample {sample_ids[sample]} "
+            f"for variable {variables[var]!r}"
+        )
+    if len(key) < len(ids):
+        extra = len(ids) - len(key)
         raise FormatError(f"{path}: {extra} record(s) outside the sample/step/variable grid")
+    preds = np.empty(shape)
+    preds.flat[key] = values[on_grid]
 
-    ids = np.asarray(sample_ids)
-    var_idx = [targets.index(v) for v in variables]
     origins = truth_windows.origins
     return ForecastBatch(
-        y_true=truth_windows.truth[ids][:, :, var_idx],
+        y_true=truth_windows.truth[sample_ids][:, :, used],
         y_pred=preds,
-        sample_order=ids,
+        sample_order=sample_ids,
         variables=variables,
         origins=tuple(origins[s] for s in sample_ids),
-        last_observed=truth_windows.last_observed[ids][:, var_idx],
+        last_observed=truth_windows.last_observed[sample_ids][:, used],
     )
+
+
+def _append_index(names: list, name: str) -> int:
+    """Index of ``name`` in ``names``, appending it first if absent."""
+    if name not in names:
+        names.append(name)
+    return names.index(name)
+
+
+def _first_duplicate(ids, steps, var_codes) -> int | None:
+    """Index of the first record whose (sample, step, variable) an earlier record has."""
+    (i0, i1), (s0, s1), (v0, v1) = ((k[:-1], k[1:]) for k in (ids, steps, var_codes))
+    if ((i1 > i0) | (i1 == i0) & ((s1 > s0) | (s1 == s0) & (v1 > v0))).all():
+        return None  # strictly increasing, the order write_forecasts writes
+    order = np.lexsort((var_codes, steps, ids))
+    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in (ids, steps, var_codes)])
+    return order[1:][same].min() if same.any() else None

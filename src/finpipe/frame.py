@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IngestError, SplitError, WindowError
+from .table import cast, read_table, write_lines
 
 FREQUENCIES = ("daily", "hourly", "minutely")
 
@@ -109,42 +108,30 @@ def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> 
     are sorted by timestamp; duplicate timestamps and non-numeric cells are
     rejected with their location.
     """
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
+    table = read_table(path, IngestError)
+    path = table.path
+    header = table.header
+    if header is None:
         raise IngestError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    data = rows[1:]
-    if not data:
+    if not table.n_rows:
         raise IngestError(f"{path}: no data rows")
     ts_name = timestamp_column if timestamp_column is not None else header[0]
     if ts_name not in header:
         raise IngestError(f"{path}: no timestamp column {ts_name!r}")
     ts_idx = header.index(ts_name)
-    variables = [h for i, h in enumerate(header) if i != ts_idx]
-    labels: list[str] = []
-    matrix = np.empty((len(data), len(variables)))
-    for r, row in enumerate(data, start=2):
-        if len(row) != len(header):
-            raise IngestError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
-        labels.append(row[ts_idx].strip())
-        j = 0
-        for i, cell in enumerate(row):
-            if i == ts_idx:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise IngestError(
-                    f"{path}: non-numeric value {cell!r} at row {r}, column {header[i]!r}"
-                )
-            matrix[r - 2, j] = value
-            j += 1
+    value_idx = [i for i in range(len(header)) if i != ts_idx]
+    variables = [header[i] for i in value_idx]
+    matrix, n_good = cast(table.cells[:, value_idx], float)
+    not_finite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if not_finite.size or n_good < len(table.cells):
+        r = not_finite[0] if not_finite.size else n_good
+        i = next(i for i in value_idx if not _is_finite_number(table.cells[r, i]))
+        raise IngestError(
+            f"{path}: non-numeric value {table.cells[r, i]!r} at row {r + 2}, column {header[i]!r}"
+        )
+    if table.ragged:
+        raise table.ragged
+    labels = [label.strip() for label in table.cells[:, ts_idx]]
     keys = [_timestamp_key(lab) for lab in labels]
     try:
         order = sorted(range(len(labels)), key=lambda i: keys[i])
@@ -155,15 +142,22 @@ def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> 
     )
 
 
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 def write_csv(panel: Panel, path, header_comments: Sequence[str] = ()) -> None:
     """Write a panel as CSV with full round-trip precision (repr of each float)."""
     lines = list(header_comments)
     lines.append(",".join(["timestamp", *panel.variables]))
-    for i, label in enumerate(panel.timestamps):
-        cells = [str(label)]
-        cells.extend(repr(float(v)) for v in panel.values[i])
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend(
+        ",".join([str(label), *map(repr, row)])
+        for label, row in zip(panel.timestamps, panel.values.tolist())
+    )
+    write_lines(path, lines)
 
 
 @dataclass(frozen=True)

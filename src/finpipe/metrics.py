@@ -17,7 +17,7 @@ repeat-last forecasters score 0 instead of poisoning the average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
@@ -32,7 +32,9 @@ class ForecastBatch:
     ``sample_order`` gives the chronological index of each sample along axis
     0 and must be strictly increasing. ``variables``, ``origins`` and
     ``last_observed`` are optional carriers used by signal construction and
-    file interchange; metric computations ignore them.
+    file interchange; metric computations ignore them. ``y_true`` and
+    ``y_pred`` are read-only copies, so a correlation computed once stays
+    valid for the batch's lifetime.
     """
 
     y_true: np.ndarray
@@ -41,10 +43,11 @@ class ForecastBatch:
     variables: tuple[str, ...] | None = None
     origins: tuple | None = None
     last_observed: np.ndarray | None = None
+    _sample_ic: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y_true = np.asarray(self.y_true, dtype=float)
-        y_pred = np.asarray(self.y_pred, dtype=float)
+        y_true = np.array(self.y_true, dtype=float)
+        y_pred = np.array(self.y_pred, dtype=float)
         if y_true.ndim != 3:
             raise MetricError(f"expected (B, F, C) tensors, got {y_true.ndim}-D")
         if y_true.shape != y_pred.shape:
@@ -68,6 +71,8 @@ class ForecastBatch:
             if lo.shape != (y_true.shape[0], y_true.shape[2]):
                 raise MetricError("last_observed must have shape (B, C)")
             object.__setattr__(self, "last_observed", lo)
+        y_true.setflags(write=False)
+        y_pred.setflags(write=False)
         object.__setattr__(self, "y_true", y_true)
         object.__setattr__(self, "y_pred", y_pred)
         object.__setattr__(self, "sample_order", order)
@@ -134,8 +139,17 @@ def per_pair_corr(y: np.ndarray, y_pred: np.ndarray, method: str = "spearman") -
 
 
 def per_sample_ic(batch: ForecastBatch, method: str = "spearman") -> np.ndarray:
-    """(B,) per-sample mean over channels of the horizon rank correlation."""
-    return _corr_matrix(batch.y_true, batch.y_pred, method).mean(axis=1)
+    """(B,) per-sample mean over channels of the horizon rank correlation.
+
+    Computed once per batch and method, so ``ms_ic`` and ``ms_ir`` on one
+    batch build the (B, C) correlation matrix once; the result is read-only.
+    """
+    per_sample = batch._sample_ic.get(method)
+    if per_sample is None:
+        per_sample = _corr_matrix(batch.y_true, batch.y_pred, method).mean(axis=1)
+        per_sample.setflags(write=False)
+        batch._sample_ic[method] = per_sample
+    return per_sample
 
 
 def ms_ic(batch: ForecastBatch, method: str = "spearman") -> float:

@@ -10,15 +10,14 @@ inverses.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import FormatError, TransformError
 from .frame import Panel
+from .table import read_table, write_lines
 
 PRICE_FIELDS = ("open", "high", "low", "close")
 DEFAULT_BASELINE = 100.0
@@ -185,24 +184,17 @@ def write_anchor_file(
     for r in records:
         anchor = "" if r.anchor_close is None else repr(float(r.anchor_close))
         lines.append(f"{r.variable},{r.kind},{r.asset},{anchor},{repr(float(r.baseline))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_anchor_file(path) -> tuple[VariableTransform, ...]:
     """Read a sidecar written by :func:`write_anchor_file`."""
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"no such anchor file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or [c.strip() for c in rows[0]] != [
-        "variable", "kind", "asset", "anchor_close", "baseline",
-    ]:
+    table = read_table(path, FormatError, "anchor file")
+    path = table.path
+    if table.header != ["variable", "kind", "asset", "anchor_close", "baseline"]:
         raise FormatError(f"{path}: malformed anchor file header")
     records = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != 5:
-            raise FormatError(f"{path}: row {r} has {len(row)} fields, expected 5")
+    for r, row in enumerate(table.cells.tolist(), start=2):
         variable, kind, asset, anchor_text, baseline_text = (c.strip() for c in row)
         if kind not in ("price", "volume", "other"):
             raise FormatError(f"{path}: row {r}: unknown kind {kind!r}")
@@ -214,4 +206,6 @@ def load_anchor_file(path) -> tuple[VariableTransform, ...]:
         if kind == "price" and anchor is None:
             raise FormatError(f"{path}: row {r}: price column without anchor")
         records.append(VariableTransform(variable, kind, asset, anchor, baseline))
+    if table.ragged:
+        raise table.ragged
     return tuple(records)

@@ -279,6 +279,26 @@ class TestBacktestCli:
                 if not l.startswith("#") and not l.startswith("timestamp")]
         assert {row[3] for row in rows} <= {"1.0", "-1.0"}
 
+    def test_sample_id_gaps_exit_one(self, tmp_path, raw_csv, capsys):
+        # Every 5th sample only: each row would earn a one-step return while
+        # standing for five held days.
+        paths = run_m2s_pipeline(tmp_path / "run", raw_csv)
+        lines = paths["forecasts"].read_text().splitlines()
+        kept = [l for l in lines if l.startswith("#") or l.startswith("sample_id")
+                or int(l.split(",")[0]) % 5 == 0]
+        strided = tmp_path / "strided.csv"
+        strided.write_text("\n".join(kept) + "\n")
+        out = tmp_path / "curve.csv"
+        rc = main(["backtest", "--forecasts", str(strided), "--panel", str(paths["transformed"]),
+                   "--anchors", str(paths["anchors"]), "--output", str(out),
+                   "--strategy", "timing", "--target-var", "close_X", "--window", "21"])
+        assert rc == 1
+        assert not out.exists()
+        assert "sample ids jump from 0 to 5" in capsys.readouterr().err
+        evaluated = tmp_path / "metrics.csv"
+        assert main(["evaluate", "--truth", str(paths["transformed"]), "--forecasts",
+                     str(strided), "--output", str(evaluated)]) == 0
+
 
 class TestOptionAnalyticsCli:
     def _quotes_csv(self, path, n=40):
@@ -339,6 +359,19 @@ class TestOptionAnalyticsCli:
         assert not (tmp_path / "out.csv").exists()
         assert "no-arbitrage" in capsys.readouterr().err
 
+    def test_row_with_extra_field_exits_one(self, tmp_path, capsys):
+        # Unchecked, the extra field shifted iv under the delta header.
+        src = tmp_path / "quotes.csv"
+        src.write_text(
+            "timestamp,spot,strike,rate,expiry,kind,market_price\n"
+            "0,100,100,0.01,0.5,call,7.0,EXTRA\n"
+        )
+        out = tmp_path / "out.csv"
+        rc = main(["option-analytics", "--input", str(src), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "row 2 has 8 fields, expected 7" in capsys.readouterr().err
+
 
 class TestReportCli:
     def test_report_from_library_curve(self, tmp_path):
@@ -362,6 +395,16 @@ class TestReportCli:
         expected = full_report(EquityCurve(range(120), rets, curve.net_values), 252.0)
         assert float(report["annual_return"]) == expected.annual_return
         assert float(report["max_drawdown"]) == expected.max_drawdown
+
+    def test_row_with_missing_field_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        path.write_text("timestamp,net_value,period_return,position\n"
+                        "0,1.01,0.01,1.0\n1,1.02,0.0099\n")
+        out = tmp_path / "report.csv"
+        rc = main(["report", "--input", str(path), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "row 3 has 3 fields, expected 4" in capsys.readouterr().err
 
     def test_minutely_needs_explicit_periods(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
