@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, table
+from . import __version__, metrics, table
 from .errors import (
     AlignError,
     DegenerateDispersionError,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .forecast import load_forecasts, make_batch, naive_forecast, read_metadata, write_forecasts
 from .frame import Panel, SplitSpec, WindowSpec, chronological_split, load_csv, sliding_windows, write_csv
-from .metrics import mae, ms_ic, ms_ir, mse
+from .metrics import mae, mse
 from .options import OptionQuote, greeks, historical_vol, implied_vol
 from .preprocess import inverse_price_transform, load_anchor_file, transform_panel, write_anchor_file
 from .stats import full_report, periods_per_year_for
@@ -305,17 +305,26 @@ def provenance_lines(command: str, opts: dict) -> list[str]:
     return [f"#config_hash={config_hash}", f"#seed={seed}", f"#version={__version__}"]
 
 
-def _read_input_table(path) -> table.Table:
-    """A curve or quote table; a file without any row is an error."""
-    tab = table.read_table(path)
-    if tab.header is None:
-        raise FormatError(f"{tab.path}: empty file")
-    return tab
+def _read_columns(path, kind: str, required: tuple[str, ...], floats: tuple[str, ...]):
+    """Header, cells and the ``floats`` columns of a curve or quote table."""
+
+    def parse(tab: table.Table):
+        if tab.header is None:
+            raise FormatError(f"{tab.path}: empty file")
+        missing = [c for c in required if c not in tab.header]
+        if missing:
+            raise FormatError(f"{path}: {kind} file lacks column(s) {missing}")
+        if not tab.n_rows:
+            raise FormatError(f"{path}: {kind} file has no rows")
+        columns = [_column_floats(path, tab.header, tab.cells, c) for c in floats]
+        return tab.header, tab.cells, columns
+
+    return table.read_table(path, parse)
 
 
-def _column_floats(tab: table.Table, path, column: str) -> np.ndarray:
-    values, n_good = table.cast(tab.cells[:, tab.header.index(column)], float)
-    if n_good < len(tab.cells):
+def _column_floats(path, header: list[str], cells: np.ndarray, column: str) -> np.ndarray:
+    values, n_good = table.cast(cells[:, header.index(column)], float)
+    if n_good < len(cells):
         raise FormatError(f"{path}: row {n_good + 2}: bad value in column {column!r}")
     return values
 
@@ -381,8 +390,9 @@ def cmd_evaluate(opts: dict) -> None:
     batch = load_forecasts(opts["forecasts"], windows)
     rows = [("mse", repr(mse(batch))), ("mae", repr(mae(batch)))]
     try:
-        rows.append(("msic", repr(ms_ic(batch, opts["method"]))))
-        rows.append(("msir", repr(ms_ir(batch, opts["method"]))))
+        per_sample = metrics.per_sample_ic(batch, opts["method"])  # once for msic and msir
+        rows.append(("msic", repr(float(per_sample.mean()))))
+        rows.append(("msir", repr(metrics._ir(per_sample))))
     except DegenerateDispersionError:
         rows.append(("msir", "NA"))
     except MetricError:
@@ -458,18 +468,11 @@ def cmd_backtest(opts: dict) -> None:
 
 
 def cmd_report(opts: dict) -> None:
-    curve_file = _read_input_table(opts["input"])
-    header = curve_file.header
-    for column in ("timestamp", "net_value", "period_return"):
-        if column not in header:
-            raise FormatError(f"{opts['input']}: curve file lacks column {column!r}")
-    if not curve_file.n_rows:
-        raise FormatError(f"{opts['input']}: curve file has no rows")
-    net = _column_floats(curve_file, opts["input"], "net_value")
-    rets = _column_floats(curve_file, opts["input"], "period_return")
-    if curve_file.ragged:
-        raise curve_file.ragged
-    timestamps = tuple(label.strip() for label in curve_file.cells[:, header.index("timestamp")])
+    header, cells, (net, rets) = _read_columns(
+        opts["input"], "curve", ("timestamp", "net_value", "period_return"),
+        ("net_value", "period_return"),
+    )
+    timestamps = tuple(label.strip() for label in cells[:, header.index("timestamp")])
     curve = EquityCurve(timestamps, rets, net)
     report = full_report(curve, opts["periods_per_year"], opts["risk_free"])
     lines = provenance_lines("report", opts) + ["metric,value"]
@@ -479,23 +482,13 @@ def cmd_report(opts: dict) -> None:
 
 
 def cmd_option_analytics(opts: dict) -> None:
-    quotes = _read_input_table(opts["input"])
-    header = quotes.header
-    required = ("timestamp", "spot", "strike", "rate", "expiry", "kind", "market_price")
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise FormatError(f"{opts['input']}: quote file lacks column(s) {missing}")
-    if not quotes.n_rows:
-        raise FormatError(f"{opts['input']}: quote file has no rows")
-    spot, strike, rate, expiry, price = (
-        _column_floats(quotes, opts["input"], column)
-        for column in ("spot", "strike", "rate", "expiry", "market_price")
+    header, cells, (spot, strike, rate, expiry, price) = _read_columns(
+        opts["input"], "quote",
+        ("timestamp", "spot", "strike", "rate", "expiry", "kind", "market_price"),
+        ("spot", "strike", "rate", "expiry", "market_price"),
     )
-    if quotes.ragged:
-        raise quotes.ragged
-
-    extended = np.empty((len(quotes.cells), 6))
-    for i, kind in enumerate(quotes.cells[:, header.index("kind")]):
+    extended = np.empty((len(cells), 6))
+    for i, kind in enumerate(cells[:, header.index("kind")]):
         quote = OptionQuote(spot[i], strike[i], rate[i], expiry[i], kind.strip().lower(), price[i])
         iv = implied_vol(quote)
         g = greeks(quote, iv)
@@ -506,7 +499,7 @@ def cmd_option_analytics(opts: dict) -> None:
         source = opts["hv_source"]
         if source not in header:
             raise FormatError(f"{opts['input']}: no hv source column {source!r}")
-        series = _column_floats(quotes, opts["input"], source)
+        series = _column_floats(opts["input"], header, cells, source)
         hv = historical_vol(series, opts["hv_window"])
         hv_column = [""] * (opts["hv_window"] - 1) + list(map(repr, hv.tolist()))
 
@@ -515,11 +508,11 @@ def cmd_option_analytics(opts: dict) -> None:
         out_header.append("hv")
     lines = provenance_lines("option-analytics", opts)
     lines.append(",".join(out_header))
-    for i, (row, values) in enumerate(zip(quotes.cells.tolist(), extended.tolist())):
-        cells = [c.strip() for c in row] + list(map(repr, values))
+    for i, (row, values) in enumerate(zip(cells.tolist(), extended.tolist())):
+        out = [c.strip() for c in row] + list(map(repr, values))
         if hv_column is not None:
-            cells.append(hv_column[i])
-        lines.append(",".join(cells))
+            out.append(hv_column[i])
+        lines.append(",".join(out))
     table.write_lines(opts["output"], lines)
 
 

@@ -8,7 +8,6 @@ headers ``#L=``, ``#H=``, ``#model=`` (and ``#variables=``) followed by
 
 from __future__ import annotations
 
-import functools
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import AlignError, FormatError, WindowError
 from .frame import WindowSet
 from .metrics import ForecastBatch
-from .table import cast, read_table, write_lines
+from .table import Table, cast, read_table, write_lines
 
 DEFAULT_NOISE_STD = 0.001
 
@@ -146,34 +145,38 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
             f"{truth_windows.spec.input_len}"
         )
 
-    table = read_table(path, FormatError, "forecast file")
-    if table.header != ["sample_id", "step", "variable", "y_pred"]:
-        raise FormatError(f"{path}: expected header sample_id,step,variable,y_pred")
-    cells = table.cells
-    (ids, n_ids), (steps, n_steps), (values, n_values) = (
-        cast(cells[:, j], dtype) for j, dtype in ((0, np.int64), (1, np.int64), (3, float))
-    )
-    n_good = min(n_ids, n_steps, n_values)
-    ids, steps, values = ids[:n_good], steps[:n_good], values[:n_good]
     targets = tuple(truth_windows.target_vars)
-    names = list(targets)  # a variable's code is its index here; other names follow the targets
-    code = functools.cache(lambda raw: _append_index(names, raw.strip()))
-    var_codes = np.fromiter(map(code, cells[:n_good, 2]), np.int64, n_good)
-    # Row checks in file order: a duplicate before the first bad row, that
-    # row, then the first row with the wrong field count.
-    dup = _first_duplicate(ids, steps, var_codes)
-    if dup is not None:
-        raise FormatError(
-            f"{path}: duplicate record for sample {ids[dup]}, step {steps[dup]}, "
-            f"variable {names[var_codes[dup]]!r}"
-        )
-    if n_good < len(cells):
-        raise FormatError(f"{path}: row {n_good + 2}: malformed record {list(cells[n_good])!r}")
-    if table.ragged:
-        raise table.ragged
-    if not table.n_rows:
-        raise FormatError(f"{path}: no forecast records")
 
+    def records(table: Table):
+        if table.header != ["sample_id", "step", "variable", "y_pred"]:
+            raise FormatError(f"{path}: expected header sample_id,step,variable,y_pred")
+        if not table.n_rows:
+            raise FormatError(f"{path}: no forecast records")
+        cells = table.cells
+        (ids, n_ids), (steps, n_steps), (values, n_values) = (
+            cast(cells[:, j], dtype) for j, dtype in ((0, np.int64), (1, np.int64), (3, float))
+        )
+        n = min(n_ids, n_steps, n_values)
+        # A variable's code is its index in ``names``: the targets, then other names.
+        codes = {name: i for i, name in enumerate(targets)}
+        code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(cells[:n, 2])}
+        var_codes = np.fromiter(map(code_of.__getitem__, cells[:n, 2]), np.int64, n)
+        names = list(codes)
+        # In file order: a duplicate before the first malformed record, then that record.
+        order = np.lexsort((var_codes, steps[:n], ids[:n]))
+        same = [k[order][1:] == k[order][:-1] for k in (ids[:n], steps[:n], var_codes)]
+        dup = order[1:][np.logical_and.reduce(same)]
+        if dup.size:
+            i = dup.min()
+            raise FormatError(
+                f"{path}: duplicate record for sample {ids[i]}, step {steps[i]}, "
+                f"variable {names[var_codes[i]]!r}"
+            )
+        if n < len(cells):
+            raise FormatError(f"{path}: row {n + 2}: malformed record {list(cells[n])!r}")
+        return ids, steps, var_codes, values, names
+
+    ids, steps, var_codes, values, names = read_table(path, records, FormatError, "forecast file")
     used = np.flatnonzero(np.bincount(var_codes, minlength=len(names)))
     unknown = sorted(names[i] for i in used if i >= len(targets))
     if unknown:
@@ -215,20 +218,3 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
         origins=tuple(origins[s] for s in sample_ids),
         last_observed=truth_windows.last_observed[sample_ids][:, used],
     )
-
-
-def _append_index(names: list, name: str) -> int:
-    """Index of ``name`` in ``names``, appending it first if absent."""
-    if name not in names:
-        names.append(name)
-    return names.index(name)
-
-
-def _first_duplicate(ids, steps, var_codes) -> int | None:
-    """Index of the first record whose (sample, step, variable) an earlier record has."""
-    (i0, i1), (s0, s1), (v0, v1) = ((k[:-1], k[1:]) for k in (ids, steps, var_codes))
-    if ((i1 > i0) | (i1 == i0) & ((s1 > s0) | (s1 == s0) & (v1 > v0))).all():
-        return None  # strictly increasing, the order write_forecasts writes
-    order = np.lexsort((var_codes, steps, ids))
-    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in (ids, steps, var_codes)])
-    return order[1:][same].min() if same.any() else None

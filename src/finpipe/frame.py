@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IngestError, SplitError, WindowError
-from .table import cast, read_table, write_lines
+from .table import Table, cast, read_table, write_lines
 
 FREQUENCIES = ("daily", "hourly", "minutely")
 
@@ -108,45 +108,38 @@ def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> 
     are sorted by timestamp; duplicate timestamps and non-numeric cells are
     rejected with their location.
     """
-    table = read_table(path, IngestError)
-    path = table.path
-    header = table.header
-    if header is None:
-        raise IngestError(f"{path}: empty file")
-    if not table.n_rows:
-        raise IngestError(f"{path}: no data rows")
-    ts_name = timestamp_column if timestamp_column is not None else header[0]
-    if ts_name not in header:
-        raise IngestError(f"{path}: no timestamp column {ts_name!r}")
-    ts_idx = header.index(ts_name)
-    value_idx = [i for i in range(len(header)) if i != ts_idx]
-    variables = [header[i] for i in value_idx]
-    matrix, n_good = cast(table.cells[:, value_idx], float)
-    not_finite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if not_finite.size or n_good < len(table.cells):
-        r = not_finite[0] if not_finite.size else n_good
-        i = next(i for i in value_idx if not _is_finite_number(table.cells[r, i]))
-        raise IngestError(
-            f"{path}: non-numeric value {table.cells[r, i]!r} at row {r + 2}, column {header[i]!r}"
-        )
-    if table.ragged:
-        raise table.ragged
-    labels = [label.strip() for label in table.cells[:, ts_idx]]
+
+    def columns(table: Table):
+        path, header = table.path, table.header
+        if header is None:
+            raise IngestError(f"{path}: empty file")
+        if not table.n_rows:
+            raise IngestError(f"{path}: no data rows")
+        ts_name = timestamp_column if timestamp_column is not None else header[0]
+        if ts_name not in header:
+            raise IngestError(f"{path}: no timestamp column {ts_name!r}")
+        ts_idx = header.index(ts_name)
+        value_idx = [i for i in range(len(header)) if i != ts_idx]
+        matrix, n_good = cast(table.cells[:, value_idx], float)
+        finite = np.isfinite(matrix).all(axis=1)
+        if n_good < len(table.cells) or not finite.all():
+            r = n_good if finite.all() else np.argmin(finite)
+            row, j = cast(table.cells[r, value_idx], float)  # the first cell that is no number
+            i = value_idx[min([j, *np.flatnonzero(~np.isfinite(row))])]  # or is not finite
+            raise IngestError(
+                f"{path}: non-numeric value {table.cells[r, i]!r} at row {r + 2}, "
+                f"column {header[i]!r}"
+            )
+        labels = [label.strip() for label in table.cells[:, ts_idx]]
+        return path, labels, tuple(header[i] for i in value_idx), matrix
+
+    path, labels, variables, matrix = read_table(path, columns, IngestError)
     keys = [_timestamp_key(lab) for lab in labels]
     try:
         order = sorted(range(len(labels)), key=lambda i: keys[i])
     except TypeError:
         raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
-    return Panel(
-        tuple(labels[i] for i in order), tuple(variables), matrix[order], freq
-    )
-
-
-def _is_finite_number(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
+    return Panel(tuple(labels[i] for i in order), variables, matrix[order], freq)
 
 
 def write_csv(panel: Panel, path, header_comments: Sequence[str] = ()) -> None:

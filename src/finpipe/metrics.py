@@ -17,7 +17,7 @@ repeat-last forecasters score 0 instead of poisoning the average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -32,9 +32,7 @@ class ForecastBatch:
     ``sample_order`` gives the chronological index of each sample along axis
     0 and must be strictly increasing. ``variables``, ``origins`` and
     ``last_observed`` are optional carriers used by signal construction and
-    file interchange; metric computations ignore them. ``y_true`` and
-    ``y_pred`` are read-only copies, so a correlation computed once stays
-    valid for the batch's lifetime.
+    file interchange; metric computations ignore them.
     """
 
     y_true: np.ndarray
@@ -43,11 +41,10 @@ class ForecastBatch:
     variables: tuple[str, ...] | None = None
     origins: tuple | None = None
     last_observed: np.ndarray | None = None
-    _sample_ic: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y_true = np.array(self.y_true, dtype=float)
-        y_pred = np.array(self.y_pred, dtype=float)
+        y_true = np.asarray(self.y_true, dtype=float)
+        y_pred = np.asarray(self.y_pred, dtype=float)
         if y_true.ndim != 3:
             raise MetricError(f"expected (B, F, C) tensors, got {y_true.ndim}-D")
         if y_true.shape != y_pred.shape:
@@ -71,8 +68,6 @@ class ForecastBatch:
             if lo.shape != (y_true.shape[0], y_true.shape[2]):
                 raise MetricError("last_observed must have shape (B, C)")
             object.__setattr__(self, "last_observed", lo)
-        y_true.setflags(write=False)
-        y_pred.setflags(write=False)
         object.__setattr__(self, "y_true", y_true)
         object.__setattr__(self, "y_pred", y_pred)
         object.__setattr__(self, "sample_order", order)
@@ -139,17 +134,8 @@ def per_pair_corr(y: np.ndarray, y_pred: np.ndarray, method: str = "spearman") -
 
 
 def per_sample_ic(batch: ForecastBatch, method: str = "spearman") -> np.ndarray:
-    """(B,) per-sample mean over channels of the horizon rank correlation.
-
-    Computed once per batch and method, so ``ms_ic`` and ``ms_ir`` on one
-    batch build the (B, C) correlation matrix once; the result is read-only.
-    """
-    per_sample = batch._sample_ic.get(method)
-    if per_sample is None:
-        per_sample = _corr_matrix(batch.y_true, batch.y_pred, method).mean(axis=1)
-        per_sample.setflags(write=False)
-        batch._sample_ic[method] = per_sample
-    return per_sample
+    """(B,) per-sample mean over channels of the horizon rank correlation."""
+    return _corr_matrix(batch.y_true, batch.y_pred, method).mean(axis=1)
 
 
 def ms_ic(batch: ForecastBatch, method: str = "spearman") -> float:
@@ -163,7 +149,11 @@ def ms_ir(batch: ForecastBatch, method: str = "spearman") -> float:
     Raises :class:`DegenerateDispersionError` when fewer than two samples are
     present or all per-sample correlations coincide (zero dispersion).
     """
-    per_sample = per_sample_ic(batch, method)
+    return _ir(per_sample_ic(batch, method))
+
+
+def _ir(per_sample: np.ndarray) -> float:
+    """Mean over population std of the per-sample correlations, as in :func:`ms_ir`."""
     if per_sample.shape[0] < 2:
         raise DegenerateDispersionError("ms_ir needs at least two samples")
     mean = per_sample.mean()

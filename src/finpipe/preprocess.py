@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FormatError, TransformError
 from .frame import Panel
-from .table import read_table, write_lines
+from .table import Table, read_table, write_lines
 
 PRICE_FIELDS = ("open", "high", "low", "close")
 DEFAULT_BASELINE = 100.0
@@ -189,7 +189,10 @@ def write_anchor_file(
 
 def load_anchor_file(path) -> tuple[VariableTransform, ...]:
     """Read a sidecar written by :func:`write_anchor_file`."""
-    table = read_table(path, FormatError, "anchor file")
+    return tuple(read_table(path, _anchor_records, FormatError, "anchor file"))
+
+
+def _anchor_records(table: Table) -> list[VariableTransform]:
     path = table.path
     if table.header != ["variable", "kind", "asset", "anchor_close", "baseline"]:
         raise FormatError(f"{path}: malformed anchor file header")
@@ -206,6 +209,4 @@ def load_anchor_file(path) -> tuple[VariableTransform, ...]:
         if kind == "price" and anchor is None:
             raise FormatError(f"{path}: row {r}: price column without anchor")
         records.append(VariableTransform(variable, kind, asset, anchor, baseline))
-    if table.ragged:
-        raise table.ragged
-    return tuple(records)
+    return records

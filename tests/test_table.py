@@ -6,6 +6,7 @@ raise the same exception type with the same message. A warning raised by a
 reader fails the test, so an empty body must not make numpy warn.
 """
 
+import csv
 import warnings
 
 import numpy as np
@@ -27,8 +28,9 @@ from finpipe import (
     write_csv,
     write_forecasts,
 )
-from finpipe.cli import _column_floats, _read_input_table
+from finpipe.cli import _column_floats
 from finpipe.errors import FormatError
+from finpipe.table import _split_plain, read_table
 from synth import ohlcv_panel
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -305,10 +307,38 @@ def test_cli_table_columns_match_reference(tmp_path, rows):
     path = tmp_path / "table.csv"
     path.write_text("#seed=1\nlabel,a,b\n" + "".join(f"t{i},{a},{b}\n" for i, (a, b) in enumerate(rows)))
     header, old_rows = ref.read_table(path)
-    table = _read_input_table(path)
+    table = read_table(path, lambda tab: tab)
     assert table.header == header
     assert table.cells.tolist() == old_rows
     for column in ("a", "b"):
-        new = outcome(_column_floats, table, path, column)
+        new = outcome(_column_floats, path, table.header, table.cells, column)
         old = outcome(ref.table_floats, path, header, old_rows, column)
         assert_same(new, old, np.testing.assert_array_equal)
+
+
+@pytest.mark.parametrize("text", ["h,a\n0,1\n1\n2,3\n", "h,a\n0,1,2\n", "h\n#x\n0\n1,2\n"])
+def test_a_ragged_table_never_reaches_the_caller(tmp_path, text):
+    # The parse callback sees the rows above the ragged one, but whatever it
+    # returns, read_table raises instead of handing back a table cut short.
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    seen = []
+    with pytest.raises(FormatError, match=r"fields, expected"):
+        read_table(path, seen.append)
+    assert len(seen[0].cells) < seen[0].n_rows
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(st.sampled_from('a1 ,#\n"\r\x00\t.-_e\u0663'), max_size=40))
+def test_plain_split_matches_the_csv_module(tmp_path, text):
+    # Where the np.loadtxt path answers at all, its rows are csv.reader's.
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = _split_plain(path)
+    if plain is not None:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        assert plain.tolist() == rows
