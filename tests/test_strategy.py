@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from finpipe import (
     ForecastBatch,
@@ -342,6 +347,69 @@ class TestNoLookahead:
         curve_a = equity_curve(timing_positions(dd, 2), _returns(returns_a))
         curve_b = equity_curve(timing_positions(dd, 2), _returns(returns_b))
         np.testing.assert_array_equal(curve_a.net_values[:10], curve_b.net_values[:10])
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+STRATEGIES = ("timing", "longshort", "topk")
+
+
+@st.composite
+def backtests(draw, max_rows=30):
+    """A trigger panel, a return panel and a rule for turning one into positions."""
+    n_rows = draw(st.integers(2, max_rows))
+    n_assets = draw(st.integers(1, 4))
+    signal = draw(arrays(float, (n_rows, n_assets),
+                         elements=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-3, 3)))
+    returns = draw(arrays(float, (n_rows, n_assets), elements=st.floats(-0.5, 0.5)))
+    strategy = draw(st.sampled_from(STRATEGIES))
+    k = draw(st.integers(1, n_assets))
+    period = draw(st.integers(1, 7))
+    return signal, returns, strategy, k, period
+
+
+def _positions_and_returns(signal, returns, strategy, k, period):
+    assets = tuple(f"a{i}" for i in range(signal.shape[1]))
+    dd, rets = _signal(signal, assets), _returns(returns, assets)
+    if strategy == "topk":
+        return portfolio_topk(dd, k, period), rets
+    rule = timing_positions if strategy == "timing" else long_short_positions
+    return rule(dd.select(["a0"]), period), rets.select(["a0"])
+
+
+class TestBacktestProperties:
+    @PROPERTY
+    @given(case=backtests(), data=st.data())
+    def test_no_lookahead_on_random_prefixes(self, case, data):
+        signal, returns, strategy, k, period = case
+        cut = data.draw(st.integers(1, signal.shape[0] - 1), label="cut")
+        tail = (signal.shape[0] - cut, signal.shape[1])
+        signal_b, returns_b = signal.copy(), returns.copy()
+        signal_b[cut:] = data.draw(arrays(float, tail, elements=st.floats(-3, 3)), label="signal")
+        returns_b[cut:] = data.draw(arrays(float, tail, elements=st.floats(-0.5, 0.5)),
+                                    label="returns")
+        curve_a = equity_curve(*_positions_and_returns(signal, returns, strategy, k, period))
+        curve_b = equity_curve(*_positions_and_returns(signal_b, returns_b, strategy, k, period))
+        np.testing.assert_array_equal(curve_a.net_values[:cut], curve_b.net_values[:cut])
+
+    @PROPERTY
+    @given(case=backtests())
+    def test_topk_weights_sum_to_one(self, case):
+        signal, returns, _, k, period = case
+        weights = _positions_and_returns(signal, returns, "topk", k, period)[0].weights
+        assert ((weights > 0).sum(axis=1) == k).all()
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(case=backtests())
+    def test_equity_curve_matches_math_prod(self, case):
+        positions, returns = _positions_and_returns(*case)
+        curve = equity_curve(positions, returns)
+        period_returns = [math.fsum(w * r for w, r in zip(w_row, r_row))
+                          for w_row, r_row in zip(positions.weights.tolist(),
+                                                  returns.values.tolist())]
+        for t, net in enumerate(curve.net_values.tolist()):
+            assert math.isclose(net, math.prod(1.0 + r for r in period_returns[: t + 1]),
+                                rel_tol=1e-13)
 
 
 class TestForwardReturns:

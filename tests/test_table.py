@@ -170,6 +170,9 @@ def test_corrupted_panel_fails_like_reference(tmp_path, panel, data, kinds):
     ("#seed=1\ntimestamp,a\n#late comment\n", "no data rows"),
     ("timestamp,a,b\n0,1,oops\n1,2\n", r"row 2, column 'b'"),
     ("timestamp,a,b\n0,1,2\n1,2\n2,x,3\n", "row 3 has 2 fields"),
+    ("timestamp,a\n1,1\n0,2\n1,3\n", "strictly increasing with no duplicates"),
+    ("timestamp,a\n2024-01-01T00:00:00,1\n2024-01-01,2\n", "strictly increasing"),
+    ("timestamp,a\n0,1\n2024-01-01,2\n", "mix integer and calendar labels"),
 ])
 def test_panel_edge_cases_match_reference(tmp_path, text, message):
     path = tmp_path / "panel.csv"
