@@ -4,7 +4,8 @@ Every subcommand validates its inputs fully before writing anything, writes
 deterministic bytes for a given (inputs, flags, seed), and stamps each output
 file with a provenance header: a hash of the semantic configuration, the
 seed, and the toolkit version. An optional ``key=value`` config file can
-supply any option; explicit flags win on conflict. Exit status is 0 on
+supply any option: its lines are read as flags placed before the command
+line's own, so a flag on the command line wins. Exit status is 0 on
 success, 1 on data errors, 2 on usage errors.
 """
 
@@ -29,7 +30,8 @@ from .errors import (
     ToolkitError,
 )
 from .forecast import load_forecasts, make_batch, naive_forecast, read_metadata, write_forecasts
-from .frame import Panel, SplitSpec, WindowSpec, chronological_split, load_csv, sliding_windows, write_csv
+from .frame import (FREQUENCIES, Panel, SplitSpec, WindowSpec, chronological_split, load_csv,
+                    sliding_windows, write_csv)
 from .metrics import mae, mse
 from .options import OptionQuote, greeks, historical_vol, implied_vol
 from .preprocess import inverse_price_transform, load_anchor_file, transform_panel, write_anchor_file
@@ -53,13 +55,11 @@ def derive_seed(seed: int, stream: str) -> int:
 
 
 def _csv_tuple(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in str(text).split(",") if part.strip())
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    lowered = str(text).strip().lower()
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -78,10 +78,9 @@ class Opt:
     help: str = ""
 
 
-_CONFIG = Opt("config", str, help="key=value file supplying defaults; flags win on conflict")
+_CONFIG = Opt("config", str, help="key=value file read as flags before the command line's own")
 
-_FREQ = Opt("freq", str, default="daily", choices=("daily", "hourly", "minutely"),
-            help="panel frequency label")
+_FREQ = Opt("freq", str, default="daily", choices=FREQUENCIES, help="panel frequency label")
 
 OPTIONS: dict[str, tuple[Opt, ...]] = {
     "preprocess": (
@@ -157,18 +156,9 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     ),
 }
 
-# Keys that define a run's semantics; paths stay out so identical runs in
-# different locations hash identically.
-HASH_KEYS: dict[str, tuple[str, ...]] = {
-    "preprocess": ("baseline", "freq"),
-    "split": ("train", "val", "test", "freq"),
-    "naive-forecast": ("input_len", "horizon", "target_vars", "task", "noise_std",
-                       "seed", "shared_noise", "freq"),
-    "evaluate": ("method", "freq"),
-    "backtest": ("strategy", "target_var", "k", "window", "rebalance", "freq"),
-    "report": ("periods_per_year", "risk_free", "freq"),
-    "option-analytics": ("hv_window", "hv_source"),
-}
+# Options naming files; every other option defines a run's semantics and is
+# hashed, so identical runs in different locations hash identically.
+PATH_OPTIONS = {"input", "output", "output_dir", "anchors", "truth", "forecasts", "panel", "config"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,102 +173,82 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in opts:
             flag = "--" + opt.name.replace("_", "-")
             if opt.flag:
-                sub.add_argument(flag, dest=opt.name, action="store_true",
-                                 default=argparse.SUPPRESS, help=opt.help)
+                sub.add_argument(flag, dest=opt.name, action="store_true", help=opt.help)
             else:
-                sub.add_argument(flag, dest=opt.name, type=str,
-                                 default=argparse.SUPPRESS, help=opt.help)
+                sub.add_argument(flag, dest=opt.name, type=opt.convert, choices=opt.choices,
+                                 default=opt.default, help=opt.help)
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _config_args(parser, command: str, path: str) -> list[str]:
+    """The ``key=value`` lines of a config file as ``--key=value`` flags."""
     cfg_path = Path(path)
     if not cfg_path.exists():
-        raise FormatError(f"no such config file: {cfg_path}")
-    values: dict[str, str] = {}
+        parser.error(f"no such config file: {cfg_path}")
+    pairs = []
     for n, line in enumerate(cfg_path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise FormatError(f"{cfg_path}: line {n}: expected key=value, got {line!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def resolve_options(parser, command: str, namespace) -> dict:
-    """Layer defaults, config-file values, then explicit flags; validate."""
-    opts = {o.name: o for o in OPTIONS[command]}
-    merged = {o.name: o.default for o in OPTIONS[command]}
-    explicit = {k: v for k, v in vars(namespace).items() if k != "command"}
-
-    config_path = explicit.get("config")
-    if config_path is not None:
-        try:
-            raw = _load_config_file(config_path)
-        except FormatError as exc:
-            parser.error(str(exc))
-        for key, text in raw.items():
-            if key not in opts or key == "config":
-                parser.error(f"config file sets unknown option {key!r} for {command}")
-            try:
-                merged[key] = opts[key].convert(text)
-            except (TypeError, ValueError):
-                parser.error(f"config option {key}={text!r} is not a valid value")
-
-    for key, text in explicit.items():
-        if key == "config":
-            merged[key] = text
-            continue
-        opt = opts[key]
-        if opt.flag:
-            merged[key] = bool(text)
+            parser.error(f"{cfg_path}: line {n}: expected key=value, got {line!r}")
+        pairs.append((key.strip().replace("-", "_"), value.strip()))
+    opts = {o.name: o for o in OPTIONS[command] if o.name != "config"}
+    args = []
+    for key, value in pairs:
+        opt = opts.get(key)
+        if opt is None:  # checked here: argparse would take an abbreviation such as hor=5
+            parser.error(f"config file sets unknown option {key!r} for {command}")
+        flag = "--" + key.replace("_", "-")
+        if not opt.flag:
+            args.append(f"{flag}={value}")
             continue
         try:
-            merged[key] = opt.convert(text)
-        except (TypeError, ValueError):
-            parser.error(f"option --{key.replace('_', '-')}={text!r} is not a valid value")
+            if opt.convert(value):
+                args.append(flag)
+        except ValueError:
+            parser.error(f"config option {key}={value!r} is not a valid value")
+    return args
 
+
+def resolve_options(parser, namespace) -> dict:
+    """Check what argparse does not: required options and rules across options."""
+    opts = dict(vars(namespace))
+    command = opts.pop("command")
     for opt in OPTIONS[command]:
-        if opt.required and merged[opt.name] is None:
+        if opt.required and opts[opt.name] is None:
             parser.error(f"missing required option --{opt.name.replace('_', '-')}")
-        if opt.choices is not None and merged[opt.name] is not None \
-                and merged[opt.name] not in opt.choices:
-            parser.error(
-                f"--{opt.name.replace('_', '-')} must be one of {opt.choices}, "
-                f"got {merged[opt.name]!r}"
-            )
     if command == "split":
         for key in ("train", "val", "test"):
-            if not 0.0 < merged[key] < 1.0:
-                parser.error(f"--{key} must be in (0, 1), got {merged[key]}")
-        if abs(merged["train"] + merged["val"] + merged["test"] - 1.0) > 1e-12:
+            if not 0.0 < opts[key] < 1.0:
+                parser.error(f"--{key} must be in (0, 1), got {opts[key]}")
+        if abs(opts["train"] + opts["val"] + opts["test"] - 1.0) > 1e-12:
             parser.error("split fractions must sum to 1")
     if command == "naive-forecast":
-        if merged["input_len"] < 1 or merged["horizon"] < 1:
+        if opts["input_len"] < 1 or opts["horizon"] < 1:
             parser.error("--input-len and --horizon must be >= 1")
-        if merged["noise_std"] < 0:
+        if opts["noise_std"] < 0:
             parser.error("--noise-std must be non-negative")
     if command == "backtest":
-        if merged["strategy"] in ("timing", "longshort") and not merged["target_var"]:
-            parser.error(f"--target-var is required for the {merged['strategy']} strategy")
-        if merged["strategy"] == "topk" and merged["k"] is None:
+        if opts["strategy"] in ("timing", "longshort") and not opts["target_var"]:
+            parser.error(f"--target-var is required for the {opts['strategy']} strategy")
+        if opts["strategy"] == "topk" and opts["k"] is None:
             parser.error("--k is required for the topk strategy")
-        if merged["window"] < 1 or merged["rebalance"] < 1:
+        if opts["window"] < 1 or opts["rebalance"] < 1:
             parser.error("--window and --rebalance must be >= 1")
     if command == "report":
-        if merged["periods_per_year"] is None:
-            default = periods_per_year_for(merged["freq"])
+        if opts["periods_per_year"] is None:
+            default = periods_per_year_for(opts["freq"])
             if default is None:
-                parser.error(f"--periods-per-year is required for freq {merged['freq']!r}")
-            merged["periods_per_year"] = float(default)
-        if merged["periods_per_year"] <= 0:
+                parser.error(f"--periods-per-year is required for freq {opts['freq']!r}")
+            opts["periods_per_year"] = float(default)
+        if opts["periods_per_year"] <= 0:
             parser.error("--periods-per-year must be positive")
-    if command == "option-analytics" and merged["hv_window"] is not None \
-            and merged["hv_window"] < 2:
+    if command == "option-analytics" and opts["hv_window"] is not None \
+            and opts["hv_window"] < 2:
         parser.error("--hv-window must be >= 2")
-    return merged
+    return opts
 
 
 def _format_value(value) -> str:
@@ -294,7 +264,8 @@ def _format_value(value) -> str:
 
 
 def provenance_lines(command: str, opts: dict) -> list[str]:
-    blob = ";".join(f"{k}={_format_value(opts.get(k))}" for k in HASH_KEYS[command])
+    keys = [o.name for o in OPTIONS[command] if o.name not in PATH_OPTIONS]
+    blob = ";".join(f"{k}={_format_value(opts[k])}" for k in keys)
     config_hash = hashlib.sha256(blob.encode()).hexdigest()[:16]
     seed = _format_value(opts.get("seed"))
     return [f"#config_hash={config_hash}", f"#seed={seed}", f"#version={__version__}"]
@@ -523,9 +494,15 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     namespace = parser.parse_args(argv)
-    opts = resolve_options(parser, namespace.command, namespace)
+    if namespace.config is not None:
+        # Config lines go between the command name and the user's flags, so a flag wins.
+        at = argv.index(namespace.command) + 1
+        extra = _config_args(parser, namespace.command, namespace.config)
+        namespace = parser.parse_args(argv[:at] + extra + argv[at:])
+    opts = resolve_options(parser, namespace)
     try:
         COMMANDS[namespace.command](opts)
     except ToolkitError as exc:

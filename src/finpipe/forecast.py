@@ -108,7 +108,7 @@ def read_metadata(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line.startswith("#"):
+            if line and not line.startswith("#"):  # blank lines are skipped
                 break
             key, sep, value = line[1:].partition("=")
             if sep:

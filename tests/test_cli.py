@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import finpipe
 from finpipe import (
     EquityCurve,
     OptionQuote,
@@ -89,10 +95,19 @@ class TestPipeline:
         assert sizes == [420, 60, 120]
 
     def test_outputs_carry_provenance(self, tmp_path, raw_csv):
+        # The hashes are pinned: a change to option names, defaults or the
+        # set of hashed options shows up here.
         paths = run_m2s_pipeline(tmp_path / "run", raw_csv)
-        for name in ("transformed", "anchors", "forecasts", "metrics", "curve", "report"):
-            head = paths[name].read_text().splitlines()[:3]
-            assert head[0].startswith("#config_hash=")
+        expected = {
+            "transformed": "742ef59a3b4f03fc", "anchors": "742ef59a3b4f03fc",
+            "forecasts": "4dcd9b8e8ae4cc87", "metrics": "642c643a28cce7ed",
+            "curve": "22b7df43d8d81374", "report": "5d7ac917f24bc12e",
+        }
+        files = {name: paths[name] for name in expected}
+        files.update((part, paths["splits"] / f"{part}.csv") for part in ("train", "val", "test"))
+        for name, path in files.items():
+            head = path.read_text().splitlines()[:3]
+            assert head[0] == f"#config_hash={expected.get(name, '3a7e74a2082286a5')}", name
             assert head[1].startswith("#seed=")
             assert head[2].startswith("#version=")
 
@@ -100,6 +115,19 @@ class TestPipeline:
         run_m2s_pipeline(tmp_path / "run", raw_csv)
         transformed = load_csv(tmp_path / "run" / "transformed.csv")
         assert transformed.column("close_X")[0] == 100.0
+
+    def test_blank_lines_in_forecast_header_are_skipped(self, tmp_path, raw_csv):
+        paths = run_m2s_pipeline(tmp_path / "run", raw_csv)
+        text = paths["forecasts"].read_text()
+        assert "\n#L=" in text
+        variants = {"leading": "\n" + text, "inner": text.replace("\n#L=", "\n\n#L=", 1)}
+        for name, body in variants.items():
+            forecasts, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_metrics.csv"
+            forecasts.write_text(body)
+            rc = main(["evaluate", "--truth", str(paths["transformed"]),
+                       "--forecasts", str(forecasts), "--output", str(out)])
+            assert rc == 0, name
+            assert out.read_text() == paths["metrics"].read_text(), name
 
     def test_seed_changes_forecasts(self, tmp_path, raw_csv):
         a = run_m2s_pipeline(tmp_path / "a", raw_csv, seed="7")
@@ -149,6 +177,49 @@ class TestUsageErrors:
             assert exc.value.code == 2
             assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "--train", "1.5"], "--train must be in (0, 1), got 1.5"),
+        (["split", "--train", "0.5"], "split fractions must sum to 1"),
+        (["naive-forecast", "--horizon", "0"], "--input-len and --horizon must be >= 1"),
+        (["naive-forecast", "--noise-std", "-1"], "--noise-std must be non-negative"),
+        (["backtest", "--strategy", "timing", "--target-var", "close_X", "--window", "0"],
+         "--window and --rebalance must be >= 1"),
+        (["report", "--periods-per-year", "0"], "--periods-per-year must be positive"),
+        (["option-analytics", "--hv-window", "1"], "--hv-window must be >= 2"),
+    ])
+    def test_range_rules_exit_two_and_write_nothing(self, tmp_path, raw_csv, capsys, argv,
+                                                    message):
+        out = str(tmp_path / "out.csv")
+        files = {
+            "split": ["--input", str(raw_csv), "--output-dir", str(tmp_path / "s")],
+            "backtest": ["--forecasts", str(raw_csv), "--panel", str(raw_csv),
+                         "--anchors", str(raw_csv), "--output", out],
+        }.get(argv[0], ["--input", str(raw_csv), "--output", out])
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + files + argv[1:])
+        assert exc.value.code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_argparse_words_conversion_and_choice_errors(self, tmp_path, raw_csv, capsys):
+        split = ["split", "--input", str(raw_csv), "--output-dir", str(tmp_path / "s")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("horizon=x\n")
+        cases = [
+            (split + ["--train", "abc"], "argument --train: invalid float value: 'abc'"),
+            (["evaluate", "--truth", "t", "--forecasts", "f", "--output", "o",
+              "--method", "kendall"],
+             "argument --method: invalid choice: 'kendall' (choose from 'spearman', 'pearson')"),
+            (["naive-forecast", "--input", "i", "--output", "o", "--config", str(cfg)],
+             "argument --horizon: invalid int value: 'x'"),
+        ]
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"finpipe {argv[0]}: error: {message}\n" in capsys.readouterr().err
 
     def test_m2s_needs_single_target(self, tmp_path, raw_csv):
         rc = main(["naive-forecast", "--input", str(raw_csv),
@@ -270,6 +341,45 @@ class TestConfigFile:
             main(["split", "--input", str(raw_csv),
                   "--output-dir", str(tmp_path / "s"), "--config", str(cfg)])
         assert exc.value.code == 2
+
+    def test_config_supplies_required_options(self, tmp_path, raw_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input={raw_csv}\noutput-dir={tmp_path / 'from_cfg'}\n")
+        assert main(["split", "--config", str(cfg)]) == 0
+        assert main(["split", "--input", str(raw_csv),
+                     "--output-dir", str(tmp_path / "from_flags")]) == 0
+        for name in ("train.csv", "val.csv", "test.csv"):
+            assert (tmp_path / "from_cfg" / name).read_bytes() == \
+                (tmp_path / "from_flags" / name).read_bytes()
+
+    def test_shared_noise_from_config_equals_the_flag(self, tmp_path, raw_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shared-noise=true\n")
+        base = ["naive-forecast", "--input", str(raw_csv), "--input-len", "512",
+                "--horizon", "5", "--task", "m2s", "--target-vars", "close_X"]
+        outs = {name: tmp_path / f"{name}.csv" for name in ("config", "flag", "off")}
+        assert main(base + ["--output", str(outs["config"]), "--config", str(cfg)]) == 0
+        assert main(base + ["--output", str(outs["flag"]), "--shared-noise"]) == 0
+        assert main(base + ["--output", str(outs["off"])]) == 0
+        assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["config"].read_bytes() != outs["off"].read_bytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("shared-noise=maybe", "config option shared_noise='maybe' is not a valid value"),
+        ("horizon=x", None),  # argparse's wording, pinned in TestUsageErrors
+        ("config=other.cfg", "config file sets unknown option 'config' for naive-forecast"),
+    ])
+    def test_bad_config_line_exits_two(self, tmp_path, raw_csv, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["naive-forecast", "--input", str(raw_csv), "--output", str(out),
+                  "--input-len", "512", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        if message is not None:
+            assert f"error: {message}\n" in capsys.readouterr().err
 
 
 class TestEvaluateDegenerateDispersion:
@@ -458,3 +568,35 @@ class TestReportCli:
             main(["report", "--input", "c.csv", "--output", "r.csv",
                   "--freq", "minutely"])
         assert exc.value.code == 2
+
+
+class TestEntryPoint:
+    def test_module_runs_main_on_sys_argv(self, tmp_path, raw_csv):
+        # What the installed ``finpipe`` script does: main() reads sys.argv.
+        package_root = str(Path(finpipe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "finpipe.cli", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input={raw_csv}\noutput-dir=from_cfg\n")
+        done = run("split", "--config", str(cfg))
+        assert done.returncode == 0, done.stderr
+        assert main(["split", "--input", str(raw_csv), "--output-dir", str(tmp_path / "ref")]) == 0
+        for name in ("train.csv", "val.csv", "test.csv"):
+            assert (tmp_path / "from_cfg" / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes()
+
+        missing = run("preprocess", "--input", "absent.csv", "--output", "t.csv",
+                      "--anchors", "a.csv")
+        assert missing.returncode == 1
+        assert "finpipe preprocess: error: no such file: absent.csv" in missing.stderr
+        assert not (tmp_path / "t.csv").exists()
+
+        unknown = run("split", "--input", str(raw_csv), "--output-dir", "s", "--nope")
+        assert unknown.returncode == 2
+        assert "unrecognized arguments: --nope" in unknown.stderr
+        assert not (tmp_path / "s").exists()
