@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +59,17 @@ def _csv_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _finite_float(text: str) -> float:
+    """The converter of every float option: ``nan`` and ``inf`` are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"float value must be finite, got {text!r}")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -87,16 +99,16 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("input", str, required=True, help="raw OHLCV panel CSV"),
         Opt("output", str, required=True, help="transformed panel CSV"),
         Opt("anchors", str, required=True, help="sidecar anchor CSV enabling exact inversion"),
-        Opt("baseline", float, default=100.0, help="additive baseline for log prices"),
+        Opt("baseline", _finite_float, default=100.0, help="additive baseline for log prices"),
         _FREQ,
         _CONFIG,
     ),
     "split": (
         Opt("input", str, required=True, help="panel CSV to partition"),
         Opt("output_dir", str, required=True, help="directory for train/val/test CSVs"),
-        Opt("train", float, default=0.7, help="train fraction"),
-        Opt("val", float, default=0.1, help="validation fraction"),
-        Opt("test", float, default=0.2, help="test fraction"),
+        Opt("train", _finite_float, default=0.7, help="train fraction"),
+        Opt("val", _finite_float, default=0.1, help="validation fraction"),
+        Opt("test", _finite_float, default=0.2, help="test fraction"),
         _FREQ,
         _CONFIG,
     ),
@@ -108,7 +120,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("target_vars", _csv_tuple, default=(), help="comma-separated targets; empty = all"),
         Opt("task", str, default="m2m", choices=("m2m", "m2s", "m2p"),
             help="m2m: all variables, m2s: one target, m2p: a proper subset"),
-        Opt("noise_std", float, default=0.001, help="gaussian noise std on predictions"),
+        Opt("noise_std", _finite_float, default=0.001, help="gaussian noise std on predictions"),
         Opt("seed", int, default=0, help="master seed; sub-seeds are derived per stream"),
         Opt("shared_noise", _parse_bool, default=False, flag=True,
             help="share one noise draw across the horizon instead of redrawing per step"),
@@ -141,8 +153,9 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     "report": (
         Opt("input", str, required=True, help="equity curve CSV from backtest"),
         Opt("output", str, required=True, help="metric,value CSV"),
-        Opt("periods_per_year", float, help="annualization factor; default follows --freq"),
-        Opt("risk_free", float, default=0.0, help="annual risk-free rate"),
+        Opt("periods_per_year", _finite_float,
+            help="annualization factor; default follows --freq"),
+        Opt("risk_free", _finite_float, default=0.0, help="annual risk-free rate"),
         _FREQ,
         _CONFIG,
     ),
@@ -185,8 +198,12 @@ def _config_args(parser, command: str, path: str) -> list[str]:
     cfg_path = Path(path)
     if not cfg_path.exists():
         parser.error(f"no such config file: {cfg_path}")
+    try:
+        text = cfg_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read config file {cfg_path}: {exc}")
     pairs = []
-    for n, line in enumerate(cfg_path.read_text(encoding="utf-8").splitlines(), start=1):
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

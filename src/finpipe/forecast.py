@@ -156,13 +156,15 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
         (ids, n_ids), (steps, n_steps), (values, n_values) = (
             cast(cells[:, j], dtype) for j, dtype in ((0, np.int64), (1, np.int64), (3, float))
         )
-        n = min(n_ids, n_steps, n_values)
+        finite = np.isfinite(values)
+        n = min(n_ids, n_steps, n_values if finite.all() else int(np.argmin(finite)))
         # A variable's code is its index in ``names``: the targets, then other names.
         codes = {name: i for i, name in enumerate(targets)}
         code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(cells[:n, 2])}
         var_codes = np.fromiter(map(code_of.__getitem__, cells[:n, 2]), np.int64, n)
         names = list(codes)
-        # In file order: a duplicate before the first malformed record, then that record.
+        # In file order: a duplicate before the first malformed or non-finite
+        # record, then that record.
         order = np.lexsort((var_codes, steps[:n], ids[:n]))
         same = [k[order][1:] == k[order][:-1] for k in (ids[:n], steps[:n], var_codes)]
         dup = order[1:][np.logical_and.reduce(same)]
@@ -172,6 +174,9 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
                 f"{path}: duplicate record for sample {ids[i]}, step {steps[i]}, "
                 f"variable {names[var_codes[i]]!r}"
             )
+        if n < min(n_ids, n_steps, n_values):
+            raise FormatError(f"{path}: non-finite value {cells[n, 3]!r} at row {n + 2}, "
+                              f"column 'y_pred'")
         if n < len(cells):
             raise FormatError(f"{path}: row {n + 2}: malformed record {list(cells[n])!r}")
         return ids, steps, var_codes, values, names

@@ -10,9 +10,12 @@ predicted horizon sequence tracks the true one:
   per-sample correlation means, i.e. correlation per unit of cross-sample
   correlation noise.
 
-A pair whose ranks have zero variance (e.g. a constant prediction)
-contributes correlation 0 by convention and still counts in the mean, so
-repeat-last forecasters score 0 instead of poisoning the average.
+Ranks are 1-based positions in the sorted horizon sequence; tied values
+share the mean of their positions (average ranks), so ranks are exact
+half-integers. A pair whose ranks have zero variance (e.g. a constant
+prediction) contributes correlation 0 by convention and still counts in the
+mean, so repeat-last forecasters score 0 instead of poisoning the average.
+Truth and predictions must be finite.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateDispersionError, MetricError
 
@@ -53,6 +55,7 @@ class ForecastBatch:
             )
         if y_true.shape[0] < 1:
             raise MetricError("batch must contain at least one sample")
+        _require_finite(y_true=y_true, y_pred=y_pred)
         order = self.sample_order
         if order is None:
             order = np.arange(y_true.shape[0])
@@ -77,6 +80,17 @@ class ForecastBatch:
         return self.y_true.shape
 
 
+def _require_finite(**arrays: np.ndarray) -> None:
+    """Raise MetricError naming the first non-finite element of any named array."""
+    for name, values in arrays.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            at = np.unravel_index(np.argmin(finite), values.shape)
+            raise MetricError(
+                f"{name} must be finite, got {values[at]} at index {tuple(map(int, at))}"
+            )
+
+
 def mse(batch: ForecastBatch) -> float:
     """Mean squared error over all B*F*C elements."""
     if batch.y_true.size == 0:
@@ -99,8 +113,7 @@ def _corr_matrix(y_true: np.ndarray, y_pred: np.ndarray, method: str) -> np.ndar
     if y_true.shape[1] < 2:
         raise MetricError(f"correlation needs horizon >= 2, got {y_true.shape[1]}")
     if method == "spearman":
-        a = rankdata(y_true, method="average", axis=1)
-        b = rankdata(y_pred, method="average", axis=1)
+        a, b = _average_rank(y_true), _average_rank(y_pred)
     else:
         a, b = y_true, y_pred
     # A constant series has zero (rank) variance; its correlation is 0 by
@@ -119,6 +132,33 @@ def _corr_matrix(y_true: np.ndarray, y_pred: np.ndarray, method: str) -> np.ndar
     return rho
 
 
+def _average_rank(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of finite ``x`` along axis 1; tied values share their mean position."""
+    n = x.shape[1]
+    order = np.argsort(x, axis=1, kind="stable")
+    s = np.take_along_axis(x, order, axis=1)
+    tied = s[:, 1:] == s[:, :-1]
+    ranks = np.broadcast_to(np.arange(1.0, n + 1).reshape((1, n) + (1,) * (x.ndim - 2)), x.shape)
+    if tied.any():
+        # Flat indices into an F-last copy of the sorted positions, where each
+        # row's n positions are contiguous: ``equal`` holds every value equal
+        # to the one before it. A run of consecutive indices in ``equal`` and
+        # the position before the run form one tie group.
+        t = np.flatnonzero(np.moveaxis(tied, 1, -1))
+        equal = t + t // (n - 1) + 1  # rows of n - 1 tie flags to rows of n positions
+        run = np.flatnonzero(np.diff(equal, prepend=-1) != 1)
+        size = np.diff(run, append=equal.size) + 1
+        first = equal[run] - 1
+        mean = first % n + (size + 1) * 0.5  # of the 1-based positions first+1 .. first+size
+        flat = np.moveaxis(ranks, 1, -1).copy()
+        flat.reshape(-1)[first] = mean
+        flat.reshape(-1)[equal] = np.repeat(mean, size - 1)
+        ranks = np.moveaxis(flat, -1, 1)
+    out = np.empty(x.shape)
+    np.put_along_axis(out, order, ranks, axis=1)
+    return out
+
+
 def per_pair_corr(y: np.ndarray, y_pred: np.ndarray, method: str = "spearman") -> float:
     """Rank correlation of one truth/prediction horizon pair (F >= 2).
 
@@ -130,6 +170,7 @@ def per_pair_corr(y: np.ndarray, y_pred: np.ndarray, method: str = "spearman") -
     b = np.asarray(y_pred, dtype=float).reshape(1, -1, 1)
     if a.shape != b.shape:
         raise MetricError(f"vector lengths differ: {a.shape[1]} vs {b.shape[1]}")
+    _require_finite(y=a.ravel(), y_pred=b.ravel())
     return float(_corr_matrix(a, b, method)[0, 0])
 
 

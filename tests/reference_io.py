@@ -149,6 +149,8 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
             value = float(row[3])
         except ValueError:
             raise FormatError(f"{path}: row {r}: malformed record {row!r}") from None
+        if not math.isfinite(value):
+            raise FormatError(f"{path}: non-finite value {row[3]!r} at row {r}, column 'y_pred'")
         variable = row[2].strip()
         key = (sample_id, step, variable)
         if key in records:

@@ -19,7 +19,7 @@ from finpipe import (
     load_csv,
 )
 from finpipe import frame
-from finpipe.cli import COMMANDS, derive_seed, main
+from finpipe.cli import COMMANDS, OPTIONS, derive_seed, main
 from synth import ohlcv_panel, write_raw_csv
 
 
@@ -140,6 +140,22 @@ class TestPipeline:
         assert derive_seed(7, "a") != derive_seed(7, "b")
 
 
+def _float_options():
+    """(command, option) for every option whose converter turns "0.5" into a float."""
+    found = []
+    for command, opts in OPTIONS.items():
+        for opt in opts:
+            try:
+                if isinstance(opt.convert("0.5"), float):
+                    found.append((command, opt.name))
+            except ValueError:  # int and the boolean parser refuse "0.5"
+                pass
+    return found
+
+
+FLOAT_OPTIONS = _float_options()
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self, raw_csv):
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +217,30 @@ class TestUsageErrors:
             main(argv[:1] + files + argv[1:])
         assert exc.value.code == 2
         assert f"error: {message}\n" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_float_options_are_found(self):
+        assert sorted(name for _, name in FLOAT_OPTIONS) == [
+            "baseline", "noise_std", "periods_per_year", "risk_free", "test", "train", "val"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-Infinity"])
+    @pytest.mark.parametrize("command, name", FLOAT_OPTIONS)
+    def test_float_options_must_be_finite(self, tmp_path, raw_csv, capsys, command, name, value):
+        # --noise-std nan used to write noise-free predictions, --risk-free nan
+        # sharpe,nan and --periods-per-year nan annual_return,nan, all with exit 0.
+        flag = "--" + name.replace("_", "-")
+        out = str(tmp_path / "out.csv")
+        files = {
+            "preprocess": ["--input", str(raw_csv), "--output", out,
+                           "--anchors", str(tmp_path / "a.csv")],
+            "split": ["--input", str(raw_csv), "--output-dir", str(tmp_path / "s")],
+        }.get(command, ["--input", str(raw_csv), "--output", out])
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: float value must be finite, got '{value}'\n" \
+            in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
 
     def test_argparse_words_conversion_and_choice_errors(self, tmp_path, raw_csv, capsys):
@@ -285,6 +325,25 @@ class TestDataErrors:
         assert not out.exists()
         assert "target variable 'close_X' is listed more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_prediction_exits_one(self, tmp_path, raw_csv, capsys, bad):
+        # A nan y_pred used to give mse,nan and mae,nan next to a finite msic.
+        forecasts = tmp_path / "f.csv"
+        assert main(["naive-forecast", "--input", str(raw_csv), "--output", str(forecasts),
+                     "--input-len", "512", "--horizon", "5", "--task", "m2s",
+                     "--target-vars", "close_X"]) == 0
+        lines = forecasts.read_text().splitlines()
+        first = lines.index("sample_id,step,variable,y_pred") + 1  # table row 2
+        record = lines[first + 2].split(",")
+        lines[first + 2] = ",".join(record[:3] + [bad])
+        forecasts.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.csv"
+        rc = main(["evaluate", "--truth", str(raw_csv), "--forecasts", str(forecasts),
+                   "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert f"non-finite value '{bad}' at row 4, column 'y_pred'" in capsys.readouterr().err
+
     def test_backtest_parses_each_timestamp_once(self, tmp_path, monkeypatch):
         panel = ohlcv_panel(80, seed=31, assets=("X",))
         days = [str(np.datetime64("2020-01-01") + d) for d in range(panel.n_rows)]
@@ -363,6 +422,26 @@ class TestConfigFile:
         assert main(base + ["--output", str(outs["off"])]) == 0
         assert outs["config"].read_bytes() == outs["flag"].read_bytes()
         assert outs["config"].read_bytes() != outs["off"].read_bytes()
+
+    @pytest.mark.parametrize("kind, reason", [
+        ("directory", "Is a directory"),
+        ("invalid utf-8", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_unreadable_config_exits_two(self, tmp_path, raw_csv, capsys, kind, reason):
+        # Both used to end in a traceback with exit 1.
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"train=0.7\n\xff\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--input", str(raw_csv),
+                  "--output-dir", str(tmp_path / "s"), "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read config file {cfg}: " in err
+        assert reason in err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("line, message", [
         ("shared-noise=maybe", "config option shared_noise='maybe' is not a valid value"),
@@ -600,3 +679,13 @@ class TestEntryPoint:
         assert unknown.returncode == 2
         assert "unrecognized arguments: --nope" in unknown.stderr
         assert not (tmp_path / "s").exists()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes about a second to import, and every stage would pay it.
+        package_root = str(Path(finpipe.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import finpipe.cli, sys; print('scipy.stats' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=package_root), capture_output=True, text=True,
+            timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"

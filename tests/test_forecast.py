@@ -168,6 +168,29 @@ class TestForecastFileValidation:
         with pytest.raises(FormatError, match="malformed"):
             load_forecasts(path, windows)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_prediction_names_its_row(self, tmp_path, windows, bad):
+        records = self._full_records([0, 1])
+        records[12] = records[12][:3] + (bad,)  # the 13th record is file row 14
+        path = tmp_path / "fc.csv"
+        _write_records(path, records)
+        message = f"non-finite value '{bad}' at row 14, column 'y_pred'"
+        with pytest.raises(FormatError, match=message):
+            load_forecasts(path, windows)
+
+    def test_errors_keep_file_order_around_a_non_finite_prediction(self, tmp_path, windows):
+        records = self._full_records([0])
+        path = tmp_path / "fc.csv"
+        _write_records(path, records[:3] + [(0, 1, "v0", "nan"), (0, 1, "v0", 2.0)])
+        with pytest.raises(FormatError, match="non-finite value 'nan' at row 5"):
+            load_forecasts(path, windows)
+        _write_records(path, records[:3] + [(0, 1, "v0", 2.0), (0, 1, "v0", "nan")])
+        with pytest.raises(FormatError, match="duplicate record for sample 0, step 1"):
+            load_forecasts(path, windows)
+        _write_records(path, records[:3] + [(0, "x", "v0", "nan")])
+        with pytest.raises(FormatError, match="row 5: malformed record"):
+            load_forecasts(path, windows)
+
     def test_missing_header_rejected(self, tmp_path, windows):
         path = tmp_path / "fc.csv"
         path.write_text("sample_id,step,variable,y_pred\n0,1,v0,1.0\n")

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata
 
-from finpipe import ForecastBatch, mae, ms_ic, ms_ir, mse, per_pair_corr, per_sample_ic
+from finpipe import ForecastBatch, mae, metrics, ms_ic, ms_ir, mse, per_pair_corr, per_sample_ic
 from finpipe.errors import DegenerateDispersionError, MetricError
 from oracle_utils import ms_ic_oracle, ms_ir_oracle, spearman
 
@@ -31,6 +35,15 @@ class TestBatchValidation:
     def test_last_observed_shape_checked(self):
         with pytest.raises(MetricError, match="last_observed"):
             _batch(np.zeros((2, 3, 1)), np.zeros((2, 3, 1)), last_observed=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["y_true", "y_pred"])
+    def test_non_finite_values_rejected(self, field, bad):
+        tensors = {"y_true": np.zeros((2, 3, 1)), "y_pred": np.zeros((2, 3, 1))}
+        tensors[field][1, 2, 0] = bad
+        message = rf"{field} must be finite, got {bad} at index \(1, 2, 0\)"
+        with pytest.raises(MetricError, match=message):
+            _batch(**tensors)
 
 
 class TestPointwiseErrors:
@@ -98,6 +111,13 @@ class TestPerPairCorr:
     def test_length_mismatch_rejected(self):
         with pytest.raises(MetricError, match="lengths"):
             per_pair_corr([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(MetricError, match="y_pred must be finite"):
+            per_pair_corr([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+        with pytest.raises(MetricError, match="y must be finite"):
+            per_pair_corr([bad, 2.0, 3.0], [1.0, 2.0, 3.0])
 
     def test_pearson_flag(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
@@ -199,3 +219,27 @@ class TestMsIR:
         assert ms_ir(_batch(y, p)) == pytest.approx(
             ms_ir_oracle(y.tolist(), p.tolist()), abs=1e-12
         )
+
+
+@st.composite
+def tied_tensors(draw):
+    """Finite (B, F, C) tensors with many ties: small integers and constant rows."""
+    b, c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    f = draw(st.just(2) | st.integers(2, 12))
+    elements = st.integers(-2, 2).map(float) | st.floats(-1e3, 1e3)
+    x = draw(arrays(np.float64, (b, f, c), elements=elements))
+    constant = draw(arrays(bool, (b, 1, c)))
+    return np.where(constant, x[:, :1, :], x)
+
+
+class TestAverageRank:
+    @settings(max_examples=300, deadline=None)
+    @given(x=tied_tensors())
+    def test_equals_scipy_rankdata(self, x):
+        np.testing.assert_array_equal(metrics._average_rank(x),
+                                      rankdata(x, method="average", axis=1))
+
+    def test_long_horizon(self, rng):
+        x = rng.integers(0, 40, size=(3, 5000, 2)).astype(float)
+        np.testing.assert_array_equal(metrics._average_rank(x),
+                                      rankdata(x, method="average", axis=1))
