@@ -31,12 +31,12 @@ from .errors import (
     ToolkitError,
 )
 from .forecast import load_forecasts, make_batch, naive_forecast, read_metadata, write_forecasts
-from .frame import (FREQUENCIES, Panel, SplitSpec, WindowSpec, chronological_split, load_csv,
+from .frame import (Panel, SplitSpec, WindowSpec, chronological_split, load_csv,
                     sliding_windows, write_csv)
 from .metrics import mae, mse
 from .options import OptionQuote, greeks, historical_vol, implied_vol
 from .preprocess import inverse_price_transform, load_anchor_file, transform_panel, write_anchor_file
-from .stats import full_report, periods_per_year_for
+from .stats import FREQUENCIES, full_report, periods_per_year_for
 from .strategy import (
     EquityCurve,
     diff_in_diff,
@@ -92,15 +92,12 @@ class Opt:
 
 _CONFIG = Opt("config", str, help="key=value file read as flags before the command line's own")
 
-_FREQ = Opt("freq", str, default="daily", choices=FREQUENCIES, help="panel frequency label")
-
 OPTIONS: dict[str, tuple[Opt, ...]] = {
     "preprocess": (
         Opt("input", str, required=True, help="raw OHLCV panel CSV"),
         Opt("output", str, required=True, help="transformed panel CSV"),
         Opt("anchors", str, required=True, help="sidecar anchor CSV enabling exact inversion"),
         Opt("baseline", _finite_float, default=100.0, help="additive baseline for log prices"),
-        _FREQ,
         _CONFIG,
     ),
     "split": (
@@ -109,7 +106,6 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("train", _finite_float, default=0.7, help="train fraction"),
         Opt("val", _finite_float, default=0.1, help="validation fraction"),
         Opt("test", _finite_float, default=0.2, help="test fraction"),
-        _FREQ,
         _CONFIG,
     ),
     "naive-forecast": (
@@ -124,7 +120,6 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("seed", int, default=0, help="master seed; sub-seeds are derived per stream"),
         Opt("shared_noise", _parse_bool, default=False, flag=True,
             help="share one noise draw across the horizon instead of redrawing per step"),
-        _FREQ,
         _CONFIG,
     ),
     "evaluate": (
@@ -133,7 +128,6 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("output", str, required=True, help="metric,value CSV"),
         Opt("method", str, default="spearman", choices=("spearman", "pearson"),
             help="correlation flavor for msic/msir"),
-        _FREQ,
         _CONFIG,
     ),
     "backtest": (
@@ -147,7 +141,6 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("k", int, help="portfolio size (topk)"),
         Opt("window", int, default=63, help="rolling-mean window of the trigger signal"),
         Opt("rebalance", int, default=5, help="periods between position updates"),
-        _FREQ,
         _CONFIG,
     ),
     "report": (
@@ -156,7 +149,8 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("periods_per_year", _finite_float,
             help="annualization factor; default follows --freq"),
         Opt("risk_free", _finite_float, default=0.0, help="annual risk-free rate"),
-        _FREQ,
+        Opt("freq", str, default="daily", choices=FREQUENCIES,
+            help="data frequency; sets the default --periods-per-year"),
         _CONFIG,
     ),
     "option-analytics": (
@@ -306,14 +300,17 @@ def _read_columns(path, kind: str, required: tuple[str, ...], floats: tuple[str,
 
 
 def _column_floats(path, header: list[str], cells: np.ndarray, column: str) -> np.ndarray:
+    """One column as floats; the first cell that is no finite number is an error."""
     values, n_good = table.cast(cells[:, header.index(column)], float)
-    if n_good < len(cells):
-        raise FormatError(f"{path}: row {n_good + 2}: bad value in column {column!r}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if n_good < len(cells) or bad.size:
+        row = bad[0] if bad.size else n_good
+        raise FormatError(f"{path}: row {row + 2}: bad value in column {column!r}")
     return values
 
 
 def cmd_preprocess(opts: dict) -> None:
-    panel = load_csv(opts["input"], freq=opts["freq"])
+    panel = load_csv(opts["input"])
     transformed, records = transform_panel(panel, baseline=opts["baseline"])
     stamp = provenance_lines("preprocess", opts)
     write_csv(transformed, opts["output"], header_comments=stamp)
@@ -321,7 +318,7 @@ def cmd_preprocess(opts: dict) -> None:
 
 
 def cmd_split(opts: dict) -> None:
-    panel = load_csv(opts["input"], freq=opts["freq"])
+    panel = load_csv(opts["input"])
     spec = SplitSpec(opts["train"], opts["val"], opts["test"])
     train, val, test = chronological_split(panel, spec)
     stamp = provenance_lines("split", opts)
@@ -332,7 +329,7 @@ def cmd_split(opts: dict) -> None:
 
 
 def cmd_naive_forecast(opts: dict) -> None:
-    panel = load_csv(opts["input"], freq=opts["freq"])
+    panel = load_csv(opts["input"])
     targets = opts["target_vars"]
     task = opts["task"]
     n_all = panel.n_vars
@@ -367,7 +364,7 @@ def _windows_for_forecast_file(forecast_path):
 
 
 def cmd_evaluate(opts: dict) -> None:
-    panel = load_csv(opts["truth"], freq=opts["freq"])
+    panel = load_csv(opts["truth"])
     spec = _windows_for_forecast_file(opts["forecasts"])
     windows = sliding_windows(panel, spec)
     batch = load_forecasts(opts["forecasts"], windows)
@@ -388,7 +385,7 @@ def cmd_evaluate(opts: dict) -> None:
 
 
 def cmd_backtest(opts: dict) -> None:
-    panel = load_csv(opts["panel"], freq=opts["freq"])
+    panel = load_csv(opts["panel"])
     records = {r.variable: r for r in load_anchor_file(opts["anchors"])}
     spec = _windows_for_forecast_file(opts["forecasts"])
     windows = sliding_windows(panel, spec)
@@ -413,7 +410,7 @@ def cmd_backtest(opts: dict) -> None:
     raw_prices = np.column_stack(
         [inverse_price_transform(panel.column(v), records[v].state()) for v in signal.variables]
     )
-    raw_panel = Panel(panel.timestamps, signal.variables, raw_prices, panel.freq)
+    raw_panel = Panel(panel.timestamps, signal.variables, raw_prices)
 
     origin_rows = windows.origin_indices[batch.sample_order][opts["window"] - 1 :]
     returns = forward_returns(raw_panel, signal.variables, origin_rows)
@@ -471,8 +468,13 @@ def cmd_option_analytics(opts: dict) -> None:
         ("spot", "strike", "rate", "expiry", "market_price"),
     )
     extended = np.empty((len(cells), 6))
-    for i, kind in enumerate(cells[:, header.index("kind")]):
-        quote = OptionQuote(spot[i], strike[i], rate[i], expiry[i], kind.strip().lower(), price[i])
+    kinds = (kind.strip().lower() for kind in cells[:, header.index("kind")])
+    # Python floats, not numpy scalars: the solver's scalar arithmetic is faster on them.
+    # Converted one quote at a time, so no column is held twice.
+    fields = zip(map(float, spot), map(float, strike), map(float, rate), map(float, expiry),
+                 kinds, map(float, price))
+    for i, row in enumerate(fields):
+        quote = OptionQuote(*row)
         iv = implied_vol(quote)
         g = greeks(quote, iv)
         extended[i] = (iv, g.delta, g.theta, g.gamma, g.vega, g.rho_rate)

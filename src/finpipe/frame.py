@@ -12,8 +12,6 @@ import numpy as np
 from .errors import IngestError, SplitError, WindowError
 from .table import Table, cast, read_table, write_lines
 
-FREQUENCIES = ("daily", "hourly", "minutely")
-
 
 def _timestamp_key(label: str):
     """Sortable key for a timestamp label: integer index or ISO-8601 text."""
@@ -41,7 +39,6 @@ class Panel:
     timestamps: tuple
     variables: tuple[str, ...]
     values: np.ndarray
-    freq: str = "daily"
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", tuple(self.timestamps))
@@ -58,8 +55,6 @@ class Panel:
             raise IngestError("panel values must be finite (no gaps, NaN, or inf)")
         if len(set(self.variables)) != len(self.variables):
             raise IngestError("variable names must be unique")
-        if self.freq not in FREQUENCIES:
-            raise IngestError(f"freq must be one of {FREQUENCIES}, got {self.freq!r}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -82,16 +77,14 @@ class Panel:
         missing = [n for n, i in zip(names, idx) if i < 0]
         if missing:
             raise IngestError(f"panel has no variable(s) {missing}")
-        return Panel(self.timestamps, tuple(names), self.values[:, idx], self.freq)
+        return Panel(self.timestamps, tuple(names), self.values[:, idx])
 
     def rows(self, start: int, stop: int) -> "Panel":
         """Contiguous row slice [start, stop) as a new panel."""
-        return Panel(
-            self.timestamps[start:stop], self.variables, self.values[start:stop], self.freq
-        )
+        return Panel(self.timestamps[start:stop], self.variables, self.values[start:stop])
 
 
-def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> Panel:
+def load_csv(path, timestamp_column: str | None = None) -> Panel:
     """Read a panel from CSV: header row, one timestamp column, numeric cells.
 
     Lines starting with ``#`` are provenance comments and are skipped. Rows
@@ -132,7 +125,7 @@ def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> 
         raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
     if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
         raise IngestError("timestamps must be strictly increasing with no duplicates")
-    return Panel(tuple(labels[i] for i in order), variables, matrix[order], freq)
+    return Panel(tuple(labels[i] for i in order), variables, matrix[order])
 
 
 def write_csv(panel: Panel, path, header_comments: Sequence[str] = ()) -> None:

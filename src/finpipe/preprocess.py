@@ -151,7 +151,7 @@ def transform_panel(
         else:
             out[:, j] = col
             records.append(VariableTransform(var, kind, asset, None, baseline))
-    transformed = Panel(panel.timestamps, panel.variables, out, panel.freq)
+    transformed = Panel(panel.timestamps, panel.variables, out)
     return transformed, tuple(records)
 
 
@@ -172,7 +172,7 @@ def inverse_transform_panel(
             out[:, j] = inverse_volume_transform(col)
         else:
             out[:, j] = col
-    return Panel(panel.timestamps, panel.variables, out, panel.freq)
+    return Panel(panel.timestamps, panel.variables, out)
 
 
 def write_anchor_file(

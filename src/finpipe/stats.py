@@ -19,7 +19,8 @@ import numpy as np
 from .errors import StatsError
 from .strategy import EquityCurve
 
-PERIODS_PER_YEAR = {"daily": 252, "hourly": 8760}
+FREQUENCIES = ("daily", "hourly", "minutely")
+PERIODS_PER_YEAR = {"daily": 252, "hourly": 8760}  # minutely has no default
 
 REPORT_FIELDS = (
     "annual_return",
@@ -35,7 +36,7 @@ REPORT_FIELDS = (
 
 
 def periods_per_year_for(freq: str) -> int | None:
-    """Default annualization factor for a panel frequency; None if mandatory."""
+    """Default annualization factor for a data frequency; None if mandatory."""
     return PERIODS_PER_YEAR.get(freq)
 
 
@@ -171,8 +172,6 @@ class StrategyReport:
     max_drawdown: float | None
     omega: float | None
     sortino: float | None
-    periods_per_year: float
-    risk_free: float
 
     def rows(self) -> list[tuple[str, float | None]]:
         """(name, value) pairs in presentation order."""
@@ -207,6 +206,4 @@ def full_report(
         max_drawdown=mdd,
         omega=attempt(omega, returns),
         sortino=attempt(sortino, returns, periods_per_year, risk_free),
-        periods_per_year=periods_per_year,
-        risk_free=risk_free,
     )

@@ -62,7 +62,7 @@ def diff_in_diff(raw: Panel, window: int) -> Panel:
         )
     wins = np.lib.stride_tricks.sliding_window_view(raw.values, window, axis=0)
     dd = raw.values[window - 1 :] - wins.mean(axis=2)
-    return Panel(raw.timestamps[window - 1 :], raw.variables, dd, raw.freq)
+    return Panel(raw.timestamps[window - 1 :], raw.variables, dd)
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,11 @@ def portfolio_topk(
     n_assets = dd.n_vars
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= n_assets:
         raise StrategyError(f"k must be in [1, {n_assets}], got {k!r}")
-    names = np.array(dd.variables)
-    decided = np.zeros_like(dd.values)
-    for t in range(dd.n_rows):
-        # lexsort: primary key is the last one; descending signal, then name.
-        order = np.lexsort((names, -dd.values[t]))
-        decided[t, order[:k]] = 1.0 / k
+    v = dd.values
+    # lexsort: primary key is the last one; descending signal, then name, per row.
+    order = np.lexsort((np.broadcast_to(np.array(dd.variables), v.shape), -v), axis=1)
+    decided = np.zeros_like(v)
+    np.put_along_axis(decided, order[:, :k], 1.0 / k, axis=1)
     return PositionSeries(
         dd.timestamps, dd.variables, _held(decided, rebalance_period), rebalance_period
     )
@@ -213,4 +212,4 @@ def forward_returns(panel: Panel, variables, row_indices) -> Panel:
     if prices.size and prices.min() <= 0:
         raise StrategyError("forward returns need strictly positive prices")
     rets = prices[rows + 1] / prices[rows] - 1.0
-    return Panel(tuple(sub.timestamps[i] for i in rows), sub.variables, rets, panel.freq)
+    return Panel(tuple(sub.timestamps[i] for i in rows), sub.variables, rets)

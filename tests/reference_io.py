@@ -20,7 +20,7 @@ from finpipe.metrics import ForecastBatch
 from finpipe.preprocess import VariableTransform
 
 
-def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> Panel:
+def load_csv(path, timestamp_column: str | None = None) -> Panel:
     """Read a panel from CSV: header row, one timestamp column, numeric cells.
 
     Lines starting with ``#`` are provenance comments and are skipped. Rows
@@ -70,9 +70,7 @@ def load_csv(path, timestamp_column: str | None = None, freq: str = "daily") -> 
         raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
     if not all(keys[i] < keys[j] for i, j in zip(order, order[1:])):
         raise IngestError("timestamps must be strictly increasing with no duplicates")
-    return Panel(
-        tuple(labels[i] for i in order), tuple(variables), matrix[order], freq
-    )
+    return Panel(tuple(labels[i] for i in order), tuple(variables), matrix[order])
 
 
 def write_csv(panel: Panel, path, header_comments: Sequence[str] = ()) -> None:
@@ -263,7 +261,9 @@ def table_floats(path, header, rows, column: str) -> np.ndarray:
         try:
             out[i] = float(row[idx])
         except (ValueError, IndexError):
+            out[i] = math.nan
+        if not math.isfinite(out[i]):
             raise FormatError(
                 f"{path}: row {i + 2}: bad value in column {column!r}"
-            ) from None
+            )
     return out

@@ -74,6 +74,30 @@ def run_m2s_pipeline(base_dir, raw_path, seed="7"):
     return paths
 
 
+def _small_run(tmp_path):
+    """A preprocessed 80-row panel and its m2s naive forecast of close_X (L=20, H=5)."""
+    raw, t, a, fc = (tmp_path / name for name in ("raw.csv", "t.csv", "a.csv", "fc.csv"))
+    tmp_path.mkdir(exist_ok=True)
+    write_raw_csv(raw, ohlcv_panel(80, seed=31, assets=("X",)))
+    assert main(["preprocess", "--input", str(raw), "--output", str(t),
+                 "--anchors", str(a)]) == 0
+    assert main(["naive-forecast", "--input", str(t), "--output", str(fc),
+                 "--input-len", "20", "--horizon", "5", "--task", "m2s",
+                 "--target-vars", "close_X"]) == 0
+    return {"raw": raw, "transformed": t, "anchors": a, "forecasts": fc}
+
+
+def _write_curve(path):
+    """A 30-row timing curve with random returns; returns its lines."""
+    rets = np.random.default_rng(11).uniform(-0.02, 0.03, 30)
+    net = np.cumprod(1.0 + rets)
+    lines = ["timestamp,net_value,period_return,position"]
+    lines.extend(f"{i},{n!r},{r!r},1.0"
+                 for i, (n, r) in enumerate(zip(net.tolist(), rets.tolist())))
+    path.write_text("\n".join(lines) + "\n")
+    return lines
+
+
 class TestPipeline:
     def test_end_to_end_m2s(self, tmp_path, raw_csv):
         paths = run_m2s_pipeline(tmp_path / "run", raw_csv)
@@ -99,15 +123,15 @@ class TestPipeline:
         # set of hashed options shows up here.
         paths = run_m2s_pipeline(tmp_path / "run", raw_csv)
         expected = {
-            "transformed": "742ef59a3b4f03fc", "anchors": "742ef59a3b4f03fc",
-            "forecasts": "4dcd9b8e8ae4cc87", "metrics": "642c643a28cce7ed",
-            "curve": "22b7df43d8d81374", "report": "5d7ac917f24bc12e",
+            "transformed": "ce5dca17db56cde9", "anchors": "ce5dca17db56cde9",
+            "forecasts": "d71607d85d82fa01", "metrics": "b3962aaf53f649e7",
+            "curve": "6723898302d2b503", "report": "5d7ac917f24bc12e",
         }
         files = {name: paths[name] for name in expected}
         files.update((part, paths["splits"] / f"{part}.csv") for part in ("train", "val", "test"))
         for name, path in files.items():
             head = path.read_text().splitlines()[:3]
-            assert head[0] == f"#config_hash={expected.get(name, '3a7e74a2082286a5')}", name
+            assert head[0] == f"#config_hash={expected.get(name, 'ff6d5e2fdc2b374b')}", name
             assert head[1].startswith("#seed=")
             assert head[2].startswith("#version=")
 
@@ -193,6 +217,22 @@ class TestUsageErrors:
             assert exc.value.code == 2
             assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("command",
+                             ["preprocess", "split", "naive-forecast", "evaluate", "backtest"])
+    def test_freq_is_a_report_option_only(self, tmp_path, capsys, command):
+        # These stages hashed --freq into #config_hash without ever reading it.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--freq", "daily"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --freq daily" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("freq=daily\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"config file sets unknown option 'freq' for {command}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("argv, message", [
         (["split", "--train", "1.5"], "--train must be in (0, 1), got 1.5"),
@@ -344,6 +384,73 @@ class TestDataErrors:
         assert not out.exists()
         assert f"non-finite value '{bad}' at row 4, column 'y_pred'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [
+        ("curve_empty", "curve.csv: empty file"),
+        ("curve_lacks_columns", "curve file lacks column(s) ['net_value', 'period_return']"),
+        ("curve_without_rows", "curve file has no rows"),
+        ("quotes_empty", "quotes.csv: empty file"),
+        ("quotes_lack_columns", "quote file lacks column(s) ['kind']"),
+        ("quotes_without_rows", "quote file has no rows"),
+        ("hv_source_missing", "no hv source column 'nope'"),
+        ("m2p_all_variables", "task m2p needs a proper subset of the 5 variables, got 5"),
+        ("forecasts_lack_l_h", "forecast file lacks #L/#H headers"),
+        ("anchor_record_missing", "anchor file has no record for variable 'close_X'"),
+        ("variable_not_a_price", "variable 'volume_X' is volume, not a tradeable price"),
+        ("target_var_not_forecast", "no target variable 'open_X' among forecast variables"),
+    ])
+    def test_input_rules_exit_one_and_write_nothing(self, tmp_path, capsys, case, message):
+        run = _small_run(tmp_path / "run")
+        out = tmp_path / "out.csv"
+        curve, quotes, fc = tmp_path / "curve.csv", tmp_path / "quotes.csv", tmp_path / "fc.csv"
+        quote_header = "timestamp,spot,strike,rate,expiry,kind,market_price"
+        backtest = ["backtest", "--panel", str(run["transformed"]), "--output", str(out),
+                    "--strategy", "timing", "--window", "5"]
+        if case.startswith("curve"):
+            curve.write_text({"curve_empty": "",
+                              "curve_lacks_columns": "timestamp,position\n0,1.0\n",
+                              "curve_without_rows": "timestamp,net_value,period_return\n",
+                              }[case])
+            argv = ["report", "--input", str(curve), "--output", str(out)]
+        elif case.startswith("quotes") or case == "hv_source_missing":
+            quotes.write_text({"quotes_empty": "",
+                               "quotes_lack_columns": quote_header.replace(",kind", "")
+                               + "\n0,100,100,0.01,0.5,7.0\n",
+                               "quotes_without_rows": quote_header + "\n",
+                               "hv_source_missing": quote_header
+                               + "".join(f"\n{i},100,100,0.01,0.5,call,7.0" for i in range(3)),
+                               }[case])
+            argv = ["option-analytics", "--input", str(quotes), "--output", str(out)]
+            if case == "hv_source_missing":
+                argv += ["--hv-window", "2", "--hv-source", "nope"]
+        elif case == "m2p_all_variables":
+            argv = ["naive-forecast", "--input", str(run["transformed"]), "--output", str(out),
+                    "--input-len", "20", "--task", "m2p"]
+        elif case == "forecasts_lack_l_h":
+            fc.write_text("#model=naive\nsample_id,step,variable,y_pred\n0,1,close_X,100.0\n")
+            argv = ["evaluate", "--truth", str(run["transformed"]), "--forecasts", str(fc),
+                    "--output", str(out)]
+        elif case == "anchor_record_missing":
+            anchors = tmp_path / "anchors.csv"
+            anchors.write_text("".join(line + "\n" for line in
+                                       run["anchors"].read_text().splitlines()
+                                       if not line.startswith("close_X,")))
+            argv = backtest + ["--forecasts", str(run["forecasts"]), "--anchors", str(anchors),
+                               "--target-var", "close_X"]
+        elif case == "variable_not_a_price":
+            assert main(["naive-forecast", "--input", str(run["transformed"]),
+                         "--output", str(fc), "--input-len", "20", "--task", "m2s",
+                         "--target-vars", "volume_X"]) == 0
+            argv = backtest + ["--forecasts", str(fc), "--anchors", str(run["anchors"]),
+                               "--target-var", "volume_X"]
+        else:
+            argv = backtest + ["--forecasts", str(run["forecasts"]),
+                               "--anchors", str(run["anchors"]), "--target-var", "open_X"]
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_backtest_parses_each_timestamp_once(self, tmp_path, monkeypatch):
         panel = ohlcv_panel(80, seed=31, assets=("X",))
         days = [str(np.datetime64("2020-01-01") + d) for d in range(panel.n_rows)]
@@ -477,6 +584,20 @@ class TestEvaluateDegenerateDispersion:
         assert float(metrics["msic"]) == 0.0
         assert metrics["msir"] == "NA"
 
+    def test_horizon_one_reports_na_correlations(self, tmp_path):
+        run = _small_run(tmp_path)
+        fc, out = tmp_path / "h1.csv", tmp_path / "metrics.csv"
+        assert main(["naive-forecast", "--input", str(run["transformed"]), "--output", str(fc),
+                     "--input-len", "20", "--horizon", "1", "--task", "m2s",
+                     "--target-vars", "close_X"]) == 0
+        rc = main(["evaluate", "--truth", str(run["transformed"]), "--forecasts", str(fc),
+                   "--output", str(out)])
+        assert rc == 0
+        metrics = _read_metric_csv(out)
+        assert list(metrics) == ["mse", "mae", "msic", "msir"]
+        assert float(metrics["mse"]) > 0.0
+        assert (metrics["msic"], metrics["msir"]) == ("NA", "NA")
+
 
 class TestBacktestCli:
     def test_topk_with_all_assets_equals_equal_weight(self, tmp_path):
@@ -595,6 +716,21 @@ class TestOptionAnalyticsCli:
         assert not (tmp_path / "out.csv").exists()
         assert "no-arbitrage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_quote_cell_exits_one(self, tmp_path, capsys, bad):
+        src = tmp_path / "quotes.csv"
+        self._quotes_csv(src, n=6)
+        lines = src.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[1] = bad
+        lines[4] = ",".join(cells)
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        rc = main(["option-analytics", "--input", str(src), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "row 5: bad value in column 'spot'" in capsys.readouterr().err
+
     def test_row_with_extra_field_exits_one(self, tmp_path, capsys):
         # Unchecked, the extra field shifted iv under the delta header.
         src = tmp_path / "quotes.csv"
@@ -641,6 +777,40 @@ class TestReportCli:
         assert rc == 1
         assert not out.exists()
         assert "row 3 has 3 fields, expected 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["net_value", "period_return"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_curve_cell_exits_one(self, tmp_path, capsys, column, bad):
+        # A nan period_return used to report 7 of the 9 statistics as NA, exit 0.
+        path = tmp_path / "curve.csv"
+        lines = _write_curve(path)
+        cells = lines[7].split(",")
+        cells[lines[0].split(",").index(column)] = bad
+        lines[7] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        rc = main(["report", "--input", str(path), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert f"row 8: bad value in column {column!r}" in capsys.readouterr().err
+
+    def test_freq_sets_the_default_periods_per_year(self, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        _write_curve(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--input", str(path), "--output", "r.csv", "--freq", "weekly"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'weekly'" in capsys.readouterr().err
+
+        def metric_lines(*flags):
+            out = tmp_path / "report.csv"
+            assert main(["report", "--input", str(path), "--output", str(out), *flags]) == 0
+            return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+        hourly = metric_lines("--freq", "hourly")
+        assert hourly == metric_lines("--periods-per-year", "8760")
+        assert hourly != metric_lines()  # daily: 252
+        assert metric_lines() == metric_lines("--periods-per-year", "252")
 
     def test_minutely_needs_explicit_periods(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

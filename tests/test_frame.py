@@ -136,10 +136,6 @@ class TestPanel:
         with pytest.raises(IngestError, match="finite"):
             Panel(range(2), ("a",), np.array([[1.0], [np.inf]]))
 
-    def test_bad_freq_rejected(self):
-        with pytest.raises(IngestError, match="freq"):
-            Panel(range(2), ("a",), np.ones((2, 1)), freq="weekly")
-
     def test_column_select_rows(self):
         panel = Panel(range(4), ("a", "b"), np.arange(8.0).reshape(4, 2))
         assert list(panel.column("b")) == [1.0, 3.0, 5.0, 7.0]

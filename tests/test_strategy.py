@@ -284,6 +284,26 @@ class TestTopKStrategy:
             b = portfolio_topk(transformed, k, rebalance_period=2)
             np.testing.assert_array_equal(a.weights, b.weights)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_per_row_loop(self, data):
+        # Tie-heavy rows (a few small values, signed zeros, all-zero rows) and
+        # asset names in no particular order, so the name tie-break decides.
+        names = data.draw(st.lists(st.text("abcXYZ_", min_size=1, max_size=3),
+                                   min_size=1, max_size=6, unique=True))
+        n_rows = data.draw(st.integers(1, 12))
+        values = data.draw(arrays(float, (n_rows, len(names)),
+                                  elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])))
+        k = data.draw(st.integers(1, len(names)))
+        period = data.draw(st.integers(1, 4))
+        expected = np.zeros_like(values)
+        for t in range(n_rows):
+            ranked = sorted(range(len(names)), key=lambda j: (-values[t, j], names[j]))
+            expected[t, ranked[:k]] = 1.0 / k
+        expected = expected[(np.arange(n_rows) // period) * period]
+        positions = portfolio_topk(_signal(values, tuple(names)), k, rebalance_period=period)
+        np.testing.assert_array_equal(positions.weights, expected)
+
     def test_k_out_of_range_rejected(self, rng):
         dd = _signal(rng.normal(size=(5, 3)), self.ASSETS)
         with pytest.raises(StrategyError, match="k must be"):

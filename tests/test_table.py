@@ -53,7 +53,6 @@ def outcome(fn, *args, **kwargs):
 def same_panel(a: Panel, b: Panel) -> None:
     assert a.timestamps == b.timestamps
     assert a.variables == b.variables
-    assert a.freq == b.freq
     np.testing.assert_array_equal(a.values, b.values)
 
 
