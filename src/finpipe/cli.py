@@ -334,6 +334,10 @@ def cmd_naive_forecast(opts: dict) -> None:
     task = opts["task"]
     n_all = panel.n_vars
     n_targets = len(targets) if targets else n_all
+    if task == "m2m" and n_targets != n_all:
+        raise SignalError(
+            f"task m2m needs no --target-vars or all {n_all} variables, got {n_targets}"
+        )
     if task == "m2s" and n_targets != 1:
         raise SignalError(f"task m2s needs exactly one target variable, got {n_targets}")
     if task == "m2p" and not 1 <= n_targets < n_all:
@@ -453,7 +457,14 @@ def cmd_report(opts: dict) -> None:
         ("net_value", "period_return"),
     )
     timestamps = tuple(label.strip() for label in cells[:, header.index("timestamp")])
-    curve = EquityCurve(timestamps, rets, net)
+    curve = EquityCurve(timestamps, rets)
+    off = np.flatnonzero(~np.isclose(net, curve.net_values, rtol=1e-9, atol=0.0))
+    if off.size:
+        i = off[0]
+        raise FormatError(
+            f"{opts['input']}: row {i + 2}: net_value {float(net[i])!r} is not the running "
+            f"product of period_return (expected {float(curve.net_values[i])!r})"
+        )
     report = full_report(curve, opts["periods_per_year"], opts["risk_free"])
     lines = provenance_lines("report", opts) + ["metric,value"]
     for name, value in report.rows():
@@ -474,8 +485,11 @@ def cmd_option_analytics(opts: dict) -> None:
     fields = zip(map(float, spot), map(float, strike), map(float, rate), map(float, expiry),
                  kinds, map(float, price))
     for i, row in enumerate(fields):
-        quote = OptionQuote(*row)
-        iv = implied_vol(quote)
+        try:
+            quote = OptionQuote(*row)
+            iv = implied_vol(quote)
+        except ToolkitError as exc:
+            raise type(exc)(f"{opts['input']}: row {i + 2}: {exc}") from None
         g = greeks(quote, iv)
         extended[i] = (iv, g.delta, g.theta, g.gamma, g.vega, g.rho_rate)
 

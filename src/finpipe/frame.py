@@ -84,8 +84,8 @@ class Panel:
         return Panel(self.timestamps[start:stop], self.variables, self.values[start:stop])
 
 
-def load_csv(path, timestamp_column: str | None = None) -> Panel:
-    """Read a panel from CSV: header row, one timestamp column, numeric cells.
+def load_csv(path) -> Panel:
+    """Read a panel from CSV: header row, timestamp in the first column, numeric cells.
 
     Lines starting with ``#`` are provenance comments and are skipped. Rows
     are sorted by parsed timestamp (integer or ISO-8601); labels that parse
@@ -99,23 +99,19 @@ def load_csv(path, timestamp_column: str | None = None) -> Panel:
             raise IngestError(f"{path}: empty file")
         if not table.n_rows:
             raise IngestError(f"{path}: no data rows")
-        ts_name = timestamp_column if timestamp_column is not None else header[0]
-        if ts_name not in header:
-            raise IngestError(f"{path}: no timestamp column {ts_name!r}")
-        ts_idx = header.index(ts_name)
-        value_idx = [i for i in range(len(header)) if i != ts_idx]
-        matrix, n_good = cast(table.cells[:, value_idx], float)
+        values = table.cells[:, 1:]
+        matrix, n_good = cast(values, float)
         finite = np.isfinite(matrix).all(axis=1)
         if n_good < len(table.cells) or not finite.all():
             r = n_good if finite.all() else np.argmin(finite)
-            row, j = cast(table.cells[r, value_idx], float)  # the first cell that is no number
-            i = value_idx[min([j, *np.flatnonzero(~np.isfinite(row))])]  # or is not finite
+            row, j = cast(values[r], float)  # the first cell that is no number
+            j = min([j, *np.flatnonzero(~np.isfinite(row))])  # or is not finite
             raise IngestError(
-                f"{path}: non-numeric value {table.cells[r, i]!r} at row {r + 2}, "
-                f"column {header[i]!r}"
+                f"{path}: non-numeric value {values[r, j]!r} at row {r + 2}, "
+                f"column {header[j + 1]!r}"
             )
-        labels = [label.strip() for label in table.cells[:, ts_idx]]
-        return path, labels, tuple(header[i] for i in value_idx), matrix
+        labels = [label.strip() for label in table.cells[:, 0]]
+        return path, labels, tuple(header[1:]), matrix
 
     path, labels, variables, matrix = read_table(path, columns, IngestError)
     keys = [_timestamp_key(lab) for lab in labels]

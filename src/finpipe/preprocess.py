@@ -115,44 +115,28 @@ def transform_panel(
     Returns the transformed panel plus one record per column describing the
     applied transform.
     """
-    kinds = {v: classify_variable(v) for v in panel.variables}
-    anchors: dict[str, float] = {}
-    for var, (kind, asset) in kinds.items():
-        if kind != "price" or asset in anchors:
-            continue
-        close_name = f"close_{asset}" if asset else "close"
-        if close_name not in panel.variables:
-            raise TransformError(
-                f"cannot anchor {var!r}: panel has no close series {close_name!r}"
-            )
-        first_close = float(panel.column(close_name)[0])
-        if not (first_close > 0 and np.isfinite(first_close)):
-            raise TransformError(f"first close of asset {asset!r} must be positive")
-        anchors[asset] = first_close
-
     out = np.empty_like(panel.values)
     records = []
     for j, var in enumerate(panel.variables):
-        kind, asset = kinds[var]
+        kind, asset = classify_variable(var)
+        close_name = f"close_{asset}" if asset else "close"
+        if kind == "price" and close_name not in panel.variables:
+            raise TransformError(
+                f"cannot anchor {var!r}: panel has no close series {close_name!r}"
+            )
+        anchor = float(panel.column(close_name)[0]) if kind == "price" else None
         col = panel.values[:, j]
-        if kind == "price":
-            state = TransformState(anchors[asset], baseline)
-            try:
-                out[:, j] = log_price_transform(col, state)
-            except TransformError as exc:
-                raise TransformError(f"column {var!r}: {exc}") from None
-            records.append(VariableTransform(var, kind, asset, anchors[asset], baseline))
-        elif kind == "volume":
-            try:
+        try:
+            if kind == "price":
+                out[:, j] = log_price_transform(col, TransformState(anchor, baseline))
+            elif kind == "volume":
                 out[:, j] = log_volume_transform(col)
-            except TransformError as exc:
-                raise TransformError(f"column {var!r}: {exc}") from None
-            records.append(VariableTransform(var, kind, asset, None, baseline))
-        else:
-            out[:, j] = col
-            records.append(VariableTransform(var, kind, asset, None, baseline))
-    transformed = Panel(panel.timestamps, panel.variables, out)
-    return transformed, tuple(records)
+            else:
+                out[:, j] = col
+        except TransformError as exc:
+            raise TransformError(f"column {var!r}: {exc}") from None
+        records.append(VariableTransform(var, kind, asset, anchor, baseline))
+    return Panel(panel.timestamps, panel.variables, out), tuple(records)
 
 
 def inverse_transform_panel(

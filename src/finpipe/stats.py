@@ -51,6 +51,11 @@ def _returns_array(returns) -> np.ndarray:
     return r
 
 
+def _check_periods(periods_per_year: float) -> None:
+    if not periods_per_year > 0:
+        raise StatsError(f"periods_per_year must be positive, got {periods_per_year}")
+
+
 def cumulative_return(returns) -> float:
     """Total compounded return: prod(1 + r) - 1."""
     r = _returns_array(returns)
@@ -60,8 +65,7 @@ def cumulative_return(returns) -> float:
 def annual_return(returns, periods_per_year: float) -> float:
     """Geometric annualization: (prod(1 + r))^(1/years) - 1."""
     r = _returns_array(returns)
-    if periods_per_year <= 0:
-        raise StatsError(f"periods_per_year must be positive, got {periods_per_year}")
+    _check_periods(periods_per_year)
     years = r.size / periods_per_year
     growth = float(np.prod(1.0 + r))
     return growth ** (1.0 / years) - 1.0
@@ -72,8 +76,7 @@ def annual_volatility(returns, periods_per_year: float) -> float:
     r = _returns_array(returns)
     if r.size < 2:
         raise StatsError("volatility needs at least two returns")
-    if periods_per_year <= 0:
-        raise StatsError(f"periods_per_year must be positive, got {periods_per_year}")
+    _check_periods(periods_per_year)
     if r.max() == r.min():  # identical returns disperse by exactly zero
         return 0.0
     return float(math.sqrt(periods_per_year) * r.std(ddof=1))
@@ -136,24 +139,18 @@ def omega(returns) -> float:
     return gains / losses
 
 
-def sortino(
-    returns,
-    periods_per_year: float,
-    risk_free: float = 0.0,
-    annualize_downside: bool = True,
-) -> float:
+def sortino(returns, periods_per_year: float, risk_free: float = 0.0) -> float:
     """Excess annual return per unit of downside (negative-return) volatility.
 
     Downside volatility is the sample std of the negative returns, scaled by
-    sqrt(periods_per_year) unless ``annualize_downside`` is off.
+    sqrt(periods_per_year).
     """
     r = _returns_array(returns)
+    _check_periods(periods_per_year)
     downside = r[r < 0]
     if downside.size < 2:
         raise StatsError("sortino needs at least two negative returns")
-    dev = float(downside.std(ddof=1))
-    if annualize_downside:
-        dev *= math.sqrt(periods_per_year)
+    dev = float(downside.std(ddof=1)) * math.sqrt(periods_per_year)
     if dev <= 0:
         raise StatsError("downside volatility is zero; sortino undefined")
     return (annual_return(r, periods_per_year) - risk_free) / dev
@@ -181,10 +178,13 @@ class StrategyReport:
 def full_report(
     curve: EquityCurve, periods_per_year: float, risk_free: float = 0.0
 ) -> StrategyReport:
-    """All nine statistics of a curve; undefined ones become None."""
+    """All nine statistics of a curve; undefined ones become None.
+
+    A non-positive ``periods_per_year`` is an error, not nine undefined
+    statistics.
+    """
+    _check_periods(periods_per_year)
     returns = curve.period_returns
-    if returns.size == 0:
-        raise StatsError("cannot report on an empty curve")
     net = curve.net_path()
 
     def attempt(func, *args):

@@ -14,7 +14,7 @@ returns computed from raw prices. Transaction costs are not modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,27 +25,20 @@ from .metrics import ForecastBatch
 DEFAULT_REBALANCE_PERIOD = 5
 
 
-def difference_signal(batch: ForecastBatch, target_var: str | None = None) -> Panel:
+def difference_signal(batch: ForecastBatch) -> Panel:
     """Predicted horizon-end change per window origin, as a signal panel.
 
-    One column per target variable (or just ``target_var``), one row per
-    forecast origin: ``y_pred[:, -1, c] - last_observed[:, c]``.
+    One column per target variable, one row per forecast origin:
+    ``y_pred[:, -1, c] - last_observed[:, c]``. Take one variable's signal
+    with ``.select([var])``.
     """
     if batch.variables is None or batch.origins is None or batch.last_observed is None:
         raise SignalError(
             "batch lacks origin metadata (variables/origins/last_observed); "
             "build it from windows or a forecast file"
         )
-    if target_var is not None:
-        if target_var not in batch.variables:
-            raise SignalError(f"no target variable {target_var!r} in batch")
-        cols = [batch.variables.index(target_var)]
-        names = (target_var,)
-    else:
-        cols = list(range(len(batch.variables)))
-        names = tuple(batch.variables)
-    raw = batch.y_pred[:, -1, cols] - batch.last_observed[:, cols]
-    return Panel(batch.origins, names, raw)
+    raw = batch.y_pred[:, -1, :] - batch.last_observed
+    return Panel(batch.origins, batch.variables, raw)
 
 
 def diff_in_diff(raw: Panel, window: int) -> Panel:
@@ -149,24 +142,24 @@ def portfolio_topk(
 class EquityCurve:
     """Compounded net value per period, starting from an implicit 1.0.
 
-    ``net_values[t]`` is the product of ``1 + period_returns[:t+1]``;
-    ``net_path()`` prepends the inception value.
+    ``net_values[t]`` is the product of ``1 + period_returns[:t+1]``, computed
+    once from the returns; ``net_path()`` prepends the inception value.
     """
 
     timestamps: tuple
     period_returns: np.ndarray
-    net_values: np.ndarray
+    net_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", tuple(self.timestamps))
         pr = np.asarray(self.period_returns, dtype=float)
-        nv = np.asarray(self.net_values, dtype=float)
-        if pr.shape != (len(self.timestamps),) or nv.shape != pr.shape:
-            raise StrategyError("curve fields must be 1-D and equally long")
+        if pr.shape != (len(self.timestamps),):
+            raise StrategyError("period returns must be 1-D, one per timestamp")
         if pr.size == 0:
             raise StrategyError("equity curve must cover at least one period")
-        if nv.size and nv.min() <= 0:
-            raise StrategyError("net values must stay strictly positive")
+        if (pr <= -1).any():
+            raise StrategyError("a period return of -100% or worse wipes out the equity")
+        nv = np.cumprod(1.0 + pr)
         pr.setflags(write=False)
         nv.setflags(write=False)
         object.__setattr__(self, "period_returns", pr)
@@ -192,10 +185,7 @@ def equity_curve(positions: PositionSeries, realized_returns: Panel) -> EquityCu
             f"{realized_returns.variables}"
         )
     period_returns = (positions.weights * realized_returns.values).sum(axis=1)
-    if (period_returns <= -1).any():
-        raise StrategyError("a period return of -100% or worse wipes out the equity")
-    net = np.cumprod(1.0 + period_returns)
-    return EquityCurve(positions.timestamps, period_returns, net)
+    return EquityCurve(positions.timestamps, period_returns)
 
 
 def forward_returns(panel: Panel, variables, row_indices) -> Panel:

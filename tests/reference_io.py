@@ -20,8 +20,8 @@ from finpipe.metrics import ForecastBatch
 from finpipe.preprocess import VariableTransform
 
 
-def load_csv(path, timestamp_column: str | None = None) -> Panel:
-    """Read a panel from CSV: header row, one timestamp column, numeric cells.
+def load_csv(path) -> Panel:
+    """Read a panel from CSV: header row, timestamp in the first column, numeric cells.
 
     Lines starting with ``#`` are provenance comments and are skipped. Rows
     are sorted by timestamp; duplicate timestamps and non-numeric cells are
@@ -38,31 +38,23 @@ def load_csv(path, timestamp_column: str | None = None) -> Panel:
     data = rows[1:]
     if not data:
         raise IngestError(f"{path}: no data rows")
-    ts_name = timestamp_column if timestamp_column is not None else header[0]
-    if ts_name not in header:
-        raise IngestError(f"{path}: no timestamp column {ts_name!r}")
-    ts_idx = header.index(ts_name)
-    variables = [h for i, h in enumerate(header) if i != ts_idx]
+    variables = header[1:]
     labels: list[str] = []
     matrix = np.empty((len(data), len(variables)))
     for r, row in enumerate(data, start=2):
         if len(row) != len(header):
             raise IngestError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
-        labels.append(row[ts_idx].strip())
-        j = 0
-        for i, cell in enumerate(row):
-            if i == ts_idx:
-                continue
+        labels.append(row[0].strip())
+        for j, cell in enumerate(row[1:]):
             try:
                 value = float(cell)
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
                 raise IngestError(
-                    f"{path}: non-numeric value {cell!r} at row {r}, column {header[i]!r}"
+                    f"{path}: non-numeric value {cell!r} at row {r}, column {variables[j]!r}"
                 )
             matrix[r - 2, j] = value
-            j += 1
     keys = [_timestamp_key(lab) for lab in labels]
     try:
         order = sorted(range(len(labels)), key=lambda i: keys[i])

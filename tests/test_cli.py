@@ -308,6 +308,21 @@ class TestUsageErrors:
         assert rc == 1  # five variables against a single-target task
 
 
+    @pytest.mark.parametrize("targets, rc", [("close_X", 1), ("close_X,volume_X", 1),
+                                             ("open_X,high_X,low_X,close_X,volume_X", 0)])
+    def test_m2m_needs_no_targets_or_every_variable(self, tmp_path, raw_csv, capsys,
+                                                    targets, rc):
+        # A subset used to exit 0, writing the m2s body under another hash.
+        out = tmp_path / "f.csv"
+        assert main(["naive-forecast", "--input", str(raw_csv), "--output", str(out),
+                     "--input-len", "512", "--horizon", "5", "--task", "m2m",
+                     "--target-vars", targets]) == rc
+        assert out.exists() == (rc == 0)
+        if rc:
+            n = len(targets.split(","))
+            assert (f"task m2m needs no --target-vars or all 5 variables, got {n}"
+                    in capsys.readouterr().err)
+
 class TestDataErrors:
     def test_missing_input_exits_one(self, tmp_path, capsys):
         rc = main(["preprocess", "--input", str(tmp_path / "absent.csv"),
@@ -478,7 +493,7 @@ class TestConfigFile:
               "--output", str(tmp_path / "t.csv"), "--anchors", str(tmp_path / "a.csv")])
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "input-len=512\nhorizon=5\ntarget-vars=close_X\nnoise-std=0\nseed=3\n"
+            "input-len=512\nhorizon=5\ntask=m2s\ntarget-vars=close_X\nnoise-std=0\nseed=3\n"
         )
         out_cfg = tmp_path / "fc_cfg.csv"
         rc = main(["naive-forecast", "--input", str(tmp_path / "t.csv"),
@@ -530,6 +545,15 @@ class TestConfigFile:
         assert outs["config"].read_bytes() == outs["flag"].read_bytes()
         assert outs["config"].read_bytes() != outs["off"].read_bytes()
 
+    def test_missing_config_exits_two(self, tmp_path, raw_csv, capsys):
+        cfg = tmp_path / "absent.cfg"
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--input", str(raw_csv),
+                  "--output-dir", str(tmp_path / "s"), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"error: no such config file: {cfg}\n" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("kind, reason", [
         ("directory", "Is a directory"),
         ("invalid utf-8", "'utf-8' codec can't decode byte 0xff"),
@@ -574,8 +598,8 @@ class TestEvaluateDegenerateDispersion:
               "--output", str(tmp_path / "t.csv"), "--anchors", str(tmp_path / "a.csv")])
         fc = tmp_path / "fc.csv"
         main(["naive-forecast", "--input", str(tmp_path / "t.csv"), "--output", str(fc),
-              "--input-len", "512", "--horizon", "5", "--target-vars", "close_X",
-              "--noise-std", "0"])
+              "--input-len", "512", "--horizon", "5", "--task", "m2s",
+              "--target-vars", "close_X", "--noise-std", "0"])
         out = tmp_path / "metrics.csv"
         rc = main(["evaluate", "--truth", str(tmp_path / "t.csv"),
                    "--forecasts", str(fc), "--output", str(out)])
@@ -716,6 +740,22 @@ class TestOptionAnalyticsCli:
         assert not (tmp_path / "out.csv").exists()
         assert "no-arbitrage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, message", [
+        ("2,100.0,100.0,0.0,1.0,cal,10.0", "kind must be 'call' or 'put', got 'cal'"),
+        ("2,-5,100.0,0.0,1.0,call,10.0", "spot must be positive, got -5.0"),
+        ("2,100.0,100.0,0.0,1.0,call,100.5",
+         "call price 100.5 outside no-arbitrage range (0.0, 100.0)"),
+    ])
+    def test_rejected_quote_names_its_file_and_row(self, tmp_path, capsys, row, message):
+        src = tmp_path / "quotes.csv"
+        src.write_text("timestamp,spot,strike,rate,expiry,kind,market_price\n"
+                       f"1,100.0,100.0,0.0,1.0,call,10.0\n{row}\n")
+        out = tmp_path / "out.csv"
+        rc = main(["option-analytics", "--input", str(src), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert f"error: {src}: row 3: {message}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_quote_cell_exits_one(self, tmp_path, capsys, bad):
         src = tmp_path / "quotes.csv"
@@ -764,7 +804,7 @@ class TestReportCli:
         report = _read_metric_csv(out)
         from finpipe.stats import full_report
 
-        expected = full_report(EquityCurve(range(120), rets, curve.net_values), 252.0)
+        expected = full_report(EquityCurve(range(120), rets), 252.0)
         assert float(report["annual_return"]) == expected.annual_return
         assert float(report["max_drawdown"]) == expected.max_drawdown
 
@@ -793,6 +833,45 @@ class TestReportCli:
         assert rc == 1
         assert not out.exists()
         assert f"row 8: bad value in column {column!r}" in capsys.readouterr().err
+
+    def test_net_value_that_is_not_the_running_product_exits_one(self, tmp_path, capsys):
+        # A flat net_value beside returns compounding to a gain used to exit 0
+        # with max_drawdown 0.0 next to statistics of the returns.
+        path = tmp_path / "curve.csv"
+        lines = _write_curve(path)
+        rets = [float(line.split(",")[2]) for line in lines[1:]]
+        lines[1:] = [f"{i},1.0,{r!r},1.0" for i, r in enumerate(rets)]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        rc = main(["report", "--input", str(path), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert (f"{path}: row 2: net_value 1.0 is not the running product of period_return "
+                f"(expected {1.0 + rets[0]!r})" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("rel, rc", [(1e-6, 1), (1e-12, 0)])
+    def test_net_value_is_checked_to_a_relative_1e_9(self, tmp_path, capsys, rel, rc):
+        path = tmp_path / "curve.csv"
+        lines = _write_curve(path)
+        cells = lines[7].split(",")
+        cells[1] = repr(float(cells[1]) * (1.0 + rel))
+        lines[7] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        assert main(["report", "--input", str(path), "--output", str(out)]) == rc
+        if rc:
+            assert "row 8: net_value" in capsys.readouterr().err
+
+    def test_total_loss_period_exits_one(self, tmp_path, capsys):
+        # Used to exit 0 with NA statistics.
+        path = tmp_path / "curve.csv"
+        path.write_text("timestamp,net_value,period_return,position\n"
+                        "0,1.01,0.01,1.0\n1,0.0,-1.0,1.0\n2,0.0,0.01,1.0\n")
+        out = tmp_path / "report.csv"
+        rc = main(["report", "--input", str(path), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "-100%" in capsys.readouterr().err
 
     def test_freq_sets_the_default_periods_per_year(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"

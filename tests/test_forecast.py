@@ -197,6 +197,26 @@ class TestForecastFileValidation:
         with pytest.raises(FormatError, match="#H"):
             load_forecasts(path, windows)
 
+    @pytest.mark.parametrize("step", [0, 6])
+    def test_record_off_the_step_grid_counted(self, tmp_path, windows, step):
+        path = tmp_path / "fc.csv"
+        _write_records(path, self._full_records([0]) + [(0, step, "v0", 1.0)])
+        message = r"1 record\(s\) outside the sample/step/variable grid"
+        with pytest.raises(FormatError, match=message):
+            load_forecasts(path, windows)
+
+    def test_wrong_record_header_rejected(self, tmp_path, windows):
+        path = tmp_path / "fc.csv"
+        path.write_text("#L=10\n#H=5\nsample,step,variable,y_pred\n0,1,v0,1.0\n")
+        with pytest.raises(FormatError, match="expected header sample_id,step,variable,y_pred"):
+            load_forecasts(path, windows)
+
+    def test_non_integer_horizon_header_rejected(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        path.write_text("#L=10\n#H=x\nsample_id,step,variable,y_pred\n0,1,v0,1.0\n")
+        with pytest.raises(FormatError, match="header #H='x' is not an integer"):
+            read_metadata(path)
+
     def test_prediction_shape_checked_in_make_batch(self, windows):
         with pytest.raises(AlignError, match="shape"):
             make_batch(windows, np.zeros((1, 5, 2)))

@@ -98,12 +98,6 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match="mix"):
             load_csv(path)
 
-    def test_timestamp_column_by_name(self, tmp_path):
-        path = _write(tmp_path, "a,date,b\n1,0,2\n3,1,4\n")
-        panel = load_csv(path, timestamp_column="date")
-        assert panel.variables == ("a", "b")
-        assert panel.timestamps == ("0", "1")
-
     def test_gsmi_scale_panel(self, tmp_path):
         # Same shape as the published 6533-row, 100-variable daily panel.
         n_rows, n_vars = 6533, 100

@@ -226,6 +226,19 @@ class TestPanelTransforms:
         with pytest.raises(TransformError, match="close"):
             transform_panel(panel)
 
+    def test_non_positive_first_close_names_the_column(self):
+        values = np.column_stack([np.full(5, 10.0), np.r_[0.0, np.full(4, 10.0)]])
+        panel = Panel(range(5), ("open_A", "close_A"), values)
+        with pytest.raises(TransformError,
+                           match=r"^column 'open_A': anchor close must be positive, got 0\.0$"):
+            transform_panel(panel)
+
+    def test_faults_are_reported_in_column_order(self):
+        values = np.column_stack([np.full(5, -1.0), np.full(5, 10.0)])
+        panel = Panel(range(5), ("volume_A", "open_B"), values)
+        with pytest.raises(TransformError, match="^column 'volume_A': volumes must"):
+            transform_panel(panel)
+
     def test_inverse_round_trip(self):
         panel = ohlcv_panel(120, seed=6, assets=("A", "B"))
         transformed, records = transform_panel(panel)

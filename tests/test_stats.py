@@ -27,8 +27,7 @@ mp.dps = 50
 
 def _curve(returns):
     returns = np.asarray(returns, dtype=float)
-    net = np.cumprod(1.0 + returns)
-    return EquityCurve(range(len(returns)), returns, net)
+    return EquityCurve(range(len(returns)), returns)
 
 
 class TestCumulativeReturn:
@@ -208,12 +207,6 @@ class TestSortino:
         )
         assert sortino(returns, 252) == pytest.approx(expected, abs=1e-12)
 
-    def test_annualization_flag(self, rng):
-        returns = rng.uniform(-0.03, 0.04, 60)
-        scaled = sortino(returns, 252)
-        plain = sortino(returns, 252, annualize_downside=False)
-        assert plain == pytest.approx(scaled * math.sqrt(252), rel=1e-12)
-
 
 class TestFullReport:
     def test_flat_curve(self):
@@ -242,6 +235,14 @@ class TestFullReport:
         assert report.stability == stability(net_path)
         assert report.omega == omega(returns)
         assert report.sortino == sortino(returns, 252, 0.01)
+
+    @pytest.mark.parametrize("periods", [0, -252.0])
+    def test_non_positive_periods_per_year_rejected(self, periods):
+        # -252 used to escape as ValueError from math.sqrt; 0 reported nine NAs.
+        with pytest.raises(StatsError, match="periods_per_year must be positive"):
+            full_report(_curve([0.01, -0.01, 0.02, -0.02]), periods)
+        with pytest.raises(StatsError, match="periods_per_year must be positive"):
+            sortino([0.01, -0.01, 0.02, -0.02], periods)
 
     def test_rows_order(self):
         report = full_report(_curve([0.01, -0.01, 0.02]), 252)

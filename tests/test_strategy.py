@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from finpipe import (
+    EquityCurve,
     ForecastBatch,
     Panel,
     PositionSeries,
@@ -68,13 +69,6 @@ class TestDifferenceSignal:
             for j, var in enumerate(batch.variables):
                 expected = batch.y_pred[i, -1, j] - windows.last_observed[i, j]
                 assert signal.values[i, j] == expected
-
-    def test_single_variable_selection(self):
-        batch, _ = self._batch()
-        signal = difference_signal(batch, target_var="v1")
-        assert signal.variables == ("v1",)
-        with pytest.raises(SignalError, match="target"):
-            difference_signal(batch, target_var="nope")
 
     def test_metadata_required(self):
         bare = ForecastBatch(np.zeros((3, 5, 1)), np.zeros((3, 5, 1)))
@@ -340,6 +334,19 @@ class TestEquityCurve:
         positions = PositionSeries(range(1), ("spx",), np.ones((1, 1)), 1)
         with pytest.raises(StrategyError, match="-100%"):
             equity_curve(positions, _returns([-1.0]))
+
+    def test_net_values_are_derived_and_read_only(self):
+        curve = EquityCurve(range(2), [0.10, -0.10])
+        np.testing.assert_array_equal(curve.net_values, [1.1, 1.1 * 0.9])
+        with pytest.raises(ValueError, match="read-only"):
+            curve.net_values[0] = 2.0
+        with pytest.raises(TypeError):
+            EquityCurve(range(2), [0.10, -0.10], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, -1.5])
+    def test_curve_rejects_a_total_loss(self, bad):
+        with pytest.raises(StrategyError, match="-100%"):
+            EquityCurve(range(3), [0.01, bad, 0.02])
 
     def test_weight_bounds_enforced(self):
         with pytest.raises(StrategyError, match=r"\[-1, 1\]"):
