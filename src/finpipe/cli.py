@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -490,29 +491,43 @@ def cmd_option_analytics(opts: dict) -> None:
             iv = implied_vol(quote)
         except ToolkitError as exc:
             raise type(exc)(f"{opts['input']}: row {i + 2}: {exc}") from None
-        g = greeks(quote, iv)
-        extended[i] = (iv, g.delta, g.theta, g.gamma, g.vega, g.rho_rate)
+        extended[i] = (iv, *greeks(quote, iv))
 
-    hv_column = None
+    hv = None
     if opts["hv_window"] is not None:
         source = opts["hv_source"]
         if source not in header:
             raise FormatError(f"{opts['input']}: no hv source column {source!r}")
         series = _column_floats(opts["input"], header, cells, source)
         hv = historical_vol(series, opts["hv_window"])
-        hv_column = [""] * (opts["hv_window"] - 1) + list(map(repr, hv.tolist()))
 
     out_header = header + ["iv", "delta", "theta", "gamma", "vega", "rho"]
-    if hv_column is not None:
+    if hv is not None:
         out_header.append("hv")
     lines = provenance_lines("option-analytics", opts)
-    lines.append(",".join(out_header))
-    for i, (row, values) in enumerate(zip(cells.tolist(), extended.tolist())):
-        out = [c.strip() for c in row] + list(map(repr, values))
-        if hv_column is not None:
-            out.append(hv_column[i])
-        lines.append(",".join(out))
-    table.write_lines(opts["output"], lines)
+    lines.append(",".join(table.quote(out_header)))
+    table.write_lines(opts["output"], itertools.chain(lines, _analytics_blocks(cells, extended, hv)))
+
+
+ANALYTICS_BLOCK_ROWS = 4096  # rows formatted per string; bounds the text held at once
+
+
+def _analytics_blocks(cells: np.ndarray, extended: np.ndarray, hv: np.ndarray | None):
+    """The body of ``analytics.csv``, ANALYTICS_BLOCK_ROWS rows per string.
+
+    Each block is formatted a column at a time. The ``hv`` column is blank
+    in the leading rows that no full window ends on.
+    """
+    n_rows = len(cells)
+    offset = n_rows - len(hv) if hv is not None else 0
+    for start in range(0, n_rows, ANALYTICS_BLOCK_ROWS):
+        stop = min(start + ANALYTICS_BLOCK_ROWS, n_rows)
+        columns = [table.quote(list(map(str.strip, column))) for column in cells[start:stop].T]
+        columns += [list(map(repr, column)) for column in extended[start:stop].T.tolist()]
+        if hv is not None:
+            values = list(map(repr, hv[max(start - offset, 0) : max(stop - offset, 0)].tolist()))
+            columns.append([""] * (stop - start - len(values)) + values)
+        yield "\n".join(map(",".join, zip(*columns)))
 
 
 COMMANDS = {

@@ -187,7 +187,9 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
     if unknown:
         raise AlignError(f"forecast variable(s) not in truth targets: {unknown}")
     variables = tuple(targets[i] for i in used)
-    sample_ids = np.unique(ids)
+    # np.unique would import numpy.ma, for a masked-array check, in each stage.
+    ordered = np.sort(ids)
+    sample_ids = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     out_of_range = sample_ids[(sample_ids < 0) | (sample_ids >= len(truth_windows))].tolist()
     if out_of_range:
         raise AlignError(

@@ -4,17 +4,20 @@ Pricing follows ``C = S0 * N(d1) - X * exp(-r*T) * N(d2)`` with
 ``d1 = (ln(S0/X) + (r + sigma^2/2) * T) / (sigma * sqrt(T))`` and
 ``d2 = d1 - sigma * sqrt(T)``; puts come from put-call parity. No dividend
 yield. The normal CDF is scipy's ``ndtr`` (erfc-based, abs error well below
-1e-15). Implied volatility inverts the price with a Newton-Raphson
-iteration safeguarded by bisection on [1e-6, 5].
+1e-15). Importing ``scipy.special`` takes about a third of a second, more
+than most stages take to run, so it is imported on the first call of this
+module's ``ndtr``, which then rebinds itself to scipy's function. Implied
+volatility inverts the price with a Newton-Raphson iteration safeguarded by
+bisection on [1e-6, 5], started from the Corrado-Miller approximation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConvergenceError, NoImpliedVolError, PricingError, WindowError
 
@@ -26,8 +29,12 @@ PRICE_TOL_SCALE = 1e-10  # solution guarantee: |price(iv) - market| < scale * sp
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def ndtr(x):
+    """The standard normal CDF: scipy's ``ndtr``, imported on the first call."""
+    global ndtr
+    from scipy.special import ndtr
+
+    return ndtr(x)
 
 
 @dataclass(frozen=True)
@@ -58,21 +65,18 @@ class OptionQuote:
             raise PricingError(f"market price must be positive, got {self.market_price}")
 
 
-@dataclass(frozen=True)
-class GreeksBundle:
-    """Price sensitivities. ``rho_rate`` is the interest-rate sensitivity."""
+class GreeksBundle(NamedTuple):
+    """Price sensitivities. ``rho_rate`` is the interest-rate sensitivity.
+
+    A named tuple, not a frozen dataclass: the IV solver builds one per
+    Newton step, and a tuple is built in half the time.
+    """
 
     delta: float
     theta: float
     gamma: float
     vega: float
     rho_rate: float
-
-
-def _d1_d2(q: OptionQuote, sigma: float) -> tuple[float, float]:
-    sig_sqrt_t = sigma * math.sqrt(q.expiry)
-    d1 = (math.log(q.spot / q.strike) + (q.rate + 0.5 * sigma * sigma) * q.expiry) / sig_sqrt_t
-    return d1, d1 - sig_sqrt_t
 
 
 def bs_price(q: OptionQuote, sigma: float) -> float:
@@ -85,7 +89,9 @@ def bs_price(q: OptionQuote, sigma: float) -> float:
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise PricingError(f"sigma must be positive, got {sigma}")
-    d1, d2 = _d1_d2(q, sigma)
+    sig_sqrt_t = sigma * math.sqrt(q.expiry)
+    d1 = (math.log(q.spot / q.strike) + (q.rate + 0.5 * sigma * sigma) * q.expiry) / sig_sqrt_t
+    d2 = d1 - sig_sqrt_t
     discounted_strike = q.strike * math.exp(-q.rate * q.expiry)
     if d2 >= 0:
         tails = discounted_strike * float(ndtr(-d2)) - q.spot * float(ndtr(-d1))
@@ -108,22 +114,27 @@ def greeks(q: OptionQuote, sigma: float) -> GreeksBundle:
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise PricingError(f"sigma must be positive, got {sigma}")
-    d1, d2 = _d1_d2(q, sigma)
     sqrt_t = math.sqrt(q.expiry)
-    pdf_d1 = _norm_pdf(d1)
-    discounted_strike = q.strike * math.exp(-q.rate * q.expiry)
+    sig_sqrt_t = sigma * sqrt_t
+    d1 = (math.log(q.spot / q.strike) + (q.rate + 0.5 * sigma * sigma) * q.expiry) / sig_sqrt_t
+    d2 = d1 - sig_sqrt_t
+    pdf_d1 = math.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
+    discount = math.exp(-q.rate * q.expiry)
+    discounted_strike = q.strike * discount
     gamma = pdf_d1 / (q.spot * sigma * sqrt_t)
     vega = q.spot * sqrt_t * pdf_d1
     decay = -q.spot * pdf_d1 * sigma / (2.0 * sqrt_t)
     if q.kind == "call":
         delta = float(ndtr(d1))
-        theta = decay - q.rate * discounted_strike * float(ndtr(d2))
-        rho = q.strike * q.expiry * math.exp(-q.rate * q.expiry) * float(ndtr(d2))
+        n_d2 = float(ndtr(d2))
+        theta = decay - q.rate * discounted_strike * n_d2
+        rho = q.strike * q.expiry * discount * n_d2
     else:
         delta = float(ndtr(d1)) - 1.0
-        theta = decay + q.rate * discounted_strike * float(ndtr(-d2))
-        rho = -q.strike * q.expiry * math.exp(-q.rate * q.expiry) * float(ndtr(-d2))
-    return GreeksBundle(delta=delta, theta=theta, gamma=gamma, vega=vega, rho_rate=rho)
+        n_d2 = float(ndtr(-d2))
+        theta = decay + q.rate * discounted_strike * n_d2
+        rho = -q.strike * q.expiry * discount * n_d2
+    return GreeksBundle(delta, theta, gamma, vega, rho)
 
 
 def _no_arbitrage_bounds(q: OptionQuote) -> tuple[float, float]:
@@ -134,11 +145,17 @@ def _no_arbitrage_bounds(q: OptionQuote) -> tuple[float, float]:
 
 
 def _initial_guess(q: OptionQuote, target: float) -> float:
-    # Brenner-Subrahmanyam near-ATM start, on the call-equivalent price.
+    # Corrado-Miller start, on the call-equivalent price: it extends the
+    # Brenner-Subrahmanyam at-the-money formula by a moneyness correction.
+    discounted_strike = q.strike * math.exp(-q.rate * q.expiry)
     call_equiv = target
     if q.kind == "put":
-        call_equiv = target + q.spot - q.strike * math.exp(-q.rate * q.expiry)
-    guess = math.sqrt(2.0 * math.pi / q.expiry) * max(call_equiv, 0.0) / q.spot
+        call_equiv = target + q.spot - discounted_strike
+    half_gap = 0.5 * (q.spot - discounted_strike)
+    excess = call_equiv - half_gap
+    root = math.sqrt(max(excess * excess - 4.0 * half_gap * half_gap / math.pi, 0.0))
+    guess = (math.sqrt(2.0 * math.pi / q.expiry) * (excess + root)
+             / (q.spot + discounted_strike))
     return min(max(guess, 0.05), 2.0)
 
 

@@ -105,6 +105,20 @@ def cast(cells: np.ndarray, dtype) -> tuple[np.ndarray, int]:
         raise
 
 
+def quote(cells: list[str]) -> list[str]:
+    """``cells`` as csv's minimal quoting writes them.
+
+    A cell holding a comma, quote, CR or LF is quoted and its quotes doubled.
+    One scan of the joined cells passes a list that needs no quoting.
+    """
+    special = (",", '"', "\r", "\n")
+    joined = "".join(cells)
+    if not any(char in joined for char in special):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if any(char in cell for char in special) else cell
+            for cell in cells]
+
+
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write each item of ``lines`` (one line or a block of them) and a newline."""
     path = Path(path)

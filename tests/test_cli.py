@@ -15,10 +15,11 @@ from finpipe import (
     bs_price,
     equity_curve,
     greeks,
+    historical_vol,
     implied_vol,
     load_csv,
 )
-from finpipe import frame
+from finpipe import cli, frame, table
 from finpipe.cli import COMMANDS, OPTIONS, derive_seed, main
 from synth import ohlcv_panel, write_raw_csv
 
@@ -728,6 +729,46 @@ class TestOptionAnalyticsCli:
         assert all(row[hv_idx] == "" for row in rows[:9])
         assert all(row[hv_idx] != "" for row in rows[9:])
 
+    def test_block_writer_matches_a_row_by_row_join(self, tmp_path, monkeypatch):
+        # Three blocks and a partial one; the hv blanks run into the second block.
+        monkeypatch.setattr(cli, "ANALYTICS_BLOCK_ROWS", 16)
+        src = tmp_path / "quotes.csv"
+        quotes = self._quotes_csv(src, n=56)
+        src.write_text(src.read_text().replace("\n0,", "\n 0 ,", 1))  # a cell to strip
+        out = tmp_path / "analytics.csv"
+        assert main(["option-analytics", "--input", str(src), "--output", str(out),
+                     "--hv-window", "21", "--hv-source", "spot"]) == 0
+        hv = [""] * 20 + list(map(repr, historical_vol([q.spot for q in quotes], 21).tolist()))
+        lines = [l for l in out.read_text().splitlines(keepends=True) if l.startswith("#")]
+        lines.append("timestamp,spot,strike,rate,expiry,kind,market_price,"
+                     "iv,delta,theta,gamma,vega,rho,hv\n")
+        input_rows = src.read_text().splitlines()[1:]
+        for row, quote, hv_cell in zip(input_rows, quotes, hv):
+            iv = implied_vol(quote)
+            g = greeks(quote, iv)
+            values = (iv, g.delta, g.theta, g.gamma, g.vega, g.rho_rate)
+            cells = [c.strip() for c in row.split(",")] + [repr(v) for v in values] + [hv_cell]
+            lines.append(",".join(cells) + "\n")
+        assert out.read_text() == "".join(lines)
+
+    def test_echoed_cells_are_quoted(self, tmp_path):
+        # Unquoted, "a,b" gave its row 15 fields under a 14-field header.
+        src = tmp_path / "quotes.csv"
+        src.write_text(
+            'timestamp,spot,strike,rate,expiry,kind,market_price,"note, free text"\n'
+            '0,100.0,100.0,0.01,0.5,call,7.0,"a,b"\n'
+            '1,100.0,100.0,0.01,0.5,put,7.0,"say ""hi"""\n'
+            '2,100.0,100.0,0.01,0.5,call,7.0,"two\r\nlines"\n'
+            '3,100.0,100.0,0.01,0.5,put,7.0,plain\n'
+        )
+        out = tmp_path / "analytics.csv"
+        assert main(["option-analytics", "--input", str(src), "--output", str(out)]) == 0
+        source = table.read_table(src, lambda tab: tab)
+        written = table.read_table(out, lambda tab: tab)
+        assert written.header[:8] == source.header
+        assert written.cells[:, :8].tolist() == source.cells.tolist()
+        assert written.cells[:, 7].tolist() == ["a,b", 'say "hi"', "two\r\nlines", "plain"]
+
     def test_arbitrage_violation_exits_one(self, tmp_path, capsys):
         src = tmp_path / "quotes.csv"
         src.write_text(
@@ -930,11 +971,32 @@ class TestEntryPoint:
         assert not (tmp_path / "s").exists()
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats takes about a second to import, and every stage would pay it.
+        # scipy.stats takes about a second to import and scipy.special a third
+        # of one; every stage would pay them. Only option pricing loads
+        # scipy.special, on its first call.
         package_root = str(Path(finpipe.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", "import finpipe.cli, sys; print('scipy.stats' in sys.modules)"],
-            env=dict(os.environ, PYTHONPATH=package_root), capture_output=True, text=True,
-            timeout=60)
+        for module in ("finpipe", "finpipe.cli"):
+            done = subprocess.run(
+                [sys.executable, "-c", f"import {module}, sys; "
+                 "print([m in sys.modules for m in ('scipy.stats', 'scipy.special')])"],
+                env=dict(os.environ, PYTHONPATH=package_root), capture_output=True, text=True,
+                timeout=60)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == "[False, False]\n", module
+
+    def test_option_analytics_prices_with_scipy_ndtr(self, tmp_path):
+        package_root = str(Path(finpipe.__file__).resolve().parents[1])
+        (tmp_path / "quotes.csv").write_text(
+            "timestamp,spot,strike,rate,expiry,kind,market_price\n"
+            "0,100.0,100.0,0.01,0.5,call,7.0\n")
+        code = ("import finpipe.cli, finpipe.options\n"
+                "rc = finpipe.cli.main(['option-analytics', '--input', 'quotes.csv', "
+                "'--output', 'analytics.csv'])\n"
+                "import scipy.special\n"
+                "print(rc, finpipe.options.ndtr is scipy.special.ndtr)")
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=package_root),
+                              capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert done.stdout == "0 True\n"
+        assert (tmp_path / "analytics.csv").is_file()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finpipe import GreeksBundle, OptionQuote, bs_price, greeks, historical_vol, implied_vol
+from finpipe import options
 from finpipe.errors import ConvergenceError, NoImpliedVolError, PricingError, WindowError
 from oracle_utils import historical_vol_oracle
 
@@ -131,6 +132,42 @@ class TestImpliedVol:
             q = OptionQuote(q0.spot, q0.strike, q0.rate, q0.expiry, kind, target)
             iv = implied_vol(q)
             assert abs(bs_price(q0, iv) - target) < 1e-10 * spot
+
+    def test_start_keeps_the_solve_short_and_exact(self, monkeypatch):
+        # 2,000 quotes drawn in the benchmark's ranges; a draw whose price is
+        # not strictly inside the no-arbitrage range has no IV and is redrawn.
+        rng = np.random.default_rng(20)
+        book = []
+        while len(book) < 2000:
+            spot = float(rng.uniform(50.0, 150.0))
+            kind = "call" if rng.random() < 0.5 else "put"
+            strike = spot * float(rng.uniform(0.7, 1.3))
+            rate, expiry = float(rng.uniform(0.0, 0.06)), float(rng.uniform(0.05, 2.0))
+            sigma = float(rng.uniform(0.05, 1.0))
+            q0 = OptionQuote(spot, strike, rate, expiry, kind)
+            price = bs_price(q0, sigma)
+            discounted_strike = strike * math.exp(-rate * expiry)
+            lower, upper = ((max(spot - discounted_strike, 0.0), spot) if kind == "call"
+                            else (max(discounted_strike - spot, 0.0), discounted_strike))
+            if lower < price < upper:
+                book.append((OptionQuote(spot, strike, rate, expiry, kind, price), sigma))
+
+        calls = 0
+
+        def counting(q, sigma):
+            nonlocal calls
+            calls += 1
+            return bs_price(q, sigma)
+
+        monkeypatch.setattr(options, "bs_price", counting)
+        ivs = [implied_vol(q) for q, _ in book]
+        monkeypatch.undo()
+        assert calls / len(book) <= 5.0
+        for (q, sigma), iv in zip(book, ivs):
+            assert abs(bs_price(q, iv) - q.market_price) < 1e-10 * q.spot
+            # Where a price ulp moves sigma by at most 1e-7, the IV is sigma.
+            if math.ulp(q.market_price) / greeks(q, sigma).vega <= 1e-7:
+                assert abs(iv - sigma) <= 1e-6
 
 
 class TestGreeks:
