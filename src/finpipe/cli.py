@@ -515,14 +515,18 @@ ANALYTICS_BLOCK_ROWS = 4096  # rows formatted per string; bounds the text held a
 def _analytics_blocks(cells: np.ndarray, extended: np.ndarray, hv: np.ndarray | None):
     """The body of ``analytics.csv``, ANALYTICS_BLOCK_ROWS rows per string.
 
-    Each block is formatted a column at a time. The ``hv`` column is blank
-    in the leading rows that no full window ends on.
+    Each block is formatted a column at a time, its echoed cells stripped;
+    a first cell such as `` #a`` is echoed as read, since stripped it would
+    start a comment row. The ``hv`` column is blank in the leading rows that
+    no full window ends on.
     """
     n_rows = len(cells)
     offset = n_rows - len(hv) if hv is not None else 0
     for start in range(0, n_rows, ANALYTICS_BLOCK_ROWS):
         stop = min(start + ANALYTICS_BLOCK_ROWS, n_rows)
-        columns = [table.quote(list(map(str.strip, column))) for column in cells[start:stop].T]
+        first, *rest = cells[start:stop].T
+        columns = [table.quote([c if c.lstrip().startswith("#") else c.strip() for c in first])]
+        columns += [table.quote(list(map(str.strip, column))) for column in rest]
         columns += [list(map(repr, column)) for column in extended[start:stop].T.tolist()]
         if hv is not None:
             values = list(map(repr, hv[max(start - offset, 0) : max(stop - offset, 0)].tolist()))

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AlignError, FormatError, WindowError
 from .frame import WindowSet
 from .metrics import ForecastBatch
-from .table import Table, cast, read_table, write_lines
+from .table import Blocks, cast, read_blocks, write_lines
 
 DEFAULT_NOISE_STD = 0.001
 
@@ -146,50 +146,49 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
         )
 
     targets = tuple(truth_windows.target_vars)
+    # A variable's code is its index in ``names``: the targets, then other names.
+    codes = {name: i for i, name in enumerate(targets)}
 
-    def records(table: Table):
-        if table.header != ["sample_id", "step", "variable", "y_pred"]:
+    def records(blocks: Blocks):
+        if blocks.header != ["sample_id", "step", "variable", "y_pred"]:
             raise FormatError(f"{path}: expected header sample_id,step,variable,y_pred")
-        if not table.n_rows:
+        # ids, steps, variable codes and values, sized from the first block's rows
+        columns = [np.empty(0, dtype) for dtype in (np.int64, np.int64, np.int64, float)]
+        kept, bad = 0, None  # records kept; the error of the first bad one
+        for cells in blocks:
+            *typed, bad = _typed_records(path, cells, codes, kept + 2)
+            n = len(typed[0])
+            if kept + n > len(columns[0]):
+                columns = _with_room(columns, kept, cells, path.stat().st_size)
+            for column, part in zip(columns, typed):
+                column[kept : kept + n] = part
+            kept += n
+            if bad:  # the rows below a malformed or non-finite record are not read
+                break
+        if not blocks.n_rows:
             raise FormatError(f"{path}: no forecast records")
-        cells = table.cells
-        (ids, n_ids), (steps, n_steps), (values, n_values) = (
-            cast(cells[:, j], dtype) for j, dtype in ((0, np.int64), (1, np.int64), (3, float))
-        )
-        finite = np.isfinite(values)
-        n = min(n_ids, n_steps, n_values if finite.all() else int(np.argmin(finite)))
-        # A variable's code is its index in ``names``: the targets, then other names.
-        codes = {name: i for i, name in enumerate(targets)}
-        code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(cells[:n, 2])}
-        var_codes = np.fromiter(map(code_of.__getitem__, cells[:n, 2]), np.int64, n)
-        names = list(codes)
-        # In file order: a duplicate before the first malformed or non-finite
-        # record, then that record.
-        order = np.lexsort((var_codes, steps[:n], ids[:n]))
-        same = [k[order][1:] == k[order][:-1] for k in (ids[:n], steps[:n], var_codes)]
-        dup = order[1:][np.logical_and.reduce(same)]
-        if dup.size:
-            i = dup.min()
+        ids, steps, var_codes, values = (column[:kept] for column in columns)
+        # In file order: a duplicate above the first bad record, then that record.
+        i = _first_duplicate(ids, steps, var_codes)
+        if i is not None:
             raise FormatError(
                 f"{path}: duplicate record for sample {ids[i]}, step {steps[i]}, "
-                f"variable {names[var_codes[i]]!r}"
+                f"variable {list(codes)[var_codes[i]]!r}"
             )
-        if n < min(n_ids, n_steps, n_values):
-            raise FormatError(f"{path}: non-finite value {cells[n, 3]!r} at row {n + 2}, "
-                              f"column 'y_pred'")
-        if n < len(cells):
-            raise FormatError(f"{path}: row {n + 2}: malformed record {list(cells[n])!r}")
-        return ids, steps, var_codes, values, names
+        if bad:
+            raise FormatError(bad)
+        return ids, steps, var_codes, values
 
-    ids, steps, var_codes, values, names = read_table(path, records, FormatError, "forecast file")
+    ids, steps, var_codes, values = read_blocks(path, records, FormatError, "forecast file")
+    names = list(codes)
     used = np.flatnonzero(np.bincount(var_codes, minlength=len(names)))
     unknown = sorted(names[i] for i in used if i >= len(targets))
     if unknown:
         raise AlignError(f"forecast variable(s) not in truth targets: {unknown}")
     variables = tuple(targets[i] for i in used)
     # np.unique would import numpy.ma, for a masked-array check, in each stage.
-    ordered = np.sort(ids)
-    sample_ids = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    sample_ids = np.sort(ids)
+    sample_ids = sample_ids[np.concatenate(([True], sample_ids[1:] != sample_ids[:-1]))]
     out_of_range = sample_ids[(sample_ids < 0) | (sample_ids >= len(truth_windows))].tolist()
     if out_of_range:
         raise AlignError(
@@ -198,10 +197,20 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
 
     # Ids and variables are in range now and steps outside 1..H are screened
     # out, so each record's key sample*H*C + (step-1)*C + var is its own cell.
+    # The key is built in place, and each column is dropped once it is added.
     shape = (len(sample_ids), horizon, len(variables))
     on_grid = (steps >= 1) & (steps <= horizon)
-    key = np.ravel_multi_index((np.searchsorted(sample_ids, ids[on_grid]), steps[on_grid] - 1,
-                                np.searchsorted(used, var_codes[on_grid])), shape)
+    n_records = len(ids)
+    key = np.searchsorted(sample_ids, ids)
+    del ids
+    key *= horizon
+    key += steps
+    key -= 1
+    del steps
+    key *= len(variables)
+    key += np.searchsorted(used, var_codes)
+    del var_codes
+    key = key[on_grid]
     filled = np.zeros(shape, dtype=bool)
     filled.flat[key] = True
     if not filled.all():
@@ -210,8 +219,8 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
             f"{path}: missing step {step + 1} of sample {sample_ids[sample]} "
             f"for variable {variables[var]!r}"
         )
-    if len(key) < len(ids):
-        extra = len(ids) - len(key)
+    if len(key) < n_records:
+        extra = n_records - len(key)
         raise FormatError(f"{path}: {extra} record(s) outside the sample/step/variable grid")
     preds = np.empty(shape)
     preds.flat[key] = values[on_grid]
@@ -225,3 +234,71 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
         origins=tuple(origins[s] for s in sample_ids),
         last_observed=truth_windows.last_observed[sample_ids][:, used],
     )
+
+
+def _typed_records(path: Path, cells: np.ndarray, codes: dict[str, int], row: int) -> tuple:
+    """Ids, steps, variable codes and values of a block's leading good records, and the error
+    of the first bad one (None when there is none); ``row`` is the block's first file row.
+
+    A record is good when its id and step are ints and its value a finite
+    float. A variable new to ``codes`` is given the next code.
+    """
+    (ids, n_ids), (steps, n_steps), (values, n_values) = (
+        cast(cells[:, j], dtype) for j, dtype in ((0, np.int64), (1, np.int64), (3, float))
+    )
+    finite = np.isfinite(values)
+    n = min(n_ids, n_steps, n_values if finite.all() else int(np.argmin(finite)))
+    code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(cells[:n, 2])}
+    var_codes = np.fromiter(map(code_of.__getitem__, cells[:n, 2]), np.int64, n)
+    bad = None
+    if n < min(n_ids, n_steps, n_values):
+        bad = f"{path}: non-finite value {cells[n, 3]!r} at row {row + n}, column 'y_pred'"
+    elif n < len(cells):
+        bad = f"{path}: row {row + n}: malformed record {list(cells[n])!r}"
+    return ids[:n], steps[:n], var_codes, values[:n], bad
+
+
+def _first_duplicate(ids: np.ndarray, steps: np.ndarray, var_codes: np.ndarray) -> int | None:
+    """The index of the first record whose (id, step, variable) an earlier record has.
+
+    Where the three spans multiply to less than 2**63, each key is packed
+    into one int64 as (id*S + step)*V + variable. The arithmetic wraps, but
+    a box of that many keys still packs to distinct values, so a file with
+    no duplicate costs one in-place sort; only a file with one pays the
+    lexsort that finds the first.
+    """
+    if len(ids) < 2:
+        return None
+    spans = [int(k.max()) - int(k.min()) + 1 for k in (ids, steps, var_codes)]
+    if spans[0] * spans[1] * spans[2] < 2**63:
+        packed = ids * spans[1]
+        packed += steps
+        packed *= spans[2]
+        packed += var_codes
+        packed.sort()
+        if not (packed[1:] == packed[:-1]).any():
+            return None
+        del packed
+    order = np.lexsort((var_codes, steps, ids))
+    same = True
+    for key in (ids, steps, var_codes):
+        ordered = key[order]
+        same = same & (ordered[1:] == ordered[:-1])
+    dup = order[1:][same]
+    return int(dup.min()) if dup.size else None
+
+
+def _with_room(columns: list[np.ndarray], kept: int, cells: np.ndarray,
+               size: int) -> list[np.ndarray]:
+    """``columns`` with their first ``kept`` records, and room for a file of ``size`` bytes.
+
+    The room is counted in rows as long as those of ``cells``, and 1/16 more.
+    Allocated once, the columns leave no freed blocks behind for the process
+    to keep.
+    """
+    line = (sum(map(len, cells.flat)) + cells.shape[1]) / len(cells)
+    capacity = kept + len(cells) + int(size / line * 17 / 16)
+    grown = [np.empty(capacity, column.dtype) for column in columns]
+    for new, old in zip(grown, columns):
+        new[:kept] = old[:kept]
+    return grown

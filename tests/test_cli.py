@@ -769,6 +769,20 @@ class TestOptionAnalyticsCli:
         assert written.cells[:, :8].tolist() == source.cells.tolist()
         assert written.cells[:, 7].tolist() == ["a,b", 'say "hi"', "two\r\nlines", "plain"]
 
+    def test_a_first_cell_is_never_echoed_as_a_comment(self, tmp_path):
+        # Stripped, " #a" became "#a", and reading the output back lost its row.
+        src = tmp_path / "quotes.csv"
+        src.write_text(
+            "timestamp,spot,strike,rate,expiry,kind,market_price\n"
+            " #a,100.0,100.0,0.01,0.5,call,7.0\n"
+            "b,100.0,100.0,0.01,0.5,put,7.0\n"
+        )
+        out = tmp_path / "analytics.csv"
+        assert main(["option-analytics", "--input", str(src), "--output", str(out)]) == 0
+        body = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [l.split(",")[0] for l in body] == [" #a", "b"]
+        assert table.read_table(out, lambda tab: tab).n_rows == 2
+
     def test_arbitrage_violation_exits_one(self, tmp_path, capsys):
         src = tmp_path / "quotes.csv"
         src.write_text(

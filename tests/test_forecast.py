@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from finpipe import (
     write_forecasts,
 )
 from finpipe.errors import AlignError, FormatError
-from synth import random_walk_panel
+from synth import ohlcv_panel, random_walk_panel
 
 
 @pytest.fixture
@@ -106,6 +108,29 @@ class TestForecastFileRoundTrip:
         np.testing.assert_array_equal(loaded.sample_order, [2, 5, 9])
         np.testing.assert_array_equal(loaded.y_pred, batch.y_pred[[2, 5, 9]])
         np.testing.assert_array_equal(loaded.y_true, batch.y_true[[2, 5, 9]])
+
+    def test_memory_holds_typed_columns_not_cells(self, tmp_path):
+        # The close_backtest shape: 6017 windows of L=512, H=5 over four
+        # closes, 120,340 records. Reading the file whole took a traced
+        # 32.4 MB, about 270 B a record, most of it str cells. In blocks only
+        # the typed columns (32 B a record, kept with some room) and one
+        # packed key for the duplicate check grow with the file.
+        closes = tuple(f"close_{asset}" for asset in ("SPX", "NDX", "DJI", "RUT"))
+        peaks = []
+        for n_windows in (6017, 2 * 6017):
+            panel = ohlcv_panel(n_windows + 516, seed=1, assets=("SPX", "NDX", "DJI", "RUT"))
+            windows = sliding_windows(panel, WindowSpec(512, 5, closes))
+            path = tmp_path / f"fc{n_windows}.csv"
+            write_forecasts(path, make_batch(windows, naive_forecast(windows, 5, seed=1)), 512)
+            tracemalloc.start()
+            try:
+                batch = load_forecasts(path, windows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert batch.y_pred.size == n_windows * 20
+        assert peaks[0] < 12e6
+        assert (peaks[1] - peaks[0]) / (6017 * 20) < 64
 
 
 def _write_records(path, records, horizon=5, input_len=10):

@@ -7,11 +7,12 @@ reader fails the test, so an empty body must not make numpy warn.
 """
 
 import csv
+import io
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_io as ref
@@ -28,6 +29,7 @@ from finpipe import (
     write_csv,
     write_forecasts,
 )
+from finpipe import forecast, table
 from finpipe.cli import _column_floats
 from finpipe.errors import FormatError
 from finpipe.table import _split_plain, read_table
@@ -133,6 +135,8 @@ def corrupt_lines(data, lines, first_body, kind, cell_values=None):
         lines.insert(row, "")
     elif kind == "crlf":
         lines = [line + "\r" for line in lines]
+    elif kind == "cr":
+        lines[row] += "\r"
     elif kind == "drop":
         del lines[row]
     elif kind == "duplicate":
@@ -330,17 +334,129 @@ def test_a_ragged_table_never_reaches_the_caller(tmp_path, text):
     assert len(seen[0].cells) < seen[0].n_rows
 
 
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=400, deadline=None)
 @given(text=st.text(st.sampled_from('a1 ,#\n"\r\x00\t.-_e\u0663'), max_size=40))
-def test_plain_split_matches_the_csv_module(tmp_path, text):
-    # Where the np.loadtxt path answers at all, its rows are csv.reader's.
-    path = tmp_path / "t.csv"
-    path.write_bytes(text.encode())
+def test_plain_split_matches_the_csv_module(text):
+    # Where the np.loadtxt split of a file's first block answers at all, its
+    # rows are csv.reader's.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        plain = _split_plain(path)
+        plain = _split_plain(text.encode(), None)
     if plain is not None:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
         assert plain.tolist() == rows
+
+
+# --- block edges ----------------------------------------------------------------
+
+BLOCK_EDGE_KINDS = ["duplicate", "bad_cell", "ragged", "quoted", "cr", "comment", "blank"]
+
+
+def corrupt_a_later_block(monkeypatch, data, lines, first_body, kind, cell_values=None):
+    """The text of ``lines`` with one corruption, read in blocks that start above it.
+
+    BLOCK_BYTES is set no larger than the text above the corrupted row, so
+    that row falls in a later block than the header.
+    """
+    corrupted = corrupt_lines(data, list(lines), first_body, kind, cell_values)
+    at = next((i for i, (a, b) in enumerate(zip(lines, corrupted)) if a != b), len(lines))
+    above = sum(len(line) + 1 for line in corrupted[:at])
+    monkeypatch.setattr(table, "BLOCK_BYTES", data.draw(st.integers(1, above), label="block"))
+    return "\n".join(corrupted) + "\n"
+
+
+@SETTINGS
+@given(case=forecast_cases(), data=st.data(), kind=st.sampled_from(BLOCK_EDGE_KINDS))
+def test_forecast_block_edges_match_reference(tmp_path, monkeypatch, case, data, kind):
+    windows, batch = case
+    path = tmp_path / "fc.csv"
+    write_forecasts(path, batch, windows.spec.input_len, header_comments=PROVENANCE)
+    lines = path.read_text().splitlines()
+    path.write_text(corrupt_a_later_block(monkeypatch, data, lines, len(PROVENANCE) + 5, kind),
+                    newline="")
+    assert_same(outcome(load_forecasts, path, windows),
+                outcome(ref.load_forecasts, path, windows), same_batch)
+
+
+@SETTINGS
+@given(panel=panels(), data=st.data(), kind=st.sampled_from(BLOCK_EDGE_KINDS))
+def test_panel_block_edges_match_reference(tmp_path, monkeypatch, panel, data, kind):
+    path = tmp_path / "panel.csv"
+    write_csv(panel, path, header_comments=PROVENANCE)
+    lines = path.read_text().splitlines()
+    path.write_text(corrupt_a_later_block(monkeypatch, data, lines, len(PROVENANCE) + 1, kind),
+                    newline="")
+    assert_same(outcome(load_csv, path), outcome(ref.load_csv, path), same_panel)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(st.sampled_from('a1 ,#\n"\r\x00\t\u0663'), max_size=60),
+       block=st.integers(1, 24))
+@example(text="h,a\n0,1\n#c,2\n1,2\n", block=8)  # a comment row opens the second block
+@example(text="h\n0\n1\n\n\n2,\n", block=4)  # a blank block, then a ragged one
+def test_blocks_join_to_the_csv_module_rows(tmp_path, monkeypatch, text, block):
+    # Whichever block a quote, CR, comment or ragged row falls in, the rows
+    # are csv.reader's, and the first ragged row ends them.
+    monkeypatch.setattr(table, "BLOCK_BYTES", block)
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
+    ragged = next((i for i, r in enumerate(rows) if len(r) != len(rows[0])), len(rows))
+    seen = []
+    result = outcome(read_table, path, seen.append)
+    tab = seen[0]
+    assert tab.header == ([h.strip() for h in rows[0]] if rows else None)
+    assert tab.cells.tolist() == rows[1:ragged]
+    if ragged < len(rows):
+        assert tab.n_rows == ragged
+        assert result == ("error", FormatError, f"{path}: row {ragged + 1} has "
+                          f"{len(rows[ragged])} fields, expected {len(rows[0])}")
+    else:
+        assert tab.n_rows == len(rows[1:]) and result[0] == "ok"
+
+
+def test_a_bad_record_is_looked_for_in_one_block(tmp_path, monkeypatch):
+    # A bad last value makes the cast fall back to one row at a time; that
+    # scan covers the last block, not the file.
+    panel = Panel(range(400), ("v0", "v1"), np.arange(800.0).reshape(400, 2))
+    windows = sliding_windows(panel, WindowSpec(4, 2))
+    path = tmp_path / "fc.csv"
+    write_forecasts(path, make_batch(windows, windows.truth), 4)
+    path.write_text(path.read_text().rstrip("\n").rsplit(",", 1)[0] + ",x\n")
+    monkeypatch.setattr(table, "BLOCK_BYTES", 1024)
+    sizes = []
+
+    def cast(cells, dtype):
+        sizes.append(len(cells))
+        return table.cast(cells, dtype)
+
+    monkeypatch.setattr(forecast, "cast", cast)
+    n = windows.truth.size
+    last = path.read_text().splitlines()[-1]
+    with pytest.raises(FormatError) as info:
+        load_forecasts(path, windows)
+    assert str(info.value) == f"{path}: row {n + 1}: malformed record {last.split(',')!r}"
+    assert max(sizes) <= 1024 // len("0,1,v0,1\n") + 1 < n
+
+
+def test_columns_grow_past_the_first_blocks_estimate(tmp_path, monkeypatch):
+    # The first rows are the file's longest, so the room sized from their
+    # block is too small and the typed columns must grow.
+    panel = Panel(range(60), ("v0",), np.arange(60.0)[:, None])
+    windows = sliding_windows(panel, WindowSpec(2, 1))
+    preds = np.ones(windows.truth.shape)
+    preds.flat[:4] = 1.2345678901234567e-300
+    path = tmp_path / "fc.csv"
+    write_forecasts(path, make_batch(windows, preds), 2)
+    monkeypatch.setattr(table, "BLOCK_BYTES", 64)
+    original, kept = forecast._with_room, []
+
+    def with_room(columns, n, cells, size):
+        kept.append(n)
+        return original(columns, n, cells, size)
+
+    monkeypatch.setattr(forecast, "_with_room", with_room)
+    assert_same(outcome(load_forecasts, path, windows),
+                outcome(ref.load_forecasts, path, windows), same_batch)
+    assert kept[0] == 0 and len(kept) > 1
