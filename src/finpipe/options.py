@@ -3,18 +3,19 @@
 Pricing follows ``C = S0 * N(d1) - X * exp(-r*T) * N(d2)`` with
 ``d1 = (ln(S0/X) + (r + sigma^2/2) * T) / (sigma * sqrt(T))`` and
 ``d2 = d1 - sigma * sqrt(T)``; puts come from put-call parity. No dividend
-yield. The normal CDF is scipy's ``ndtr`` (erfc-based, abs error well below
-1e-15). Importing ``scipy.special`` takes about a third of a second, more
-than most stages take to run, so it is imported on the first call of this
-module's ``ndtr``, which then rebinds itself to scipy's function. Implied
-volatility inverts the price with a Newton-Raphson iteration safeguarded by
-bisection on [1e-6, 5], started from the Corrado-Miller approximation.
+yield. The normal CDF is ``0.5 * erfc(-x / sqrt(2))`` from the standard
+library, on Python floats. Its relative error stays within about
+``(1 + x^2) * 2^-52``, the conditioning of ``exp(-x^2/2)`` in the lower
+tail, and the package needs no scipy. Each quote computes ``sqrt(T)``,
+``ln(S0/X)`` and ``exp(-r*T)`` once, at construction. Implied volatility
+inverts the price with a Newton-Raphson iteration safeguarded by bisection
+on [1e-6, 5], started from the Corrado-Miller approximation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,14 +28,12 @@ MAX_ITERATIONS = 100
 MIN_VEGA = 1e-12
 PRICE_TOL_SCALE = 1e-10  # solution guarantee: |price(iv) - market| < scale * spot
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
 
 
-def ndtr(x):
-    """The standard normal CDF: scipy's ``ndtr``, imported on the first call."""
-    global ndtr
-    from scipy.special import ndtr
-
-    return ndtr(x)
+def ndtr(x: float) -> float:
+    """The standard normal CDF of a float, through ``math.erfc``."""
+    return 0.5 * math.erfc(-x / _SQRT_2)
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,11 @@ class OptionQuote:
     expiry: float  # years
     kind: str  # 'call' or 'put'
     market_price: float | None = None
+    # Per-quote constants of the pricing formulas, set by __post_init__.
+    sqrt_t: float = field(init=False, repr=False, compare=False)
+    log_moneyness: float = field(init=False, repr=False, compare=False)  # ln(S0/X)
+    discount: float = field(init=False, repr=False, compare=False)  # exp(-r*T)
+    discounted_strike: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.spot > 0 and math.isfinite(self.spot)):
@@ -63,6 +67,11 @@ class OptionQuote:
             self.market_price > 0 and math.isfinite(self.market_price)
         ):
             raise PricingError(f"market price must be positive, got {self.market_price}")
+        discount = math.exp(-self.rate * self.expiry)
+        object.__setattr__(self, "sqrt_t", math.sqrt(self.expiry))
+        object.__setattr__(self, "log_moneyness", math.log(self.spot / self.strike))
+        object.__setattr__(self, "discount", discount)
+        object.__setattr__(self, "discounted_strike", self.strike * discount)
 
 
 class GreeksBundle(NamedTuple):
@@ -89,16 +98,16 @@ def bs_price(q: OptionQuote, sigma: float) -> float:
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise PricingError(f"sigma must be positive, got {sigma}")
-    sig_sqrt_t = sigma * math.sqrt(q.expiry)
-    d1 = (math.log(q.spot / q.strike) + (q.rate + 0.5 * sigma * sigma) * q.expiry) / sig_sqrt_t
+    sig_sqrt_t = sigma * q.sqrt_t
+    d1 = (q.log_moneyness + (q.rate + 0.5 * sigma * sigma) * q.expiry) / sig_sqrt_t
     d2 = d1 - sig_sqrt_t
-    discounted_strike = q.strike * math.exp(-q.rate * q.expiry)
+    discounted_strike = q.discounted_strike
     if d2 >= 0:
-        tails = discounted_strike * float(ndtr(-d2)) - q.spot * float(ndtr(-d1))
+        tails = discounted_strike * ndtr(-d2) - q.spot * ndtr(-d1)
         call = (q.spot - discounted_strike) + tails
         put = tails
     else:
-        body = q.spot * float(ndtr(d1)) - discounted_strike * float(ndtr(d2))
+        body = q.spot * ndtr(d1) - discounted_strike * ndtr(d2)
         call = body
         put = (discounted_strike - q.spot) + body
     return call if q.kind == "call" else put
@@ -114,31 +123,32 @@ def greeks(q: OptionQuote, sigma: float) -> GreeksBundle:
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise PricingError(f"sigma must be positive, got {sigma}")
-    sqrt_t = math.sqrt(q.expiry)
+    sqrt_t = q.sqrt_t
     sig_sqrt_t = sigma * sqrt_t
-    d1 = (math.log(q.spot / q.strike) + (q.rate + 0.5 * sigma * sigma) * q.expiry) / sig_sqrt_t
+    d1 = (q.log_moneyness + (q.rate + 0.5 * sigma * sigma) * q.expiry) / sig_sqrt_t
     d2 = d1 - sig_sqrt_t
     pdf_d1 = math.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
-    discount = math.exp(-q.rate * q.expiry)
-    discounted_strike = q.strike * discount
+    discounted_strike = q.discounted_strike
     gamma = pdf_d1 / (q.spot * sigma * sqrt_t)
     vega = q.spot * sqrt_t * pdf_d1
     decay = -q.spot * pdf_d1 * sigma / (2.0 * sqrt_t)
     if q.kind == "call":
-        delta = float(ndtr(d1))
-        n_d2 = float(ndtr(d2))
+        delta = ndtr(d1)
+        n_d2 = ndtr(d2)
         theta = decay - q.rate * discounted_strike * n_d2
-        rho = q.strike * q.expiry * discount * n_d2
+        rho = q.strike * q.expiry * q.discount * n_d2
     else:
-        delta = float(ndtr(d1)) - 1.0
-        n_d2 = float(ndtr(-d2))
+        # N(d1) - 1 through the tail, which keeps a deep out-of-the-money
+        # put's delta from rounding to zero.
+        delta = -ndtr(-d1)
+        n_d2 = ndtr(-d2)
         theta = decay + q.rate * discounted_strike * n_d2
-        rho = -q.strike * q.expiry * discount * n_d2
+        rho = -q.strike * q.expiry * q.discount * n_d2
     return GreeksBundle(delta, theta, gamma, vega, rho)
 
 
 def _no_arbitrage_bounds(q: OptionQuote) -> tuple[float, float]:
-    discounted_strike = q.strike * math.exp(-q.rate * q.expiry)
+    discounted_strike = q.discounted_strike
     if q.kind == "call":
         return max(q.spot - discounted_strike, 0.0), q.spot
     return max(discounted_strike - q.spot, 0.0), discounted_strike
@@ -147,7 +157,7 @@ def _no_arbitrage_bounds(q: OptionQuote) -> tuple[float, float]:
 def _initial_guess(q: OptionQuote, target: float) -> float:
     # Corrado-Miller start, on the call-equivalent price: it extends the
     # Brenner-Subrahmanyam at-the-money formula by a moneyness correction.
-    discounted_strike = q.strike * math.exp(-q.rate * q.expiry)
+    discounted_strike = q.discounted_strike
     call_equiv = target
     if q.kind == "put":
         call_equiv = target + q.spot - discounted_strike

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -986,8 +987,8 @@ class TestEntryPoint:
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats takes about a second to import and scipy.special a third
-        # of one; every stage would pay them. Only option pricing loads
-        # scipy.special, on its first call.
+        # of one; every stage would pay them. The package imports neither:
+        # ranks are computed in numpy and the normal CDF comes from math.erfc.
         package_root = str(Path(finpipe.__file__).resolve().parents[1])
         for module in ("finpipe", "finpipe.cli"):
             done = subprocess.run(
@@ -998,19 +999,37 @@ class TestEntryPoint:
             assert done.returncode == 0, done.stderr
             assert done.stdout == "[False, False]\n", module
 
-    def test_option_analytics_prices_with_scipy_ndtr(self, tmp_path):
+    def test_option_analytics_loads_no_scipy(self, tmp_path):
         package_root = str(Path(finpipe.__file__).resolve().parents[1])
         (tmp_path / "quotes.csv").write_text(
             "timestamp,spot,strike,rate,expiry,kind,market_price\n"
-            "0,100.0,100.0,0.01,0.5,call,7.0\n")
-        code = ("import finpipe.cli, finpipe.options\n"
+            "0,100.0,100.0,0.01,0.5,call,7.0\n"
+            "1,100.0,90.0,0.01,0.5,put,1.5\n")
+        code = ("import sys, finpipe.cli\n"
                 "rc = finpipe.cli.main(['option-analytics', '--input', 'quotes.csv', "
                 "'--output', 'analytics.csv'])\n"
-                "import scipy.special\n"
-                "print(rc, finpipe.options.ndtr is scipy.special.ndtr)")
+                "print(rc, sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=package_root),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "0 True\n"
+        assert done.stdout == "0 []\n"
         assert (tmp_path / "analytics.csv").is_file()
+
+    def test_package_source_imports_no_scipy(self):
+        package_dir = Path(finpipe.__file__).resolve().parent
+        sources = sorted(package_dir.glob("*.py"))
+        assert sources
+        found = []
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                          if name == "scipy" or name.startswith("scipy.")]
+        assert found == []

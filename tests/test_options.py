@@ -1,7 +1,12 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from finpipe import GreeksBundle, OptionQuote, bs_price, greeks, historical_vol, implied_vol
 from finpipe import options
@@ -16,6 +21,66 @@ CALL_PRICE_AT_035 = 16.128428881575889  # same quote at sigma=0.35
 
 def _quote(spot=100.0, strike=100.0, rate=0.05, expiry=1.0, kind="call", price=None):
     return OptionQuote(spot, strike, rate, expiry, kind, price)
+
+
+def _exact_ndtr(x):
+    """The standard normal CDF of the float ``x``, to 50 digits."""
+    with mp.workdps(50):
+        return mp.ncdf(mpf(x))
+
+
+class TestNormalCdf:
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(min_value=-37.0, max_value=9.0))
+    @example(-37.0)
+    @example(-8.3)
+    @example(0.0)
+    @example(1e-300)
+    @example(9.0)
+    def test_relative_error_within_the_conditioning_floor(self, x):
+        # The bound is the conditioning of exp(-x^2/2) in the lower tail;
+        # any double-precision CDF of a rounded argument pays it.
+        exact = _exact_ndtr(x)
+        with mp.workdps(50):
+            rel = abs((mpf(options.ndtr(x)) - exact) / exact)
+        assert rel <= 2.0 * (1.0 + x * x) * 2.0 ** -52
+
+    def test_far_tails(self):
+        assert options.ndtr(40.0) == 1.0
+        assert 0.0 <= options.ndtr(-40.0) < 1e-300
+
+    def test_returns_python_floats(self):
+        assert type(options.ndtr(0.3)) is float
+        assert options.ndtr(0.0) == 0.5
+
+
+class TestQuoteConstants:
+    def test_constructor_repr_eq_hash_unchanged(self):
+        assert list(inspect.signature(OptionQuote).parameters) == [
+            "spot", "strike", "rate", "expiry", "kind", "market_price"]
+        q = OptionQuote(100.0, 90.0, 0.01, 0.5, "put", 1.5)
+        assert repr(q) == ("OptionQuote(spot=100.0, strike=90.0, rate=0.01, expiry=0.5, "
+                           "kind='put', market_price=1.5)")
+        twin = OptionQuote(100.0, 90.0, 0.01, 0.5, "put", 1.5)
+        assert q == twin and hash(q) == hash(twin)
+        assert hash(q) == hash((100.0, 90.0, 0.01, 0.5, "put", 1.5))
+        assert q != OptionQuote(100.0, 90.0, 0.01, 0.5, "put")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.spot = 101.0
+
+    def test_replace_recomputes_the_constants(self):
+        q = OptionQuote(100.0, 90.0, 0.01, 0.5, "put", 1.5)
+        moved = dataclasses.replace(q, strike=80.0, rate=0.04, expiry=2.0)
+        assert moved == OptionQuote(100.0, 80.0, 0.04, 2.0, "put", 1.5)
+        assert moved.sqrt_t == math.sqrt(2.0)
+        assert moved.log_moneyness == math.log(100.0 / 80.0)
+        assert moved.discount == math.exp(-0.04 * 2.0)
+        assert moved.discounted_strike == 80.0 * math.exp(-0.04 * 2.0)
+        assert bs_price(moved, 0.3) == bs_price(OptionQuote(100.0, 80.0, 0.04, 2.0, "put"), 0.3)
+        with pytest.raises(ValueError):
+            dataclasses.replace(q, sqrt_t=1.0)
+        with pytest.raises(PricingError, match="expiry"):
+            dataclasses.replace(q, expiry=0.0)
 
 
 class TestQuoteValidation:
@@ -242,6 +307,21 @@ class TestGreeks:
     def test_bad_sigma_rejected(self):
         with pytest.raises(PricingError):
             greeks(_quote(), 0.0)
+
+    @pytest.mark.parametrize("strike,rate,expiry,sigma", [
+        (40.0, 0.0, 0.25, 0.2),  # N(d1) - 1 rounds to 0.0; the delta is -1.587e-20
+        (55.0, 0.03, 0.1, 0.3),
+        (70.0, 0.05, 1.0, 0.05),
+    ])
+    def test_deep_otm_put_delta_keeps_relative_precision(self, strike, rate, expiry, sigma):
+        q = OptionQuote(100.0, strike, rate, expiry, "put")
+        with mp.workdps(50):
+            d1 = ((mp.log(mpf(100.0) / mpf(strike)) + (mpf(rate) + mpf(sigma) ** 2 / 2)
+                   * mpf(expiry)) / (mpf(sigma) * mp.sqrt(mpf(expiry))))
+            exact = -mp.ncdf(-d1)
+            delta = greeks(q, sigma).delta
+            assert delta < 0.0
+            assert abs((mpf(delta) - exact) / exact) <= 1e-12
 
 
 class TestHistoricalVol:
