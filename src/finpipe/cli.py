@@ -286,28 +286,30 @@ def provenance_lines(command: str, opts: dict) -> list[str]:
 def _read_columns(path, kind: str, required: tuple[str, ...], floats: tuple[str, ...]):
     """Header, cells and the ``floats`` columns of a curve or quote table."""
 
-    def parse(tab: table.Table):
-        if tab.header is None:
-            raise FormatError(f"{tab.path}: empty file")
-        missing = [c for c in required if c not in tab.header]
+    def parse(blocks: table.Blocks):
+        header = blocks.header
+        if header is None:
+            raise FormatError(f"{blocks.path}: empty file")
+        missing = [c for c in required if c not in header]
         if missing:
             raise FormatError(f"{path}: {kind} file lacks column(s) {missing}")
-        if not tab.n_rows:
+        cells = np.concatenate([np.empty((0, len(header)), dtype=object), *blocks])
+        if not blocks.n_rows:
             raise FormatError(f"{path}: {kind} file has no rows")
-        columns = [_column_floats(path, tab.header, tab.cells, c) for c in floats]
-        return tab.header, tab.cells, columns
+        at = [header.index(c) for c in floats]
+        dtypes = [float if j in at else None for j in range(len(header))]
+        columns = _finite(path, header, cells, dtypes)
+        return header, cells, [columns[j] for j in at]
 
-    return table.read_table(path, parse)
+    return table.read_blocks(path, parse)
 
 
-def _column_floats(path, header: list[str], cells: np.ndarray, column: str) -> np.ndarray:
-    """One column as floats; the first cell that is no finite number is an error."""
-    values, n_good = table.cast(cells[:, header.index(column)], float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if n_good < len(cells) or bad.size:
-        row = bad[0] if bad.size else n_good
-        raise FormatError(f"{path}: row {row + 2}: bad value in column {column!r}")
-    return values
+def _finite(path, header: list[str], cells: np.ndarray, dtypes: list) -> list:
+    """The ``table.typed`` columns of a table's body ``cells``; a bad cell is an error."""
+    columns, bad = table.typed(cells, dtypes)
+    if bad:
+        raise FormatError(f"{path}: row {bad[0] + 2}: bad value in column {header[bad[1]]!r}")
+    return columns
 
 
 def cmd_preprocess(opts: dict) -> None:
@@ -498,7 +500,7 @@ def cmd_option_analytics(opts: dict) -> None:
         source = opts["hv_source"]
         if source not in header:
             raise FormatError(f"{opts['input']}: no hv source column {source!r}")
-        series = _column_floats(opts["input"], header, cells, source)
+        (series,) = _finite(opts["input"], [source], cells[:, [header.index(source)]], [float])
         hv = historical_vol(series, opts["hv_window"])
 
     out_header = header + ["iv", "delta", "theta", "gamma", "vega", "rho"]

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AlignError, FormatError, WindowError
 from .frame import WindowSet
 from .metrics import ForecastBatch
-from .table import Blocks, cast, read_blocks, write_lines
+from .table import Blocks, read_blocks, typed, write_lines
 
 DEFAULT_NOISE_STD = 0.001
 
@@ -105,14 +105,17 @@ def read_metadata(path) -> dict:
     if not path.exists():
         raise FormatError(f"no such forecast file: {path}")
     meta: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):  # blank lines are skipped
-                break
-            key, sep, value = line[1:].partition("=")
-            if sep:
-                meta[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if line and not line.startswith("#"):  # blank lines are skipped
+                    break
+                key, sep, value = line[1:].partition("=")
+                if sep:
+                    meta[key.strip()] = value.strip()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
     for key in ("L", "H"):
         if key in meta:
             try:
@@ -243,19 +246,14 @@ def _typed_records(path: Path, cells: np.ndarray, codes: dict[str, int], row: in
     A record is good when its id and step are ints and its value a finite
     float. A variable new to ``codes`` is given the next code.
     """
-    (ids, n_ids), (steps, n_steps), (values, n_values) = (
-        cast(cells[:, j], dtype) for j, dtype in ((0, np.int64), (1, np.int64), (3, float))
-    )
-    finite = np.isfinite(values)
-    n = min(n_ids, n_steps, n_values if finite.all() else int(np.argmin(finite)))
-    code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(cells[:n, 2])}
-    var_codes = np.fromiter(map(code_of.__getitem__, cells[:n, 2]), np.int64, n)
-    bad = None
-    if n < min(n_ids, n_steps, n_values):
-        bad = f"{path}: non-finite value {cells[n, 3]!r} at row {row + n}, column 'y_pred'"
-    elif n < len(cells):
-        bad = f"{path}: row {row + n}: malformed record {list(cells[n])!r}"
-    return ids[:n], steps[:n], var_codes, values[:n], bad
+    (ids, steps, names, values), bad = typed(cells, (np.int64, np.int64, None, float))
+    n = len(ids)
+    code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(names)}
+    var_codes = np.fromiter(map(code_of.__getitem__, names), np.int64, n)
+    # A cell that does not convert, or else a value that is not finite.
+    error = bad and (f"{path}: row {row + n}: malformed record {list(cells[n])!r}" if bad[2] else
+                     f"{path}: non-finite value {cells[n, 3]!r} at row {row + n}, column 'y_pred'")
+    return ids, steps, var_codes, values, error
 
 
 def _first_duplicate(ids: np.ndarray, steps: np.ndarray, var_codes: np.ndarray) -> int | None:

@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IngestError, SplitError, WindowError
-from .table import Table, cast, read_table, write_lines
+from .table import Blocks, read_blocks, typed, write_lines
 
 
 def _timestamp_key(label: str):
@@ -93,27 +93,26 @@ def load_csv(path) -> Panel:
     rejected, the latter with their location.
     """
 
-    def columns(table: Table):
-        path, header = table.path, table.header
+    def columns(blocks: Blocks):
+        path, header = blocks.path, blocks.header
         if header is None:
             raise IngestError(f"{path}: empty file")
-        if not table.n_rows:
+        labels, parts = [], [np.empty((0, len(header) - 1))]  # only floats and labels are kept
+        for cells in blocks:
+            (stamps, *values), bad = typed(cells, [None] + [float] * (len(header) - 1))
+            if bad:
+                r, j, _ = bad
+                raise IngestError(
+                    f"{path}: non-numeric value {cells[r, j]!r} at row {len(labels) + r + 2}, "
+                    f"column {header[j]!r}"
+                )
+            labels += map(str.strip, stamps)
+            parts.append(np.reshape(values, (len(values), len(stamps))).T.copy())  # in C order
+        if not blocks.n_rows:
             raise IngestError(f"{path}: no data rows")
-        values = table.cells[:, 1:]
-        matrix, n_good = cast(values, float)
-        finite = np.isfinite(matrix).all(axis=1)
-        if n_good < len(table.cells) or not finite.all():
-            r = n_good if finite.all() else np.argmin(finite)
-            row, j = cast(values[r], float)  # the first cell that is no number
-            j = min([j, *np.flatnonzero(~np.isfinite(row))])  # or is not finite
-            raise IngestError(
-                f"{path}: non-numeric value {values[r, j]!r} at row {r + 2}, "
-                f"column {header[j + 1]!r}"
-            )
-        labels = [label.strip() for label in table.cells[:, 0]]
-        return path, labels, tuple(header[1:]), matrix
+        return path, labels, tuple(header[1:]), np.concatenate(parts)
 
-    path, labels, variables, matrix = read_table(path, columns, IngestError)
+    path, labels, variables, matrix = read_blocks(path, columns, IngestError)
     keys = [_timestamp_key(lab) for lab in labels]
     try:
         order = sorted(range(len(labels)), key=lambda i: keys[i])

@@ -67,9 +67,19 @@ class OptionQuote:
             self.market_price > 0 and math.isfinite(self.market_price)
         ):
             raise PricingError(f"market price must be positive, got {self.market_price}")
-        discount = math.exp(-self.rate * self.expiry)
+        try:
+            discount = math.exp(-self.rate * self.expiry)
+        except OverflowError:
+            discount = math.inf
+        if not 0 < discount < math.inf:
+            raise PricingError(f"exp(-rate * expiry) leaves the float range at rate "
+                               f"{self.rate}, expiry {self.expiry}")
+        moneyness = self.spot / self.strike
+        if not 0 < moneyness < math.inf:
+            raise PricingError(f"spot / strike leaves the float range at spot {self.spot}, "
+                               f"strike {self.strike}")
         object.__setattr__(self, "sqrt_t", math.sqrt(self.expiry))
-        object.__setattr__(self, "log_moneyness", math.log(self.spot / self.strike))
+        object.__setattr__(self, "log_moneyness", math.log(moneyness))
         object.__setattr__(self, "discount", discount)
         object.__setattr__(self, "discounted_strike", self.strike * discount)
 

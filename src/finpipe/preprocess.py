@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FormatError, TransformError
 from .frame import Panel
-from .table import Table, read_table, write_lines
+from .table import Blocks, read_blocks, write_lines
 
 PRICE_FIELDS = ("open", "high", "low", "close")
 DEFAULT_BASELINE = 100.0
@@ -173,15 +173,15 @@ def write_anchor_file(
 
 def load_anchor_file(path) -> tuple[VariableTransform, ...]:
     """Read a sidecar written by :func:`write_anchor_file`."""
-    return tuple(read_table(path, _anchor_records, FormatError, "anchor file"))
+    return tuple(read_blocks(path, _anchor_records, FormatError, "anchor file"))
 
 
-def _anchor_records(table: Table) -> list[VariableTransform]:
-    path = table.path
-    if table.header != ["variable", "kind", "asset", "anchor_close", "baseline"]:
+def _anchor_records(blocks: Blocks) -> list[VariableTransform]:
+    path = blocks.path
+    if blocks.header != ["variable", "kind", "asset", "anchor_close", "baseline"]:
         raise FormatError(f"{path}: malformed anchor file header")
     records = []
-    for r, row in enumerate(table.cells.tolist(), start=2):
+    for r, row in enumerate((row for cells in blocks for row in cells.tolist()), start=2):
         variable, kind, asset, anchor_text, baseline_text = (c.strip() for c in row)
         if kind not in ("price", "volume", "other"):
             raise FormatError(f"{path}: row {r}: unknown kind {kind!r}")

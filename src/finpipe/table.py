@@ -4,11 +4,12 @@ Reading follows the csv module's default dialect. Blank lines and rows whose
 first field starts with ``#`` are skipped; the other rows are numbered from
 1, the header. Every body row must have as many fields as the header. A file
 is read once, in blocks of about BLOCK_BYTES of text, and its cells come back
-as text a block at a time; callers cast each block's columns whole, and numpy
+as text a block at a time; callers cast the cells with ``typed``, and numpy
 calls Python's ``int``/``float`` on each cell, so the accepted grammar is
-theirs. Errors still come in file order: the reader stops at the first row
-with the wrong field count, and raises for it only once the caller has
-finished with the rows above it.
+theirs. Errors still come in file order: ``typed`` finds a block's first bad
+cell by row, then column, and the reader stops at the first row with the
+wrong field count and raises for it only once the caller has finished with
+the rows above it. A file that is not UTF-8 text is an error too.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,21 +28,6 @@ from .errors import FormatError, ToolkitError
 Parsed = TypeVar("Parsed")
 
 BLOCK_BYTES = 1 << 16  # text split per block; bounds the str cells held at once
-
-
-@dataclass(frozen=True)
-class Table:
-    """A CSV file's stripped header (None when it has no rows) and body cells.
-
-    ``cells`` is an object array of ``str``; body row ``i`` is row i + 2.
-    ``n_rows`` counts the body rows read: those in ``cells`` and, when the
-    reader stopped at a row with the wrong field count, that row.
-    """
-
-    path: Path
-    header: list[str] | None
-    cells: np.ndarray
-    n_rows: int
 
 
 class Blocks:
@@ -88,28 +73,19 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
     ``parse`` reads every block or raises. A row with the wrong field count
     ends the blocks, and raises ``error`` once ``parse`` has returned on the
     rows above it, so that errors come in file order and no caller sees a
-    table cut short.
+    table cut short. Text that is not UTF-8 raises ``error`` where it is met.
     """
     path = Path(path)
     if not path.exists():
         raise error(f"no such {what}: {path}")
-    with open(path, "rb") as fh, closing(Blocks(path, fh)) as blocks:
-        parsed = parse(blocks)
+    try:
+        with open(path, "rb") as fh, closing(Blocks(path, fh)) as blocks:
+            parsed = parse(blocks)
+    except UnicodeDecodeError:  # csv.reader's; the np.loadtxt split hands such a block to it
+        raise error(f"{path}: not UTF-8 text") from None
     if blocks.ragged:
         raise error(blocks.ragged)
     return parsed
-
-
-def read_table(path, parse: Callable[[Table], Parsed], error: type[ToolkitError] = FormatError,
-               what: str = "file") -> Parsed:
-    """What ``parse`` makes of the table in ``path``, its blocks joined; see read_blocks."""
-
-    def whole(blocks: Blocks) -> Parsed:
-        empty = np.empty((0, len(blocks.header or ())), dtype=object)
-        cells = np.concatenate([empty, *blocks])
-        return parse(Table(blocks.path, blocks.header, cells, blocks.n_rows))
-
-    return read_blocks(path, whole, error, what)
 
 
 def _rows(path: Path, fh: BinaryIO) -> Iterator:
@@ -198,20 +174,44 @@ def _split_plain(block: bytes, width: int | None) -> np.ndarray | None:
     return rows if width in (None, rows.shape[1]) else None
 
 
-def cast(cells: np.ndarray, dtype) -> tuple[np.ndarray, int]:
-    """The leading rows of ``cells`` that convert to ``dtype``, and their count.
+def typed(cells: np.ndarray, dtypes: Sequence) -> tuple[list[np.ndarray], tuple | None]:
+    """The columns of ``cells`` above its first bad cell, cast to ``dtypes``, and that cell.
 
-    The whole array is cast at once; only if that raises are rows cast one at
-    a time, to find the first that fails.
+    ``dtypes`` holds one entry per column: ``np.int64``, ``float``, or None
+    for a column kept as text. A cell is bad when it does not convert to its
+    column's dtype, or converts to a float that is not finite. The first bad
+    cell in file order, the lowest row and then the lowest column, comes back
+    as (row, column, failed), ``failed`` being true for a cell that did not
+    convert; None when no cell is bad.
+    """
+    columns, bad = [], None
+    for j, dtype in enumerate(dtypes):
+        # Below an earlier column's bad cell, or on its row, no cell comes first.
+        rows = cells[: len(cells) if bad is None else bad[0], j]
+        values = _cast(rows, dtype or object)
+        if len(values) < len(rows):
+            bad = (len(values), j, True)
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            bad = (int(np.argmin(np.isfinite(values))), j, False)
+        columns.append(values)
+    n = len(cells) if bad is None else bad[0]
+    return [column[:n] for column in columns], bad
+
+
+def _cast(cells: np.ndarray, dtype) -> np.ndarray:
+    """The leading cells of ``cells`` that convert to ``dtype``, converted.
+
+    The whole column is cast at once; only if that raises are cells cast one
+    at a time, to find the first that fails.
     """
     try:
-        return cells.astype(dtype), len(cells)
+        return cells.astype(dtype, copy=False)
     except (ValueError, OverflowError):
         for i in range(len(cells)):
             try:
                 cells[i : i + 1].astype(dtype)
             except (ValueError, OverflowError):
-                return cells[:i].astype(dtype), i
+                return cells[:i].astype(dtype)
         raise
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import finpipe
+import reference_io as ref
 from finpipe import (
     EquityCurve,
     OptionQuote,
@@ -20,8 +21,9 @@ from finpipe import (
     implied_vol,
     load_csv,
 )
-from finpipe import cli, frame, table
+from finpipe import cli, frame
 from finpipe.cli import COMMANDS, OPTIONS, derive_seed, main
+from finpipe.forecast import read_metadata
 from synth import ohlcv_panel, write_raw_csv
 
 
@@ -468,6 +470,49 @@ class TestDataErrors:
         assert message in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("reader", ["panel", "anchor", "forecast_header", "forecast_body",
+                                        "curve", "quote"])
+    def test_a_table_that_is_not_utf8_exits_one_and_writes_nothing(self, tmp_path, capsys,
+                                                                    reader):
+        # One \xff byte used to end the stage in a UnicodeDecodeError traceback.
+        run = _small_run(tmp_path / "run")
+        m2m, curve, quotes = (tmp_path / "run" / n for n in ("m2m.csv", "curve.csv", "q.csv"))
+        # About 35 KB, so its last record lies beyond the text the header is read from.
+        assert main(["naive-forecast", "--input", str(run["transformed"]), "--output", str(m2m),
+                     "--input-len", "20", "--horizon", "5"]) == 0
+        _write_curve(curve)
+        quotes.write_text("timestamp,spot,strike,rate,expiry,kind,market_price\n"
+                          "0,100,100,0.01,0.5,call,7.0\n1,100,100,0.01,0.5,put,7.0\n")
+        source = {"panel": run["raw"], "anchor": run["anchors"], "forecast_header": m2m,
+                  "forecast_body": m2m, "curve": curve, "quote": quotes}[reader]
+        lines = source.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith(b"#model=")) \
+            if reader == "forecast_header" else -1
+        lines[at] = lines[at].rstrip(b"\n") + b"\xff\n"
+        bad, out = tmp_path / "bad.csv", tmp_path / "out.csv"
+        bad.write_bytes(b"".join(lines))
+        if reader == "forecast_body":
+            assert read_metadata(bad)["H"] == 5  # the table reader meets the byte
+        evaluate = ["evaluate", "--truth", str(run["transformed"]), "--output", str(out),
+                    "--forecasts", str(bad)]
+        argv = {
+            "panel": ["preprocess", "--input", str(bad), "--output", str(out),
+                      "--anchors", str(tmp_path / "anchors.csv")],
+            "anchor": ["backtest", "--forecasts", str(run["forecasts"]),
+                       "--panel", str(run["transformed"]), "--anchors", str(bad),
+                       "--output", str(out), "--strategy", "timing", "--target-var", "close_X",
+                       "--window", "5"],
+            "forecast_header": evaluate,
+            "forecast_body": evaluate,
+            "curve": ["report", "--input", str(bad), "--output", str(out)],
+            "quote": ["option-analytics", "--input", str(bad), "--output", str(out)],
+        }[reader]
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith(f"error: {bad}: not UTF-8 text\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_backtest_parses_each_timestamp_once(self, tmp_path, monkeypatch):
         panel = ohlcv_panel(80, seed=31, assets=("X",))
         days = [str(np.datetime64("2020-01-01") + d) for d in range(panel.n_rows)]
@@ -764,11 +809,11 @@ class TestOptionAnalyticsCli:
         )
         out = tmp_path / "analytics.csv"
         assert main(["option-analytics", "--input", str(src), "--output", str(out)]) == 0
-        source = table.read_table(src, lambda tab: tab)
-        written = table.read_table(out, lambda tab: tab)
-        assert written.header[:8] == source.header
-        assert written.cells[:, :8].tolist() == source.cells.tolist()
-        assert written.cells[:, 7].tolist() == ["a,b", 'say "hi"', "two\r\nlines", "plain"]
+        source_header, source_rows = ref.read_table(src)
+        header, rows = ref.read_table(out)
+        assert header[:8] == source_header
+        assert [row[:8] for row in rows] == source_rows
+        assert [row[7] for row in rows] == ["a,b", 'say "hi"', "two\r\nlines", "plain"]
 
     def test_a_first_cell_is_never_echoed_as_a_comment(self, tmp_path):
         # Stripped, " #a" became "#a", and reading the output back lost its row.
@@ -782,7 +827,7 @@ class TestOptionAnalyticsCli:
         assert main(["option-analytics", "--input", str(src), "--output", str(out)]) == 0
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert [l.split(",")[0] for l in body] == [" #a", "b"]
-        assert table.read_table(out, lambda tab: tab).n_rows == 2
+        assert len(ref.read_table(out)[1]) == 2
 
     def test_arbitrage_violation_exits_one(self, tmp_path, capsys):
         src = tmp_path / "quotes.csv"
@@ -811,6 +856,34 @@ class TestOptionAnalyticsCli:
         assert rc == 1
         assert not out.exists()
         assert f"error: {src}: row 3: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,100.0,100.0,-1000,1.0,call,10.0",
+         "exp(-rate * expiry) leaves the float range at rate -1000.0, expiry 1.0"),
+        ("0,1e-200,1e200,0.0,1.0,call,10.0",
+         "spot / strike leaves the float range at spot 1e-200, strike 1e+200"),
+    ])
+    def test_quote_outside_the_float_range_names_its_row(self, tmp_path, capsys, row, message):
+        # These raised OverflowError and ValueError from the math module, as tracebacks.
+        src = tmp_path / "quotes.csv"
+        src.write_text(f"timestamp,spot,strike,rate,expiry,kind,market_price\n{row}\n")
+        out = tmp_path / "out.csv"
+        rc = main(["option-analytics", "--input", str(src), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert f"error: {src}: row 2: {message}\n" in capsys.readouterr().err
+
+    def test_first_bad_quote_cell_in_file_order_is_named(self, tmp_path, capsys):
+        # A bad spot on row 8 used to be named before a bad market_price on row 3.
+        src = tmp_path / "quotes.csv"
+        self._quotes_csv(src, n=10)
+        lines = [line.split(",") for line in src.read_text().splitlines()]
+        lines[2][6], lines[7][1] = "x", "nan"
+        src.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        out = tmp_path / "out.csv"
+        assert main(["option-analytics", "--input", str(src), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert "row 3: bad value in column 'market_price'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_quote_cell_exits_one(self, tmp_path, capsys, bad):
@@ -889,6 +962,17 @@ class TestReportCli:
         assert rc == 1
         assert not out.exists()
         assert f"row 8: bad value in column {column!r}" in capsys.readouterr().err
+
+    def test_first_bad_curve_cell_in_file_order_is_named(self, tmp_path, capsys):
+        # A bad net_value on row 8 used to be named before a bad period_return on row 3.
+        path = tmp_path / "curve.csv"
+        lines = [line.split(",") for line in _write_curve(path)]
+        lines[2][2], lines[7][1] = "x", "inf"
+        path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        out = tmp_path / "report.csv"
+        assert main(["report", "--input", str(path), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert "row 3: bad value in column 'period_return'" in capsys.readouterr().err
 
     def test_net_value_that_is_not_the_running_product_exits_one(self, tmp_path, capsys):
         # A flat net_value beside returns compounding to a gain used to exit 0

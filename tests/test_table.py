@@ -8,6 +8,7 @@ reader fails the test, so an empty body must not make numpy warn.
 
 import csv
 import io
+import re
 import warnings
 
 import numpy as np
@@ -29,10 +30,9 @@ from finpipe import (
     write_csv,
     write_forecasts,
 )
-from finpipe import forecast, table
-from finpipe.cli import _column_floats
+from finpipe import cli, forecast, table
 from finpipe.errors import FormatError
-from finpipe.table import _split_plain, read_table
+from finpipe.table import _split_plain, read_blocks
 from synth import ohlcv_panel
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -310,28 +310,42 @@ def test_anchor_file_matches_reference(tmp_path, data, kinds):
 @given(rows=st.lists(st.tuples(st.sampled_from(["1.5", " 2 ", "1_0", "x", "", "-3e2", "nan"]),
                                st.sampled_from(["0.5", "y", "٣", "inf"])), max_size=6))
 def test_cli_table_columns_match_reference(tmp_path, rows):
+    # The curve and quote reader reports the first bad cell of the per-cell
+    # reader's columns in file order: the earliest row, then column a before b.
     path = tmp_path / "table.csv"
     path.write_text("#seed=1\nlabel,a,b\n" + "".join(f"t{i},{a},{b}\n" for i, (a, b) in enumerate(rows)))
     header, old_rows = ref.read_table(path)
-    table = read_table(path, lambda tab: tab)
-    assert table.header == header
-    assert table.cells.tolist() == old_rows
-    for column in ("a", "b"):
-        new = outcome(_column_floats, path, table.header, table.cells, column)
-        old = outcome(ref.table_floats, path, header, old_rows, column)
-        assert_same(new, old, np.testing.assert_array_equal)
+    old = [outcome(ref.table_floats, path, header, old_rows, column) for column in ("a", "b")]
+    errors = [o for o in old if o[0] == "error"]
+    new = outcome(cli._read_columns, path, "curve", ("label", "a", "b"), ("a", "b"))
+    if not old_rows:
+        assert new == ("error", FormatError, f"{path}: curve file has no rows")
+    elif errors:
+        assert new == min(errors, key=lambda o: int(re.search(r"row (\d+):", o[2])[1]))
+    else:
+        new_header, cells, columns = new[1]
+        assert new_header == header
+        assert cells.tolist() == old_rows
+        for new_column, (_, old_column) in zip(columns, old):
+            np.testing.assert_array_equal(new_column, old_column)
 
 
 @pytest.mark.parametrize("text", ["h,a\n0,1\n1\n2,3\n", "h,a\n0,1,2\n", "h\n#x\n0\n1,2\n"])
 def test_a_ragged_table_never_reaches_the_caller(tmp_path, text):
     # The parse callback sees the rows above the ragged one, but whatever it
-    # returns, read_table raises instead of handing back a table cut short.
+    # returns, read_blocks raises instead of handing back a table cut short.
     path = tmp_path / "table.csv"
     path.write_text(text)
     seen = []
+
+    def parse(blocks):
+        seen.append((sum(map(len, blocks)), blocks.n_rows))
+        return seen
+
     with pytest.raises(FormatError, match=r"fields, expected"):
-        read_table(path, seen.append)
-    assert len(seen[0].cells) < seen[0].n_rows
+        read_blocks(path, parse)
+    rows, n_rows = seen[0]
+    assert rows < n_rows
 
 
 @settings(max_examples=400, deadline=None)
@@ -404,16 +418,21 @@ def test_blocks_join_to_the_csv_module_rows(tmp_path, monkeypatch, text, block):
     rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
     ragged = next((i for i, r in enumerate(rows) if len(r) != len(rows[0])), len(rows))
     seen = []
-    result = outcome(read_table, path, seen.append)
-    tab = seen[0]
-    assert tab.header == ([h.strip() for h in rows[0]] if rows else None)
-    assert tab.cells.tolist() == rows[1:ragged]
+
+    def join(blocks):
+        seen.append((blocks.header, [row for cells in blocks for row in cells.tolist()],
+                     blocks.n_rows))
+
+    result = outcome(read_blocks, path, join)
+    header, body, n_rows = seen[0]
+    assert header == ([h.strip() for h in rows[0]] if rows else None)
+    assert body == rows[1:ragged]
     if ragged < len(rows):
-        assert tab.n_rows == ragged
+        assert n_rows == ragged
         assert result == ("error", FormatError, f"{path}: row {ragged + 1} has "
                           f"{len(rows[ragged])} fields, expected {len(rows[0])}")
     else:
-        assert tab.n_rows == len(rows[1:]) and result[0] == "ok"
+        assert n_rows == len(rows[1:]) and result[0] == "ok"
 
 
 def test_a_bad_record_is_looked_for_in_one_block(tmp_path, monkeypatch):
@@ -425,13 +444,13 @@ def test_a_bad_record_is_looked_for_in_one_block(tmp_path, monkeypatch):
     write_forecasts(path, make_batch(windows, windows.truth), 4)
     path.write_text(path.read_text().rstrip("\n").rsplit(",", 1)[0] + ",x\n")
     monkeypatch.setattr(table, "BLOCK_BYTES", 1024)
-    sizes = []
+    sizes, original = [], table._cast
 
     def cast(cells, dtype):
         sizes.append(len(cells))
-        return table.cast(cells, dtype)
+        return original(cells, dtype)
 
-    monkeypatch.setattr(forecast, "cast", cast)
+    monkeypatch.setattr(table, "_cast", cast)
     n = windows.truth.size
     last = path.read_text().splitlines()[-1]
     with pytest.raises(FormatError) as info:
