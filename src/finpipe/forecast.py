@@ -8,7 +8,6 @@ headers ``#L=``, ``#H=``, ``#model=`` (and ``#variables=``) followed by
 
 from __future__ import annotations
 
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -17,7 +16,8 @@ import numpy as np
 from .errors import AlignError, FormatError, WindowError
 from .frame import WindowSet
 from .metrics import ForecastBatch
-from .table import Blocks, read_blocks, typed, write_lines
+from . import table
+from .table import Blocks, read_blocks, typed, write_rows
 
 DEFAULT_NOISE_STD = 0.001
 
@@ -83,20 +83,18 @@ def write_forecasts(
     if batch.variables is None:
         raise FormatError("batch has no variable names; cannot write forecasts")
     b, h, c = batch.shape
-    lines = list(header_comments)
-    lines.append(f"#L={input_len}")
-    lines.append(f"#H={h}")
-    lines.append(f"#model={model}")
-    lines.append(f"#variables={','.join(batch.variables)}")
-    lines.append("sample_id,step,variable,y_pred")
+    head = [*header_comments, f"#L={input_len}", f"#H={h}", f"#model={model}",
+            f"#variables={','.join(batch.variables)}", "sample_id,step,variable,y_pred"]
     keys = [f",{step + 1},{var}," for step in range(h) for var in batch.variables]
+    ids, values = batch.sample_order.tolist(), batch.y_pred.reshape(b, h * c)
 
-    def samples():  # one block of H*C lines per sample
-        for sample_id, values in zip(batch.sample_order.tolist(), batch.y_pred.reshape(b, h * c)):
-            prefix = str(int(sample_id))
-            yield "\n".join([prefix + key + repr(value) for key, value in zip(keys, values.tolist())])
+    def lines(start: int, stop: int) -> list[str]:  # H*C lines per sample
+        prefixes = map(str, map(int, ids[start:stop]))
+        return [prefix + key + repr(value)
+                for prefix, row in zip(prefixes, values[start:stop].tolist())
+                for key, value in zip(keys, row)]
 
-    write_lines(path, chain(lines, samples()))
+    write_rows(path, head, b, lines)
 
 
 def read_metadata(path) -> dict:
@@ -149,23 +147,38 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
         )
 
     targets = tuple(truth_windows.target_vars)
-    # A variable's code is its index in ``names``: the targets, then other names.
-    codes = {name: i for i, name in enumerate(targets)}
 
-    def records(blocks: Blocks):
+    def records(cell_blocks):  # one range's typed records, up to its first bad one
+        codes = {name: i for i, name in enumerate(targets)}
+        for cells in cell_blocks:
+            *columns, bad = _typed_records(cells, codes)
+            yield columns
+            if bad:
+                return list(codes), bad
+        return list(codes), None
+
+    def parse(blocks: Blocks):
         if blocks.header != ["sample_id", "step", "variable", "y_pred"]:
             raise FormatError(f"{path}: expected header sample_id,step,variable,y_pred")
-        # ids, steps, variable codes and values, sized from the first block's rows
+        # A variable's code is its index in ``codes``: the targets, then other names.
+        codes = {name: i for i, name in enumerate(targets)}
+        # ids, steps, variable codes and values, sized at the first block
         columns = [np.empty(0, dtype) for dtype in (np.int64, np.int64, np.int64, float)]
-        kept, bad = 0, None  # records kept; the error of the first bad one
-        for cells in blocks:
-            *typed, bad = _typed_records(path, cells, codes, kept + 2)
-            n = len(typed[0])
-            if kept + n > len(columns[0]):
-                columns = _with_room(columns, kept, cells, path.stat().st_size)
-            for column, part in zip(columns, typed):
-                column[kept : kept + n] = part
-            kept += n
+        kept, bad = 0, None  # records kept; the first bad one
+        for rows in blocks.map(records):
+            start = kept
+            for typed_columns in rows:
+                n = len(typed_columns[0])
+                if kept + n > len(columns[0]):
+                    columns = _with_room(columns, kept, n, path)
+                for column, part in zip(columns, typed_columns):
+                    column[kept : kept + n] = part
+                kept += n
+            # The range numbered its variables in its own order; the file's order is kept.
+            names, bad = rows.tail
+            recode = np.array([codes.setdefault(name, len(codes)) for name in names])
+            if (recode != np.arange(len(names))).any():
+                columns[2][start:kept] = recode[columns[2][start:kept]]
             if bad:  # the rows below a malformed or non-finite record are not read
                 break
         if not blocks.n_rows:
@@ -179,11 +192,13 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
                 f"variable {list(codes)[var_codes[i]]!r}"
             )
         if bad:
-            raise FormatError(bad)
-        return ids, steps, var_codes, values
+            failed, cells = bad
+            row = kept + 2
+            raise FormatError(f"{path}: row {row}: malformed record {cells!r}" if failed else
+                              f"{path}: non-finite value {cells!r} at row {row}, column 'y_pred'")
+        return list(codes), ids, steps, var_codes, values
 
-    ids, steps, var_codes, values = read_blocks(path, records, FormatError, "forecast file")
-    names = list(codes)
+    names, ids, steps, var_codes, values = read_blocks(path, parse, FormatError, "forecast file")
     used = np.flatnonzero(np.bincount(var_codes, minlength=len(names)))
     unknown = sorted(names[i] for i in used if i >= len(targets))
     if unknown:
@@ -239,9 +254,10 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
     )
 
 
-def _typed_records(path: Path, cells: np.ndarray, codes: dict[str, int], row: int) -> tuple:
-    """Ids, steps, variable codes and values of a block's leading good records, and the error
-    of the first bad one (None when there is none); ``row`` is the block's first file row.
+def _typed_records(cells: np.ndarray, codes: dict[str, int]) -> tuple:
+    """Ids, steps, variable codes and values of a block's leading good records, and the first
+    bad one: (True, its cells) when a cell does not convert, (False, its value) when the
+    value is not finite, None when there is none.
 
     A record is good when its id and step are ints and its value a finite
     float. A variable new to ``codes`` is given the next code.
@@ -251,9 +267,8 @@ def _typed_records(path: Path, cells: np.ndarray, codes: dict[str, int], row: in
     code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(names)}
     var_codes = np.fromiter(map(code_of.__getitem__, names), np.int64, n)
     # A cell that does not convert, or else a value that is not finite.
-    error = bad and (f"{path}: row {row + n}: malformed record {list(cells[n])!r}" if bad[2] else
-                     f"{path}: non-finite value {cells[n, 3]!r} at row {row + n}, column 'y_pred'")
-    return ids, steps, var_codes, values, error
+    bad = bad and ((True, list(cells[n])) if bad[2] else (False, cells[n, 3]))
+    return ids, steps, var_codes, values, bad
 
 
 def _first_duplicate(ids: np.ndarray, steps: np.ndarray, var_codes: np.ndarray) -> int | None:
@@ -286,16 +301,17 @@ def _first_duplicate(ids: np.ndarray, steps: np.ndarray, var_codes: np.ndarray) 
     return int(dup.min()) if dup.size else None
 
 
-def _with_room(columns: list[np.ndarray], kept: int, cells: np.ndarray,
-               size: int) -> list[np.ndarray]:
-    """``columns`` with their first ``kept`` records, and room for a file of ``size`` bytes.
+def _with_room(columns: list[np.ndarray], kept: int, n: int, path: Path) -> list[np.ndarray]:
+    """``columns`` with their first ``kept`` records, and room for ``n`` more and a file's worth.
 
-    The room is counted in rows as long as those of ``cells``, and 1/16 more.
-    Allocated once, the columns leave no freed blocks behind for the process
-    to keep.
+    A file's worth is its size over the mean line of its first BLOCK_BYTES,
+    and 1/16 more. Allocated once, the columns leave no freed blocks behind
+    for the process to keep.
     """
-    line = (sum(map(len, cells.flat)) + cells.shape[1]) / len(cells)
-    capacity = kept + len(cells) + int(size / line * 17 / 16)
+    with open(path, "rb") as fh:
+        head = fh.read(table.BLOCK_BYTES)
+    line = len(head) / max(head.count(b"\n"), 1)
+    capacity = kept + n + int(path.stat().st_size / line * 17 / 16)
     grown = [np.empty(capacity, column.dtype) for column in columns]
     for new, old in zip(grown, columns):
         new[:kept] = old[:kept]

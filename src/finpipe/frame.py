@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IngestError, SplitError, WindowError
-from .table import Blocks, read_blocks, typed, write_lines
+from .table import Blocks, read_blocks, typed, write_rows
 
 
 def _timestamp_key(label: str):
@@ -25,6 +25,12 @@ def _timestamp_key(label: str):
         raise IngestError(
             f"timestamp {label!r} is neither an integer index nor ISO-8601"
         ) from None
+
+
+class _Owned(NamedTuple):
+    """A float matrix that no one else holds, which a Panel keeps without a copy."""
+
+    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,11 @@ class Panel:
     def __post_init__(self):
         object.__setattr__(self, "timestamps", tuple(self.timestamps))
         object.__setattr__(self, "variables", tuple(str(v) for v in self.variables))
-        vals = np.array(self.values, dtype=float)
+        # A panel keeps a copy of its values, or a matrix that load_csv made and gave away.
+        if isinstance(self.values, _Owned):
+            vals = self.values.matrix
+        else:
+            vals = np.array(self.values, dtype=float)
         if vals.ndim != 2:
             raise IngestError(f"panel values must be 2-D, got {vals.ndim}-D")
         if vals.shape != (len(self.timestamps), len(self.variables)):
@@ -97,17 +107,25 @@ def load_csv(path) -> Panel:
         path, header = blocks.path, blocks.header
         if header is None:
             raise IngestError(f"{path}: empty file")
+        dtypes = [None] + [float] * (len(header) - 1)
+
+        def part(cell_blocks):  # one range's labels and float rows, up to its first bad cell
+            for cells in cell_blocks:
+                (stamps, *values), bad = typed(cells, dtypes)
+                rows = np.reshape(values, (len(values), len(stamps))).T.copy()  # in C order
+                yield list(map(str.strip, stamps)), rows
+                if bad:
+                    return bad[1], cells[bad[0], bad[1]]
+
         labels, parts = [], [np.empty((0, len(header) - 1))]  # only floats and labels are kept
-        for cells in blocks:
-            (stamps, *values), bad = typed(cells, [None] + [float] * (len(header) - 1))
-            if bad:
-                r, j, _ = bad
-                raise IngestError(
-                    f"{path}: non-numeric value {cells[r, j]!r} at row {len(labels) + r + 2}, "
-                    f"column {header[j]!r}"
-                )
-            labels += map(str.strip, stamps)
-            parts.append(np.reshape(values, (len(values), len(stamps))).T.copy())  # in C order
+        for rows in blocks.map(part):
+            for stamps, values in rows:
+                labels += stamps
+                parts.append(values)
+            if rows.tail:
+                j, cell = rows.tail
+                raise IngestError(f"{path}: non-numeric value {cell!r} at row {len(labels) + 2}, "
+                                  f"column {header[j]!r}")
         if not blocks.n_rows:
             raise IngestError(f"{path}: no data rows")
         return path, labels, tuple(header[1:]), np.concatenate(parts)
@@ -120,18 +138,21 @@ def load_csv(path) -> Panel:
         raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
     if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
         raise IngestError("timestamps must be strictly increasing with no duplicates")
-    return Panel(tuple(labels[i] for i in order), variables, matrix[order])
+    if order != list(range(len(order))):
+        labels, matrix = [labels[i] for i in order], matrix[order]
+    return Panel(tuple(labels), variables, _Owned(matrix))
 
 
 def write_csv(panel: Panel, path, header_comments: Sequence[str] = ()) -> None:
     """Write a panel as CSV with full round-trip precision (repr of each float)."""
-    lines = list(header_comments)
-    lines.append(",".join(["timestamp", *panel.variables]))
-    lines.extend(
-        ",".join([str(label), *map(repr, row)])
-        for label, row in zip(panel.timestamps, panel.values.tolist())
-    )
-    write_lines(path, lines)
+    labels, values = panel.timestamps, panel.values
+
+    def lines(start: int, stop: int) -> list[str]:
+        return [",".join([str(label), *map(repr, row)])
+                for label, row in zip(labels[start:stop], values[start:stop].tolist())]
+
+    head = [*header_comments, ",".join(["timestamp", *panel.variables])]
+    write_rows(path, head, len(labels), lines)
 
 
 @dataclass(frozen=True)

@@ -174,9 +174,23 @@ def per_pair_corr(y: np.ndarray, y_pred: np.ndarray, method: str = "spearman") -
     return float(_corr_matrix(a, b, method)[0, 0])
 
 
+IC_BLOCK_SAMPLES = 512  # samples ranked at once; bounds the rank temporaries
+
+
 def per_sample_ic(batch: ForecastBatch, method: str = "spearman") -> np.ndarray:
-    """(B,) per-sample mean over channels of the horizon rank correlation."""
-    return _corr_matrix(batch.y_true, batch.y_pred, method).mean(axis=1)
+    """(B,) per-sample mean over channels of the horizon rank correlation.
+
+    The (B, C) correlations are computed IC_BLOCK_SAMPLES samples at a time.
+    Samples are the outer axis, so each block's arithmetic runs in the order
+    the whole batch's would, and the channel mean is taken over the whole
+    matrix: every bit is the one-shot result's.
+    """
+    y_true, y_pred = batch.y_true, batch.y_pred
+    rho = np.empty((y_true.shape[0], y_true.shape[2]))
+    for start in range(0, len(rho), IC_BLOCK_SAMPLES):
+        at = slice(start, start + IC_BLOCK_SAMPLES)
+        rho[at] = _corr_matrix(y_true[at], y_pred[at], method)
+    return rho.mean(axis=1)
 
 
 def ms_ic(batch: ForecastBatch, method: str = "spearman") -> float:

@@ -10,16 +10,30 @@ theirs. Errors still come in file order: ``typed`` finds a block's first bad
 cell by row, then column, and the reader stops at the first row with the
 wrong field count and raises for it only once the caller has finished with
 the rows above it. A file that is not UTF-8 text is an error too.
+
+Big bodies are read and written by a range map, on every CPU the process
+may use. ``Blocks.map`` cuts a body of RANGE_BYTES or more into contiguous
+byte ranges, each ending on a newline, and ``write_rows`` cuts its rows the
+same way. The parent process does the first range itself; forked workers do
+the others, each into an unlinked temporary file, and the parent takes
+their results in file order. A range is read only while it is plain: once
+any range meets a quote, CR, NUL or comment row, where a csv.reader row may
+span newlines, the whole file is read again in one range. With one CPU, no
+``os.fork`` or a smaller body there is one range, done by the parent alone.
+A worker that fails has its range redone by the parent, so the output bytes,
+the parsed arrays and the errors are the same however a body is cut.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
 from contextlib import closing
 from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Generator, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,6 +42,12 @@ from .errors import FormatError, ToolkitError
 Parsed = TypeVar("Parsed")
 
 BLOCK_BYTES = 1 << 16  # text split per block; bounds the str cells held at once
+RANGE_BYTES = 1 << 20  # a body smaller than this is read or written in one range
+MAX_RANGES = 4  # ranges a body is cut into at most, one per usable CPU
+
+
+class _NotPlain(Exception):
+    """A range holds text that csv.reader may split otherwise; the file is read in one range."""
 
 
 class Blocks:
@@ -35,12 +55,15 @@ class Blocks:
 
     ``header`` is the file's stripped header, None when it has no rows.
     Each block is an object array of ``str``, one row per body row. ``n_rows``
-    counts the body rows yielded so far and, once the blocks have ended at a
+    counts the body rows read so far and, once the blocks have ended at a
     row with the wrong field count, that row; ``ragged`` then names it.
+    Iterating gives the blocks in one range; ``map`` may cut them into
+    several, where ``split`` allows it.
     """
 
-    def __init__(self, path: Path, fh: BinaryIO):
+    def __init__(self, path: Path, fh: BinaryIO, split: bool):
         self.path, self.n_rows, self.ragged = path, 0, None
+        self._fh, self._split, self._maps = fh, split, []
         self._rows = _rows(path, fh)
         header = next(self._rows)
         self.header = None if header is None else [h.strip() for h in header]
@@ -62,8 +85,97 @@ class Blocks:
             if self.ragged:
                 return
 
+    def map(self, part: Callable[[Iterator[np.ndarray]], Generator]) -> Iterator["Range"]:
+        """``part`` run over the body's blocks range by range, as the ranges in file order.
+
+        ``part`` takes one range's blocks and yields what the caller reads
+        of them, picklable objects, ending early where it likes; what it
+        returns becomes the range's ``tail``. It runs in a forked worker
+        for every range but the first, so it must not rely on state it
+        changes. A range that is not plain raises ``_NotPlain`` in the
+        parent, and ``read_blocks`` reads the file again in one range.
+        """
+        self._maps.append(ranges := self._ranges(part))
+        return ranges
+
+    def _ranges(self, part) -> Iterator["Range"]:
+        cuts = self._cuts()
+        if len(cuts) < 3:
+            yield Range(part(iter(self)))
+            return
+
+        def job(k: int, out: BinaryIO) -> None:
+            self.n_rows = 0
+            with open(self.path, "rb") as fh:
+                items = Range(part(self._range(fh, cuts[k], cuts[k + 1])))
+                for item in items:
+                    pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+                at = out.tell()
+                pickle.dump((self.n_rows, items.tail), out, pickle.HIGHEST_PROTOCOL)
+                out.write(at.to_bytes(8, "little"))
+
+        with closing(_Forked(len(cuts) - 1, job)) as workers:
+            for k in range(len(cuts) - 1):
+                loaded = _load(workers.result(k)) if k else None
+                if loaded is None:
+                    yield Range(part(self._range(self._fh, cuts[k], cuts[k + 1])))
+                else:
+                    self.n_rows += loaded[0]
+                    yield Range(loaded[1])
+
+    def _cuts(self) -> list[int]:
+        """The offsets that cut the body into ranges, each inner one just past a newline.
+
+        Fewer than three when the body is read in one range: ``split`` is
+        off, the body is small or there is one CPU, or the lines above the
+        body hold a quote, CR or NUL byte, where csv.reader's rows may span
+        newlines.
+        """
+        if not self._split or self.header is None:
+            return []
+        with open(self.path, "rb") as fh:
+            head = b""
+            for line in fh:  # the header is the first line neither blank nor a comment
+                head += line
+                if line[:1] not in (b"#", b"\n"):
+                    break
+            start, size = len(head), os.fstat(fh.fileno()).st_size
+            count = _range_count(size - start)
+            if count == 1 or any(byte in head for byte in (b'"', b"\r", b"\0")):
+                return []
+            cuts = [start]
+            for k in range(1, count):
+                fh.seek(max(cuts[-1], start + (size - start) * k // count) - 1)
+                fh.readline()
+                cuts.append(fh.tell())
+        return cuts + [size]
+
+    def _range(self, fh: BinaryIO, start: int, stop: int) -> Iterator[np.ndarray]:
+        """The blocks of the body lines from ``start`` to ``stop``; _NotPlain at one not plain."""
+        fh.seek(start)
+        for block in _line_blocks(fh, stop - start):
+            rows = _split_plain(block, len(self.header))
+            if rows is None:
+                raise _NotPlain
+            self.n_rows += len(rows)
+            if len(rows):
+                yield rows
+
     def close(self) -> None:
+        for ranges in self._maps:
+            ranges.close()
         self._rows.close()
+
+
+class Range:
+    """The objects a ``Blocks.map`` part yields for one range; once they are read,
+    ``tail`` holds what the part returned."""
+
+    def __init__(self, items: Generator):
+        self._items, self.tail = items, None
+
+    def __iter__(self):
+        self.tail = yield from self._items
 
 
 def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitError] = FormatError,
@@ -74,18 +186,27 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
     ends the blocks, and raises ``error`` once ``parse`` has returned on the
     rows above it, so that errors come in file order and no caller sees a
     table cut short. Text that is not UTF-8 raises ``error`` where it is met.
+    Where a range of ``Blocks.map`` is not plain, ``parse`` runs again on
+    the file in one range.
     """
     path = Path(path)
     if not path.exists():
         raise error(f"no such {what}: {path}")
     try:
-        with open(path, "rb") as fh, closing(Blocks(path, fh)) as blocks:
-            parsed = parse(blocks)
+        try:
+            parsed, ragged = _parse(path, parse, split=True)
+        except _NotPlain:
+            parsed, ragged = _parse(path, parse, split=False)
     except UnicodeDecodeError:  # csv.reader's; the np.loadtxt split hands such a block to it
         raise error(f"{path}: not UTF-8 text") from None
-    if blocks.ragged:
-        raise error(blocks.ragged)
+    if ragged:
+        raise error(ragged)
     return parsed
+
+
+def _parse(path: Path, parse: Callable[[Blocks], Parsed], split: bool) -> tuple[Parsed, str | None]:
+    with open(path, "rb") as fh, closing(Blocks(path, fh, split)) as blocks:
+        return parse(blocks), blocks.ragged
 
 
 def _rows(path: Path, fh: BinaryIO) -> Iterator:
@@ -133,10 +254,12 @@ def _rows(path: Path, fh: BinaryIO) -> Iterator:
             yield block
 
 
-def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """The bytes of ``fh`` in blocks of about BLOCK_BYTES, each ending a line but the last."""
+def _line_blocks(fh: BinaryIO, size: int = -1) -> Iterator[bytes]:
+    """The next ``size`` bytes of ``fh`` (all, when negative) in blocks of about BLOCK_BYTES,
+    each ending a line but the last."""
     carry = b""
-    while chunk := fh.read(BLOCK_BYTES):
+    while chunk := fh.read(BLOCK_BYTES if size < 0 else min(BLOCK_BYTES, size)):
+        size -= len(chunk)
         carry += chunk
         cut = carry.rfind(b"\n") + 1
         if cut:
@@ -235,3 +358,151 @@ def write_lines(path, lines: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
+
+
+def write_rows(path, head: Sequence[str], n_rows: int,
+               lines: Callable[[int, int], list[str]]) -> None:
+    """Write the ``head`` lines, then the lines ``lines(start, stop)`` makes of rows 0..n_rows.
+
+    Rows are formatted in blocks of about BLOCK_BYTES of text, sized from
+    the first row. A body of RANGE_BYTES or more is cut into ranges of rows;
+    forked workers format all but the first into unlinked temporary files
+    in the output's directory, and the parent appends them in order. A
+    write that fails leaves no file behind.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    row = len(_text(lines(0, 1))) if n_rows else 1
+    step = max(1, BLOCK_BYTES // row)
+    count = min(_range_count(row * n_rows), max(n_rows, 1))
+    cuts = [n_rows * k // count for k in range(count + 1)]
+
+    def job(k: int, out: BinaryIO) -> None:
+        for start in range(cuts[k], cuts[k + 1], step):
+            out.write(_text(lines(start, min(start + step, cuts[k + 1]))))
+
+    out = open(path, "wb")
+    try:
+        with out, closing(_Forked(count, job, path.parent)) as workers:
+            out.write(_text(head))
+            for k in range(count):
+                done = workers.result(k) if k else None
+                if done is None:
+                    job(k, out)
+                else:
+                    _append(out, done)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _text(lines: Sequence[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode() if lines else b""
+
+
+def _append(out: BinaryIO, done: BinaryIO) -> None:
+    """Copy the whole of ``done`` to the end of ``out``, in the kernel."""
+    out.flush()
+    size, sent = os.fstat(done.fileno()).st_size, 0
+    while sent < size:
+        n = os.sendfile(out.fileno(), done.fileno(), sent, size - sent)
+        if not n:
+            raise OSError(f"{out.name}: short copy of a worker's rows")
+        sent += n
+
+
+def _range_count(size: int) -> int:
+    """The ranges a body of ``size`` bytes is cut into: one per CPU up to MAX_RANGES,
+    or one below RANGE_BYTES or without ``os.fork``."""
+    if size < RANGE_BYTES or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(MAX_RANGES, len(os.sched_getaffinity(0))))
+
+
+class _Forked:
+    """Jobs 1 .. count-1 of a range map, each run by a forked worker as ``job(k, out)``.
+
+    ``out`` is the worker's own unlinked temporary file, made in ``dir``
+    (the system's default when None). ``close`` kills every worker still
+    running and reaps it, so no worker outlives the map.
+    """
+
+    def __init__(self, count: int, job: Callable[[int, BinaryIO], None], dir=None):
+        self._workers: dict[int, tuple[int | None, BinaryIO]] = {}
+        try:
+            for k in range(1, count):
+                import tempfile  # on first use: start-up loads it only for a big body
+
+                out = tempfile.TemporaryFile(dir=dir)
+                self._workers[k] = (None, out)
+                pid = os.fork()
+                if pid == 0:
+                    _work(job, k, out)
+                self._workers[k] = (pid, out)
+        except OSError:  # no file or no process for a worker: the parent does its range
+            pass
+        except BaseException:
+            self.close()
+            raise
+
+    def result(self, k: int) -> BinaryIO | None:
+        """Worker ``k``'s file, rewound, once it has exited 0; None when it failed."""
+        pid, out = self._workers.get(k, (None, None))
+        if pid is None:
+            return None
+        _, status = os.waitpid(pid, 0)
+        self._workers[k] = (None, out)
+        if os.waitstatus_to_exitcode(status) != 0:
+            return None
+        out.seek(0)
+        return out
+
+    def close(self) -> None:
+        for pid, out in self._workers.values():
+            if pid is not None:
+                import signal
+
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+            out.close()
+        self._workers.clear()
+
+
+def _work(job: Callable[[int, BinaryIO], None], k: int, out: BinaryIO) -> NoReturn:
+    """The body of a forked worker: run ``job``, then exit at once, with 0 only if it returned."""
+    code = 1
+    try:
+        job(k, out)
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _load(out: BinaryIO | None) -> tuple[int, Generator] | None:
+    """The body rows a worker read and a generator of the objects it wrote, which returns
+    its part's tail; None when it failed or its file is short.
+
+    The file holds the pickled objects, the pickled (rows, tail) and, in its
+    last 8 bytes, the offset of that pair.
+    """
+    if out is None:
+        return None
+    try:
+        out.seek(-8, os.SEEK_END)
+        at = int.from_bytes(out.read(8), "little")
+        out.seek(at)
+        rows, tail = pickle.load(out)
+    except (OSError, EOFError, ValueError, pickle.UnpicklingError):  # short: the range is redone
+        return None
+
+    def items():
+        out.seek(0)
+        while out.tell() < at:
+            yield pickle.load(out)
+        return tail
+
+    return rows, items()

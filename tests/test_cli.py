@@ -1083,6 +1083,21 @@ class TestEntryPoint:
             assert done.returncode == 0, done.stderr
             assert done.stdout == "[False, False]\n", module
 
+    def test_import_leaves_the_worker_modules_unloaded(self):
+        # The range map in finpipe.table imports what its workers need on
+        # first use, so a stage with small files pays for none of it. Without
+        # site (-S), no .pth file imports tempfile before the package does.
+        package_root = str(Path(finpipe.__file__).resolve().parents[1])
+        numpy_root = str(Path(np.__file__).resolve().parents[1])
+        modules = ("multiprocessing", "concurrent.futures", "tempfile")
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, finpipe.cli; "
+             f"print([m for m in {modules!r} if m in sys.modules])"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, numpy_root])),
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     def test_option_analytics_loads_no_scipy(self, tmp_path):
         package_root = str(Path(finpipe.__file__).resolve().parents[1])
         (tmp_path / "quotes.csv").write_text(

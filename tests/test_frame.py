@@ -12,6 +12,7 @@ from finpipe import (
     sliding_windows,
     write_csv,
 )
+from finpipe import frame, table
 from finpipe.errors import IngestError, SplitError, WindowError
 
 
@@ -129,12 +130,53 @@ class TestLoadCsv:
         np.testing.assert_array_equal(loaded.values, panel.values)
         assert peak < 6 * panel.values.nbytes
 
+    def test_a_load_keeps_the_matrix_it_read(self, tmp_path, monkeypatch, rng):
+        # Sorting rows that were already in order, then copying the result
+        # into the Panel, added twice the float matrix after the read; what
+        # is left is the labels' sort, about 100 bytes a row.
+        panel = Panel(range(3000), tuple(f"v{i}" for i in range(40)),
+                      rng.normal(100.0, 10.0, (3000, 40)))
+        path = tmp_path / "panel.csv"
+        write_csv(panel, path)
+        read, after_read = frame.read_blocks, []
+
+        def traced_read(*args):
+            parsed = read(*args)
+            after_read.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return parsed
+
+        monkeypatch.setattr(frame, "read_blocks", traced_read)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.values, panel.values)
+        assert peak - after_read[0] < panel.values.nbytes / 2
+
 
 class TestPanel:
     def test_values_are_immutable(self):
         panel = Panel(range(3), ("a",), np.ones((3, 1)))
         with pytest.raises(ValueError):
             panel.values[0, 0] = 2.0
+
+    def test_no_caller_can_change_a_panels_values(self, tmp_path):
+        # A panel copies the values it is given; it keeps without a copy
+        # only the matrix load_csv made, which nothing else holds.
+        source = np.ones((3, 1))
+        panel = Panel(range(3), ("a",), source)
+        source[0, 0] = 2.0
+        assert panel.values[0, 0] == 1.0
+        write_csv(panel, tmp_path / "p.csv")
+        loaded = load_csv(tmp_path / "p.csv")
+        for values in (loaded.values, loaded.rows(0, 2).values, loaded.select(["a"]).values):
+            with pytest.raises(ValueError):
+                values[0, 0] = 2.0
+        assert not np.shares_memory(loaded.rows(0, 2).values, loaded.values)
+        assert loaded.values[0, 0] == 1.0
 
     def test_duplicate_variables_rejected(self):
         with pytest.raises(IngestError, match="unique"):
@@ -169,6 +211,21 @@ class TestPanel:
 
 
 class TestWriteCsv:
+    def test_rows_are_formatted_a_block_at_a_time(self, tmp_path, monkeypatch, rng):
+        # Formatting every line before the first write peaked at 7x the
+        # float matrix; a block of rows holds about BLOCK_BYTES of text.
+        monkeypatch.setattr(table, "RANGE_BYTES", 1 << 40)  # all rows in this process
+        panel = Panel(range(3000), tuple(f"v{i}" for i in range(20)),
+                      rng.normal(100.0, 10.0, (3000, 20)))
+        tracemalloc.start()
+        try:
+            write_csv(panel, tmp_path / "panel.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(load_csv(tmp_path / "panel.csv").values, panel.values)
+        assert peak < panel.values.nbytes
+
     def test_round_trip_is_identity(self, tmp_path, rng):
         values = rng.normal(0.0, 1.0, (50, 3)) * 10.0 ** rng.integers(-8, 8, (50, 3))
         panel = Panel(range(50), ("a", "b", "c"), values)

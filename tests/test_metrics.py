@@ -168,6 +168,44 @@ class TestMsIC:
         assert -1.0 <= ms_ic(_batch(y, p)) <= 1.0
 
 
+class TestPerSampleBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 9), st.sampled_from([2, 3, 5, 9, 17]),
+                           st.integers(1, 5)),
+           block=st.integers(1, 4), seed=st.integers(0, 2**16), transposed=st.booleans())
+    def test_blocks_of_samples_give_the_one_shot_bits(self, shape, block, seed, transposed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 3, shape).astype(float) + rng.normal(size=shape).round(1)
+        p = rng.integers(0, 2, shape).astype(float)  # ties everywhere
+        y[::3] = 1.5  # constant windows
+        if transposed:  # a (B, F, C) view whose F axis is not the middle one in memory
+            y = np.ascontiguousarray(np.moveaxis(y, 1, 0)).transpose(1, 0, 2)
+        batch = _batch(y, p)
+        for method in ("spearman", "pearson"):
+            whole = metrics._corr_matrix(batch.y_true, batch.y_pred, method).mean(axis=1)
+            original = metrics.IC_BLOCK_SAMPLES
+            try:
+                metrics.IC_BLOCK_SAMPLES = block
+                np.testing.assert_array_equal(per_sample_ic(batch, method), whole)
+            finally:
+                metrics.IC_BLOCK_SAMPLES = original
+
+    def test_rank_temporaries_are_bounded(self, rng):
+        # Ranking all (6017, 5, 20) pairs at once held about 5.7x the truth
+        # tensor in temporaries.
+        import tracemalloc
+
+        y = rng.normal(size=(3000, 5, 20))
+        batch = _batch(y, rng.normal(size=y.shape).round(1))
+        tracemalloc.start()
+        try:
+            per_sample_ic(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * y.nbytes
+
+
 class TestMsIR:
     def test_identical_per_sample_values_degenerate(self, rng):
         y = rng.normal(size=(4, 6, 2))

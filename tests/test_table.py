@@ -8,7 +8,9 @@ reader fails the test, so an empty body must not make numpy warn.
 
 import csv
 import io
+import os
 import re
+import signal
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ from finpipe import (
     load_csv,
     load_forecasts,
     make_batch,
+    naive_forecast,
     sliding_windows,
     transform_panel,
     write_anchor_file,
@@ -31,7 +34,7 @@ from finpipe import (
     write_forecasts,
 )
 from finpipe import cli, forecast, table
-from finpipe.errors import FormatError
+from finpipe.errors import FormatError, IngestError
 from finpipe.table import _split_plain, read_blocks
 from synth import ohlcv_panel
 
@@ -460,8 +463,8 @@ def test_a_bad_record_is_looked_for_in_one_block(tmp_path, monkeypatch):
 
 
 def test_columns_grow_past_the_first_blocks_estimate(tmp_path, monkeypatch):
-    # The first rows are the file's longest, so the room sized from their
-    # block is too small and the typed columns must grow.
+    # The first rows are the file's longest, so the room sized from the
+    # file's first BLOCK_BYTES is too small and the typed columns must grow.
     panel = Panel(range(60), ("v0",), np.arange(60.0)[:, None])
     windows = sliding_windows(panel, WindowSpec(2, 1))
     preds = np.ones(windows.truth.shape)
@@ -471,11 +474,210 @@ def test_columns_grow_past_the_first_blocks_estimate(tmp_path, monkeypatch):
     monkeypatch.setattr(table, "BLOCK_BYTES", 64)
     original, kept = forecast._with_room, []
 
-    def with_room(columns, n, cells, size):
-        kept.append(n)
-        return original(columns, n, cells, size)
+    def with_room(columns, n_kept, n, path):
+        kept.append(n_kept)
+        return original(columns, n_kept, n, path)
 
     monkeypatch.setattr(forecast, "_with_room", with_room)
     assert_same(outcome(load_forecasts, path, windows),
                 outcome(ref.load_forecasts, path, windows), same_batch)
+    assert len(kept) > 1
     assert kept[0] == 0 and len(kept) > 1
+
+
+# --- ranges -------------------------------------------------------------------
+
+def in_ranges(monkeypatch, count):
+    """Cut every body into ``count`` ranges, whatever its size and the CPUs."""
+    monkeypatch.setattr(table, "RANGE_BYTES", 1)
+    monkeypatch.setattr(table, "MAX_RANGES", count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def ranged(monkeypatch, count, fn, *args):
+    """The outcome of ``fn(*args)`` with bodies cut into ``count`` ranges."""
+    with monkeypatch.context() as patch:
+        in_ranges(patch, count)
+        return outcome(fn, *args)
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_small_body_or_one_cpu_is_one_range(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert table._range_count(table.RANGE_BYTES - 1) == 1
+    assert table._range_count(table.RANGE_BYTES) == table.MAX_RANGES == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert table._range_count(10 * table.RANGE_BYTES) == 1
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert table._range_count(10 * table.RANGE_BYTES) == 1
+
+
+@SETTINGS
+@given(panel=panels(), case=forecast_cases(), count=st.integers(2, 4))
+def test_ranged_writes_are_byte_identical(tmp_path, monkeypatch, panel, case, count):
+    windows, batch = case
+    serial_panel, serial_forecasts = tmp_path / "sp.csv", tmp_path / "sf.csv"
+    write_csv(panel, serial_panel, header_comments=PROVENANCE)
+    write_forecasts(serial_forecasts, batch, windows.spec.input_len, header_comments=PROVENANCE)
+    out = tmp_path / "ranged"
+    assert ranged(monkeypatch, count, write_csv, panel, out / "p.csv", PROVENANCE)[0] == "ok"
+    assert ranged(monkeypatch, count, write_forecasts, out / "f.csv", batch,
+                  windows.spec.input_len, "naive", PROVENANCE)[0] == "ok"
+    assert (out / "p.csv").read_bytes() == serial_panel.read_bytes()
+    assert (out / "f.csv").read_bytes() == serial_forecasts.read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["f.csv", "p.csv"]
+    assert_no_worker_left()
+
+
+# Corruptions that keep a line's length, so the file is cut where the clean one is.
+RANGE_KINDS = ["bad_cell", "non_finite", "ragged", "duplicate", "not_utf8", "quoted", "crlf",
+               "comment", "variables"]
+
+
+def corrupt_at_a_cut(monkeypatch, data, path, first_body, count, kind):
+    """Corrupt the line just above, at or just below a range cut of ``path``, in place.
+
+    Forecast records must name two-character variables for kind "variables".
+    """
+    lines = path.read_bytes().splitlines(keepends=True)
+    with monkeypatch.context() as patch, open(path, "rb") as fh:
+        in_ranges(patch, count)
+        cuts = table.Blocks(path, fh, split=True)._cuts()
+    starts = list(np.cumsum([0] + [len(line) for line in lines]))
+    at_cut = [starts.index(c) for c in cuts[1:-1] if c in starts[first_body + 1 : -1]]
+    if at_cut:
+        row = data.draw(st.sampled_from(at_cut), label="cut") + data.draw(
+            st.sampled_from([-1, 0, 1]), label="side")
+    else:
+        row = data.draw(st.integers(first_body, len(lines) - 1), label="row")
+    row = min(max(row, first_body), len(lines) - 1)
+    line = lines[row]
+    cells = line[:-1].split(b",")
+    last = cells[-1]
+    if kind == "bad_cell":
+        cells[-1] = b"x" + last[1:]
+    elif kind == "non_finite":
+        cells[-1] = b"nan".ljust(len(last))
+    elif kind == "not_utf8":
+        cells[-1] = b"\xff" + last[1:]
+    elif kind == "quoted":
+        cells[-1] = b'"' + last[1:]
+    elif kind == "crlf":
+        cells[-1] = last[:-1] + b"\r"
+    elif kind == "comment":
+        cells[0] = b"#" + cells[0][1:]
+    elif kind == "variables":  # two unknown names, which ranges may number in either order
+        other = data.draw(st.integers(first_body, len(lines) - 1), label="other")
+        cells[2], other_cells = b"zA", lines[other].split(b",")
+        lines[other] = b",".join(other_cells[:2] + [b"zB"] + other_cells[3:])
+    if kind == "ragged":
+        line = line[:-1].rpartition(b",")[0] + b"." + line[:-1].rpartition(b",")[2] + b"\n"
+    elif kind == "duplicate":
+        line = lines[data.draw(st.sampled_from(range(first_body, len(lines))), label="of")]
+    else:
+        line = b",".join(cells) + b"\n"
+    assert len(line) == len(lines[row])
+    lines[row] = line
+    path.write_bytes(b"".join(lines))
+
+
+@st.composite
+def even_forecast_cases(draw):
+    """Windows and a batch whose records all have the same length, such as ``3,2,x1,2.5``."""
+    n_vars = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 3))
+    n_rows = 2 + horizon + draw(st.integers(1, 8))
+    panel = Panel(range(n_rows), tuple(f"x{i}" for i in range(n_vars)), np.ones((n_rows, n_vars)))
+    windows = sliding_windows(panel, WindowSpec(2, horizon))
+    preds = np.array(draw(st.lists(st.sampled_from([1.5, 2.5, 3.5]), min_size=windows.truth.size,
+                                   max_size=windows.truth.size))).reshape(windows.truth.shape)
+    return windows, make_batch(windows, preds)
+
+
+@SETTINGS
+@given(case=even_forecast_cases(), data=st.data(), kind=st.sampled_from(RANGE_KINDS),
+       count=st.integers(2, 4))
+def test_ranged_forecast_reads_match_one_range(tmp_path, monkeypatch, case, data, kind, count):
+    windows, batch = case
+    path = tmp_path / "fc.csv"
+    write_forecasts(path, batch, windows.spec.input_len, header_comments=PROVENANCE)
+    corrupt_at_a_cut(monkeypatch, data, path, len(PROVENANCE) + 5, count, kind)
+    serial = outcome(load_forecasts, path, windows)
+    assert_same(ranged(monkeypatch, count, load_forecasts, path, windows), serial, same_batch)
+    assert_no_worker_left()
+
+
+@SETTINGS
+@given(data=st.data(), kind=st.sampled_from([k for k in RANGE_KINDS if k != "variables"]),
+       count=st.integers(2, 4), n_rows=st.integers(2, 30), n_vars=st.integers(1, 3))
+def test_ranged_panel_reads_match_one_range(tmp_path, monkeypatch, data, kind, count, n_rows,
+                                            n_vars):
+    values = np.array(data.draw(st.lists(st.sampled_from([1.5, 2.5, 3.5]), min_size=n_rows * n_vars,
+                                         max_size=n_rows * n_vars), label="values"))
+    panel = Panel(range(100, 100 + n_rows), tuple(f"v{i}" for i in range(n_vars)),
+                  values.reshape(n_rows, n_vars))
+    path = tmp_path / "panel.csv"
+    write_csv(panel, path, header_comments=PROVENANCE)
+    corrupt_at_a_cut(monkeypatch, data, path, len(PROVENANCE) + 1, count, kind)
+    serial = outcome(load_csv, path)
+    assert_same(ranged(monkeypatch, count, load_csv, path), serial, same_panel)
+    assert_no_worker_left()
+
+
+def _killed(job, k, out):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _short(job, k, out):
+    out.write(b"\x80")
+    out.flush()
+    os._exit(0)
+
+
+@pytest.mark.parametrize("worker", [_killed, _short])
+def test_a_failed_worker_has_its_range_redone(tmp_path, monkeypatch, worker):
+    panel = ohlcv_panel(300, seed=5, assets=("A", "B"))
+    windows = sliding_windows(panel, WindowSpec(8, 3))
+    batch = make_batch(windows, naive_forecast(windows, 3, seed=2))
+    write_csv(panel, tmp_path / "p.csv")
+    write_forecasts(tmp_path / "f.csv", batch, 8)
+    monkeypatch.setattr(table, "_work", worker)
+    out = tmp_path / "ranged"
+    if worker is _killed:  # a writer's file is taken only from a worker that exited 0
+        assert ranged(monkeypatch, 3, write_csv, panel, out / "p.csv")[0] == "ok"
+        assert ranged(monkeypatch, 3, write_forecasts, out / "f.csv", batch, 8)[0] == "ok"
+        assert (out / "p.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+        assert (out / "f.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+    assert_same(ranged(monkeypatch, 3, load_csv, tmp_path / "p.csv"),
+                outcome(load_csv, tmp_path / "p.csv"), same_panel)
+    assert_same(ranged(monkeypatch, 3, load_forecasts, tmp_path / "f.csv", windows),
+                outcome(load_forecasts, tmp_path / "f.csv", windows), same_batch)
+    assert_no_worker_left()
+
+
+def test_no_worker_or_file_outlives_a_failure(tmp_path, monkeypatch):
+    in_ranges(monkeypatch, 3)
+    panel = Panel(range(40), ("a",), np.arange(40.0)[:, None])
+    path = tmp_path / "p.csv"
+    write_csv(panel, path)
+    text = path.read_text()
+    path.write_text(text[: text.rindex("\n", 0, -1) + 1] + "39,oops\n")
+    with pytest.raises(IngestError, match="row 41"):
+        load_csv(path)
+    assert_no_worker_left()
+
+    def lines(start, stop):  # the parent's own range fails, while the workers format theirs
+        if start == 0 and stop > 1:
+            raise RuntimeError("disk full")
+        return [f"{i},{i}" for i in range(start, stop)]
+
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="disk full"):
+        table.write_rows(out / "t.csv", ["h,a"], 400, lines)
+    assert list(out.iterdir()) == []
+    assert_no_worker_left()
