@@ -1,19 +1,20 @@
 """Command-line pipeline: preprocess, split, forecast, evaluate, backtest, report.
 
-Every subcommand validates its inputs fully before writing anything, writes
-deterministic bytes for a given (inputs, flags, seed), and stamps each output
-file with a provenance header: a hash of the semantic configuration, the
-seed, and the toolkit version. An optional ``key=value`` config file can
-supply any option: its lines are read as flags placed before the command
-line's own, so a flag on the command line wins. Exit status is 0 on
-success, 1 on data errors, 2 on usage errors.
+Every subcommand writes each output file beside its path and renames it over
+the path once complete, so a run that fails on its input changes no output
+file and no output is left half-written. It writes deterministic bytes for a
+given (inputs, flags, seed), and stamps each output file with a provenance
+header: a hash of the semantic configuration, the seed, and the toolkit
+version. An optional ``key=value`` config file can supply any option: its
+lines are read as flags placed before the command line's own, so a flag on
+the command line wins. Exit status is 0 on success, 1 on data errors, 2 on
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -283,33 +284,37 @@ def provenance_lines(command: str, opts: dict) -> list[str]:
     return [f"#config_hash={config_hash}", f"#seed={seed}", f"#version={__version__}"]
 
 
+def _header(blocks: table.Blocks, path, kind: str, required: tuple[str, ...]) -> list[str]:
+    """The header of a curve or quote table; an empty file or a missing column is an error."""
+    header = blocks.header
+    if header is None:
+        raise FormatError(f"{blocks.path}: empty file")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise FormatError(f"{path}: {kind} file lacks column(s) {missing}")
+    return header
+
+
 def _read_columns(path, kind: str, required: tuple[str, ...], floats: tuple[str, ...]):
     """Header, cells and the ``floats`` columns of a curve or quote table."""
 
     def parse(blocks: table.Blocks):
-        header = blocks.header
-        if header is None:
-            raise FormatError(f"{blocks.path}: empty file")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise FormatError(f"{path}: {kind} file lacks column(s) {missing}")
+        header = _header(blocks, path, kind, required)
         cells = np.concatenate([np.empty((0, len(header)), dtype=object), *blocks])
         if not blocks.n_rows:
             raise FormatError(f"{path}: {kind} file has no rows")
         at = [header.index(c) for c in floats]
         dtypes = [float if j in at else None for j in range(len(header))]
-        columns = _finite(path, header, cells, dtypes)
+        columns, bad = table.typed(cells, dtypes)
+        if bad:
+            raise _bad_value(path, bad[0] + 2, header[bad[1]])
         return header, cells, [columns[j] for j in at]
 
     return table.read_blocks(path, parse)
 
 
-def _finite(path, header: list[str], cells: np.ndarray, dtypes: list) -> list:
-    """The ``table.typed`` columns of a table's body ``cells``; a bad cell is an error."""
-    columns, bad = table.typed(cells, dtypes)
-    if bad:
-        raise FormatError(f"{path}: row {bad[0] + 2}: bad value in column {header[bad[1]]!r}")
-    return columns
+def _bad_value(path, row: int, column: str) -> FormatError:
+    return FormatError(f"{path}: row {row}: bad value in column {column!r}")
 
 
 def cmd_preprocess(opts: dict) -> None:
@@ -476,64 +481,96 @@ def cmd_report(opts: dict) -> None:
 
 
 def cmd_option_analytics(opts: dict) -> None:
-    header, cells, (spot, strike, rate, expiry, price) = _read_columns(
-        opts["input"], "quote",
-        ("timestamp", "spot", "strike", "rate", "expiry", "kind", "market_price"),
-        ("spot", "strike", "rate", "expiry", "market_price"),
-    )
-    extended = np.empty((len(cells), 6))
-    kinds = (kind.strip().lower() for kind in cells[:, header.index("kind")])
-    # Python floats, not numpy scalars: the solver's scalar arithmetic is faster on them.
-    # Converted one quote at a time, so no column is held twice.
-    fields = zip(map(float, spot), map(float, strike), map(float, rate), map(float, expiry),
-                 kinds, map(float, price))
-    for i, row in enumerate(fields):
-        try:
-            quote = OptionQuote(*row)
-            iv = implied_vol(quote)
-        except ToolkitError as exc:
-            raise type(exc)(f"{opts['input']}: row {i + 2}: {exc}") from None
-        extended[i] = (iv, *greeks(quote, iv))
-
-    hv = None
-    if opts["hv_window"] is not None:
-        source = opts["hv_source"]
-        if source not in header:
-            raise FormatError(f"{opts['input']}: no hv source column {source!r}")
-        (series,) = _finite(opts["input"], [source], cells[:, [header.index(source)]], [float])
-        hv = historical_vol(series, opts["hv_window"])
-
-    out_header = header + ["iv", "delta", "theta", "gamma", "vega", "rho"]
-    if hv is not None:
-        out_header.append("hv")
-    lines = provenance_lines("option-analytics", opts)
-    lines.append(",".join(table.quote(out_header)))
-    table.write_lines(opts["output"], itertools.chain(lines, _analytics_blocks(cells, extended, hv)))
+    with table.replacing(opts["output"]) as out:
+        table.read_blocks(opts["input"], lambda blocks: _analytics(blocks, opts, out))
 
 
-ANALYTICS_BLOCK_ROWS = 4096  # rows formatted per string; bounds the text held at once
+def _analytics(blocks: table.Blocks, opts: dict, out) -> None:
+    """Solve, format and write the quotes of ``blocks`` one block at a time.
 
-
-def _analytics_blocks(cells: np.ndarray, extended: np.ndarray, hv: np.ndarray | None):
-    """The body of ``analytics.csv``, ANALYTICS_BLOCK_ROWS rows per string.
-
-    Each block is formatted a column at a time, its echoed cells stripped;
-    a first cell such as `` #a`` is echoed as read, since stripped it would
-    start a comment row. The ``hv`` column is blank in the leading rows that
-    no full window ends on.
+    Errors come in file order: a block's first bad cell (in the five float
+    columns or the ``--hv-source`` column) is raised once the quotes above
+    it are solved, and a quote's pricing error at its row. ``hv`` carries
+    the last ``--hv-window`` prices from block to block, so each cell is the
+    one ``historical_vol`` gives over the whole series.
     """
-    n_rows = len(cells)
-    offset = n_rows - len(hv) if hv is not None else 0
-    for start in range(0, n_rows, ANALYTICS_BLOCK_ROWS):
-        stop = min(start + ANALYTICS_BLOCK_ROWS, n_rows)
-        first, *rest = cells[start:stop].T
-        columns = [table.quote([c if c.lstrip().startswith("#") else c.strip() for c in first])]
-        columns += [table.quote(list(map(str.strip, column))) for column in rest]
-        columns += [list(map(repr, column)) for column in extended[start:stop].T.tolist()]
-        if hv is not None:
-            values = list(map(repr, hv[max(start - offset, 0) : max(stop - offset, 0)].tolist()))
-            columns.append([""] * (stop - start - len(values)) + values)
-        yield "\n".join(map(",".join, zip(*columns)))
+    path, window, source = opts["input"], opts["hv_window"], opts["hv_source"]
+    header = _header(blocks, path, "quote",
+                     ("timestamp", "spot", "strike", "rate", "expiry", "kind", "market_price"))
+    if window is not None and source not in header:
+        raise FormatError(f"{path}: no hv source column {source!r}")
+    at = [header.index(c) for c in ("spot", "strike", "rate", "expiry", "market_price")]
+    kind = header.index("kind")
+    hv_at = None if window is None else header.index(source)
+    dtypes = [float if j in at or j == hv_at else None for j in range(len(header))]
+    out_header = header + ["iv", "delta", "theta", "gamma", "vega", "rho"]
+    if window is not None:
+        out_header.append("hv")
+    lines = provenance_lines("option-analytics", opts) + [",".join(table.quote(out_header))]
+    out.write(("\n".join(lines) + "\n").encode())
+
+    done, prices = 0, np.empty(0)  # rows solved, and the last ``window`` hv prices
+    for cells in blocks:
+        columns, bad = table.typed(cells, dtypes)
+        spot, strike, rate, expiry, price = (columns[j] for j in at)
+        extended = np.empty((len(spot), 6))
+        kinds = (k.strip().lower() for k in cells[:, kind])
+        # Python floats, not numpy scalars: the solver's scalar arithmetic is faster on them.
+        fields = zip(map(float, spot), map(float, strike), map(float, rate), map(float, expiry),
+                     kinds, map(float, price))
+        for i, row in enumerate(fields):
+            try:
+                quote = OptionQuote(*row)
+                iv = implied_vol(quote)
+            except ToolkitError as exc:
+                raise type(exc)(f"{path}: row {done + i + 2}: {exc}") from None
+            extended[i] = (iv, *greeks(quote, iv))
+        if bad:
+            raise _bad_value(path, done + bad[0] + 2, header[bad[1]])
+        hv = None
+        if window is not None:
+            hv, prices = _hv_cells(window, prices, columns[hv_at])
+        out.write(_analytics_text(cells, extended, hv))
+        done += len(cells)
+    if not blocks.n_rows:
+        raise FormatError(f"{path}: quote file has no rows")
+    if window is not None and done <= window:
+        historical_vol(prices, window)  # raises its error for a series this short
+
+
+def _hv_cells(window: int, before: np.ndarray,
+              prices: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ``hv`` cells of a block's ``prices``, and the last ``window`` prices so far.
+
+    ``before`` holds the last ``window`` prices of the blocks above (all of
+    them, when fewer). A row that no full window ends on gets a blank cell.
+    """
+    series = np.concatenate([before, prices])
+    ends = len(series) - window + 1  # windows ending on a price of ``series``
+    if ends > 1:
+        values = historical_vol(series, window)[-len(prices):]
+    elif ends == 1 and series.min() > 0:
+        # historical_vol needs two windows: a repeated last price adds one after the first.
+        values = historical_vol(np.append(series, series[-1]), window)[:1]
+    else:  # no window yet, or a price that historical_vol rejects once the series is long enough
+        values = np.empty(0)
+    cells = [""] * (len(prices) - len(values)) + list(map(repr, values.tolist()))
+    return cells, series[-window:]
+
+
+def _analytics_text(cells: np.ndarray, extended: np.ndarray, hv: list[str] | None) -> bytes:
+    """The ``analytics.csv`` rows of a block of quote ``cells``, formatted a column at a time.
+
+    Echoed cells are stripped; a first cell such as `` #a`` is echoed as
+    read, since stripped it would start a comment row.
+    """
+    first, *rest = cells.T
+    columns = [table.quote([c if c.lstrip().startswith("#") else c.strip() for c in first])]
+    columns += [table.quote(list(map(str.strip, column))) for column in rest]
+    columns += [list(map(repr, column)) for column in extended.T.tolist()]
+    if hv is not None:
+        columns.append(hv)
+    return ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
 
 
 COMMANDS = {

@@ -115,7 +115,9 @@ def _corr_matrix(y_true: np.ndarray, y_pred: np.ndarray, method: str) -> np.ndar
     if method == "spearman":
         a, b = _average_rank(y_true), _average_rank(y_pred)
     else:
-        a, b = y_true, y_pred
+        # C order, as the ranks are: a reduction over F then runs in one order
+        # however many samples a block holds, whatever the inputs' strides.
+        a, b = np.ascontiguousarray(y_true), np.ascontiguousarray(y_pred)
     # A constant series has zero (rank) variance; its correlation is 0 by
     # convention. Detect via ptp so the test is exact, not epsilon-based.
     const_a = a.max(axis=1) == a.min(axis=1)

@@ -22,6 +22,9 @@ span newlines, the whole file is read again in one range. With one CPU, no
 ``os.fork`` or a smaller body there is one range, done by the parent alone.
 A worker that fails has its range redone by the parent, so the output bytes,
 the parsed arrays and the errors are the same however a body is cut.
+
+Every file is written by ``replacing``: into a new file beside its path,
+renamed over it once complete, so a failed write leaves the path as it was.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import csv
 import io
 import os
 import pickle
-from contextlib import closing
+from contextlib import closing, contextmanager
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Generator, Iterable, Iterator, NoReturn, Sequence, TypeVar
@@ -352,12 +355,36 @@ def quote(cells: list[str]) -> list[str]:
             for cell in cells]
 
 
-def write_lines(path, lines: Iterable[str]) -> None:
-    """Write each item of ``lines`` (one line or a block of them) and a newline."""
+@contextmanager
+def replacing(path) -> Iterator[BinaryIO]:
+    """A new file beside ``path``, renamed over it when the block ends and removed
+    when it raises: ``path`` keeps its old bytes until all the new ones are written.
+
+    The file is created exclusively, under a random hidden name in the output's
+    directory, with the mode ``open`` gives a new file (0o666 less the umask).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    while True:
+        temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # the name is taken; draw another
+            pass
+    try:
+        with open(fd, "wb") as out:
+            yield out
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each item of ``lines`` (one line or a block of them) and a newline, by ``replacing``."""
+    with replacing(path) as out:
+        out.writelines((line + "\n").encode() for line in lines)
 
 
 def write_rows(path, head: Sequence[str], n_rows: int,
@@ -367,11 +394,9 @@ def write_rows(path, head: Sequence[str], n_rows: int,
     Rows are formatted in blocks of about BLOCK_BYTES of text, sized from
     the first row. A body of RANGE_BYTES or more is cut into ranges of rows;
     forked workers format all but the first into unlinked temporary files
-    in the output's directory, and the parent appends them in order. A
-    write that fails leaves no file behind.
+    in the output's directory, and the parent appends them in order. The
+    file is written by ``replacing``, so a write that fails changes nothing.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     row = len(_text(lines(0, 1))) if n_rows else 1
     step = max(1, BLOCK_BYTES // row)
     count = min(_range_count(row * n_rows), max(n_rows, 1))
@@ -381,19 +406,14 @@ def write_rows(path, head: Sequence[str], n_rows: int,
         for start in range(cuts[k], cuts[k + 1], step):
             out.write(_text(lines(start, min(start + step, cuts[k + 1]))))
 
-    out = open(path, "wb")
-    try:
-        with out, closing(_Forked(count, job, path.parent)) as workers:
-            out.write(_text(head))
-            for k in range(count):
-                done = workers.result(k) if k else None
-                if done is None:
-                    job(k, out)
-                else:
-                    _append(out, done)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    with replacing(path) as out, closing(_Forked(count, job, Path(path).parent)) as workers:
+        out.write(_text(head))
+        for k in range(count):
+            done = workers.result(k) if k else None
+            if done is None:
+                job(k, out)
+            else:
+                _append(out, done)
 
 
 def _text(lines: Sequence[str]) -> bytes:

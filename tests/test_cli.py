@@ -21,7 +21,7 @@ from finpipe import (
     implied_vol,
     load_csv,
 )
-from finpipe import cli, frame
+from finpipe import cli, frame, table
 from finpipe.cli import COMMANDS, OPTIONS, derive_seed, main
 from finpipe.forecast import read_metadata
 from synth import ohlcv_panel, write_raw_csv
@@ -776,8 +776,8 @@ class TestOptionAnalyticsCli:
         assert all(row[hv_idx] != "" for row in rows[9:])
 
     def test_block_writer_matches_a_row_by_row_join(self, tmp_path, monkeypatch):
-        # Three blocks and a partial one; the hv blanks run into the second block.
-        monkeypatch.setattr(cli, "ANALYTICS_BLOCK_ROWS", 16)
+        # Four blocks and a partial one; the hv blanks run into the second block.
+        monkeypatch.setattr(table, "BLOCK_BYTES", 1024)
         src = tmp_path / "quotes.csv"
         quotes = self._quotes_csv(src, n=56)
         src.write_text(src.read_text().replace("\n0,", "\n 0 ,", 1))  # a cell to strip
@@ -912,6 +912,193 @@ class TestOptionAnalyticsCli:
         assert rc == 1
         assert not out.exists()
         assert "row 2 has 8 fields, expected 7" in capsys.readouterr().err
+
+
+def _analytics_oracle(src, window=None, source="spot"):
+    """The body of ``analytics.csv`` row by row: reference_io's reader, the scalar
+    solver on each quote, and historical_vol over the whole series."""
+    header, rows = ref.read_table(src)
+    at = header.index
+    hv = [""] * len(rows)
+    if window is not None:
+        hv[window - 1 :] = map(repr, historical_vol([float(r[at(source)]) for r in rows],
+                                                    window).tolist())
+    body = []
+    for row, hv_cell in zip(rows, hv):
+        quote = OptionQuote(*(float(row[at(c)]) for c in ("spot", "strike", "rate", "expiry")),
+                            row[at("kind")].strip().lower(), float(row[at("market_price")]))
+        iv = implied_vol(quote)
+        g = greeks(quote, iv)
+        cells = [c.strip() for c in row]
+        cells += [repr(v) for v in (iv, g.delta, g.theta, g.gamma, g.vega, g.rho_rate)]
+        body.append(",".join(cells + ([hv_cell] if window is not None else [])))
+    return body
+
+
+def _block_starts(path):
+    """The 0-based body row that begins each block ``table.read_blocks`` gives."""
+    sizes = table.read_blocks(path, lambda blocks: [len(b) for b in blocks])
+    return np.cumsum([0] + sizes[:-1]).tolist()
+
+
+class TestOptionAnalyticsStreaming:
+    """option-analytics reads, solves and writes one block at a time."""
+
+    _quotes_csv = TestOptionAnalyticsCli._quotes_csv
+
+    def _run(self, src, out, *flags):
+        return main(["option-analytics", "--input", str(src), "--output", str(out), *flags])
+
+    def _body(self, out):
+        return [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+
+    def test_hv_windows_wider_than_a_block_match_the_whole_series(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(table, "BLOCK_BYTES", 256)  # three or four rows a block
+        src = tmp_path / "quotes.csv"
+        self._quotes_csv(src, n=60)
+        starts = _block_starts(src)
+        assert len(starts) > 10
+        # The last window ends exactly on a block's last row, the case where a
+        # block's series holds one window only.
+        for window in (2, 5, 17, starts[7]):
+            out = tmp_path / f"analytics_{window}.csv"
+            assert self._run(src, out, "--hv-window", str(window), "--hv-source", "spot") == 0
+            assert self._body(out) == _analytics_oracle(src, window)
+        assert self._run(src, tmp_path / "plain.csv") == 0
+        assert self._body(tmp_path / "plain.csv") == _analytics_oracle(src)
+
+    def test_hv_of_a_series_too_short_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # Eight prices, four blocks: the error is historical_vol's own, after the last block.
+        monkeypatch.setattr(table, "BLOCK_BYTES", 128)
+        src, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
+        self._quotes_csv(src, n=8)
+        assert len(_block_starts(src)) > 2
+        assert self._run(src, out, "--hv-window", "8") == 1
+        assert "error: need at least 9 prices, got 8\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["spot", "market_price"])
+    def test_bad_cell_on_the_first_row_of_a_later_block(self, tmp_path, monkeypatch, capsys,
+                                                        column):
+        monkeypatch.setattr(table, "BLOCK_BYTES", 512)
+        src, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
+        self._quotes_csv(src, n=40)
+        row = _block_starts(src)[2]
+        lines = [line.split(",") for line in src.read_text().splitlines()]
+        lines[row + 1][lines[0].index(column)] = "x"
+        src.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        assert self._run(src, out, "--hv-window", "3") == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: {src}: row {row + 2}: bad value in column {column!r}\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_ragged_row_after_a_full_block_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(table, "BLOCK_BYTES", 512)
+        src, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
+        self._quotes_csv(src, n=40)
+        row = _block_starts(src)[1]
+        lines = src.read_text().splitlines()
+        lines[row + 1] += ",EXTRA"
+        src.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        assert self._run(src, out) == 1
+        assert f"row {row + 2} has 8 fields, expected 7" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_an_earlier_output_survives_a_failing_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(table, "BLOCK_BYTES", 512)
+        src, out = tmp_path / "quotes.csv", tmp_path / "analytics.csv"
+        self._quotes_csv(src, n=40)
+        assert self._run(src, out) == 0
+        earlier = out.read_bytes()
+        lines = src.read_text().splitlines()
+        lines[-1] = lines[-1].replace(",call,", ",cal,").replace(",put,", ",pt,")
+        src.write_text("\n".join(lines) + "\n")
+        assert self._run(src, out, "--hv-window", "3") == 1
+        assert out.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["analytics.csv", "quotes.csv"]
+
+    def test_a_pricing_error_wins_over_a_later_bad_cell(self, tmp_path, capsys):
+        # The bad cell on row 900 used to be named, since every cell was cast first.
+        src, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
+        self._quotes_csv(src, n=1000)
+        lines = [line.split(",") for line in src.read_text().splitlines()]
+        lines[2][5], lines[899][1] = "cal", "x"
+        src.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        assert self._run(src, out) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: {src}: row 3: kind must be 'call' or 'put', got 'cal'\n")
+        assert not out.exists()
+
+    def test_a_missing_hv_source_is_named_before_any_quote_is_solved(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # It used to come after every quote, so row 2's pricing error was named instead.
+        src, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
+        self._quotes_csv(src, n=5)
+        src.write_text(src.read_text().replace(",call,", ",cal,", 1))
+        monkeypatch.setattr(cli, "implied_vol", lambda quote: pytest.fail("a quote was solved"))
+        assert self._run(src, out, "--hv-window", "2", "--hv-source", "nope") == 1
+        assert capsys.readouterr().err.endswith(f"error: {src}: no hv source column 'nope'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad_row, kind_row, message", [
+        (4, 6, "row 4: bad value in column 'underlying'"),
+        (6, 4, "row 4: kind must be 'call' or 'put', got 'cal'"),
+    ])
+    def test_a_bad_hv_source_cell_is_named_in_file_order(self, tmp_path, capsys, bad_row,
+                                                         kind_row, message):
+        # The hv source column used to be cast after every quote was solved, so a
+        # pricing error anywhere came first.
+        src, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
+        self._quotes_csv(src, n=10)
+        lines = [line.split(",") for line in src.read_text().splitlines()]
+        for i, cells in enumerate(lines):
+            cells.append("underlying" if i == 0 else repr(100.0 + i))
+        lines[bad_row - 1][-1], lines[kind_row - 1][5] = "nan", "cal"
+        src.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        assert self._run(src, out, "--hv-window", "3", "--hv-source", "underlying") == 1
+        assert capsys.readouterr().err.endswith(f"error: {src}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("price_row, kind_row, message", [
+        (5, 30, "prices must be positive and finite"),
+        (30, 5, "row 5: kind must be 'call' or 'put', got 'cal'"),
+    ])
+    def test_a_non_positive_hv_price_is_named_after_its_block(self, tmp_path, monkeypatch,
+                                                             capsys, price_row, kind_row,
+                                                             message):
+        monkeypatch.setattr(table, "BLOCK_BYTES", 512)
+        src, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
+        self._quotes_csv(src, n=40)
+        lines = [line.split(",") for line in src.read_text().splitlines()]
+        for i, cells in enumerate(lines):
+            cells.append("underlying" if i == 0 else repr(100.0 + i))
+        lines[price_row - 1][-1], lines[kind_row - 1][5] = "0.0", "cal"
+        src.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        assert 3 < _block_starts(src)[1] <= 28  # rows 5 and 30 lie in different blocks
+        assert self._run(src, out, "--hv-window", "3", "--hv-source", "underlying") == 1
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+        assert not out.exists()
+
+    def test_memory_does_not_grow_with_the_book(self, tmp_path):
+        # Every quote cell used to be held as text until the last quote was solved.
+        import tracemalloc
+
+        peaks = []
+        for n in (1500, 6000):
+            src = tmp_path / f"quotes_{n}.csv"
+            self._quotes_csv(src, n=n)
+            tracemalloc.start()
+            try:
+                assert self._run(src, tmp_path / f"analytics_{n}.csv",
+                                 "--hv-window", "21", "--hv-source", "spot") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestReportCli:

@@ -681,3 +681,35 @@ def test_no_worker_or_file_outlives_a_failure(tmp_path, monkeypatch):
         table.write_rows(out / "t.csv", ["h,a"], 400, lines)
     assert list(out.iterdir()) == []
     assert_no_worker_left()
+
+
+@pytest.mark.parametrize("writer", ["write_rows", "write_lines"])
+def test_a_failed_write_leaves_the_earlier_file_as_it_was(tmp_path, monkeypatch, writer):
+    # write_rows used to unlink the earlier file, and write_lines to leave it cut short.
+    monkeypatch.setattr(table, "BLOCK_BYTES", 16)  # a few rows a block
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"h,a\nearlier,1\n")
+
+    def lines(start, stop):
+        if start >= 8:
+            raise RuntimeError("disk full")
+        return [f"{i},{i}" for i in range(start, stop)]
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        if writer == "write_rows":
+            table.write_rows(path, ["h,a"], 20, lines)
+        else:
+            table.write_lines(path, (line for i in range(20) for line in lines(i, i + 1)))
+    assert path.read_bytes() == b"h,a\nearlier,1\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_written_file_has_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    table.write_lines(tmp_path / "lines.csv", ["h", "1"])
+    table.write_rows(tmp_path / "rows.csv", ["h"], 3, lambda a, b: [str(i) for i in range(a, b)])
+    assert (tmp_path / "lines.csv").read_text() == "h\n1\n"
+    assert (tmp_path / "rows.csv").read_text() == "h\n0\n1\n2\n"
+    assert {(tmp_path / name).stat().st_mode for name in ("lines.csv", "rows.csv")} \
+        == {plain.stat().st_mode}
