@@ -28,9 +28,11 @@ from .errors import (
     DegenerateDispersionError,
     FormatError,
     MetricError,
+    PricingError,
     SignalError,
     StrategyError,
     ToolkitError,
+    WindowError,
 )
 from .forecast import load_forecasts, make_batch, naive_forecast, read_metadata, write_forecasts
 from .frame import (Panel, SplitSpec, WindowSpec, chronological_split, load_csv,
@@ -307,14 +309,10 @@ def _read_columns(path, kind: str, required: tuple[str, ...], floats: tuple[str,
         dtypes = [float if j in at else None for j in range(len(header))]
         columns, bad = table.typed(cells, dtypes)
         if bad:
-            raise _bad_value(path, bad[0] + 2, header[bad[1]])
+            raise FormatError(f"{path}: row {bad[0] + 2}: bad value in column {header[bad[1]]!r}")
         return header, cells, [columns[j] for j in at]
 
     return table.read_blocks(path, parse)
-
-
-def _bad_value(path, row: int, column: str) -> FormatError:
-    return FormatError(f"{path}: row {row}: bad value in column {column!r}")
 
 
 def cmd_preprocess(opts: dict) -> None:
@@ -486,13 +484,19 @@ def cmd_option_analytics(opts: dict) -> None:
 
 
 def _analytics(blocks: table.Blocks, opts: dict, out) -> None:
-    """Solve, format and write the quotes of ``blocks`` one block at a time.
+    """Solve, format and write the quotes of ``blocks``, range by range and block by block.
+
+    ``Blocks.map`` runs ``part`` on each range of a big body, in a forked
+    worker for all but the first: it casts, solves and formats a block's
+    quotes, all but their ``hv`` cells. The parent takes the blocks in file
+    order and carries the last ``--hv-window`` prices from block to block,
+    so each ``hv`` cell is the one ``historical_vol`` gives over the whole
+    series.
 
     Errors come in file order: a block's first bad cell (in the five float
     columns or the ``--hv-source`` column) is raised once the quotes above
-    it are solved, and a quote's pricing error at its row. ``hv`` carries
-    the last ``--hv-window`` prices from block to block, so each cell is the
-    one ``historical_vol`` gives over the whole series.
+    it are solved, a quote's pricing error at its row, and a non-positive
+    ``hv`` price once its block is solved.
     """
     path, window, source = opts["input"], opts["hv_window"], opts["hv_source"]
     header = _header(blocks, path, "quote",
@@ -507,59 +511,76 @@ def _analytics(blocks: table.Blocks, opts: dict, out) -> None:
     if window is not None:
         out_header.append("hv")
     lines = provenance_lines("option-analytics", opts) + [",".join(table.quote(out_header))]
+    out.seek(0)
+    out.truncate()  # a body that is not plain is read again, in one range, into the same file
     out.write(("\n".join(lines) + "\n").encode())
 
-    done, prices = 0, np.empty(0)  # rows solved, and the last ``window`` hv prices
-    for cells in blocks:
-        columns, bad = table.typed(cells, dtypes)
-        spot, strike, rate, expiry, price = (columns[j] for j in at)
-        extended = np.empty((len(spot), 6))
-        kinds = (k.strip().lower() for k in cells[:, kind])
-        # Python floats, not numpy scalars: the solver's scalar arithmetic is faster on them.
-        fields = zip(map(float, spot), map(float, strike), map(float, rate), map(float, expiry),
-                     kinds, map(float, price))
-        for i, row in enumerate(fields):
-            try:
-                quote = OptionQuote(*row)
-                iv = implied_vol(quote)
-            except ToolkitError as exc:
-                raise type(exc)(f"{path}: row {done + i + 2}: {exc}") from None
-            extended[i] = (iv, *greeks(quote, iv))
-        if bad:
-            raise _bad_value(path, done + bad[0] + 2, header[bad[1]])
-        hv = None
-        if window is not None:
-            hv, prices = _hv_cells(window, prices, columns[hv_at])
-        out.write(_analytics_text(cells, extended, hv))
-        done += len(cells)
+    def part(cell_blocks):  # one range's rows without hv, and hv prices, up to its first error
+        for cells in cell_blocks:
+            columns, bad = table.typed(cells, dtypes)
+            spot, strike, rate, expiry, price = (columns[j] for j in at)
+            extended = np.empty((len(spot), 6))
+            kinds = (k.strip().lower() for k in cells[:, kind])
+            # Python floats, not numpy scalars: the solver's scalar arithmetic is faster on them.
+            fields = zip(map(float, spot), map(float, strike), map(float, rate),
+                         map(float, expiry), kinds, map(float, price))
+            for i, row in enumerate(fields):
+                try:
+                    quote = OptionQuote(*row)
+                    iv = implied_vol(quote)
+                except ToolkitError as exc:
+                    return i, type(exc), str(exc)
+                extended[i] = (iv, *greeks(quote, iv))
+            if bad:
+                return bad[0], FormatError, f"bad value in column {header[bad[1]]!r}"
+            yield _analytics_rows(cells, extended), None if hv_at is None else columns[hv_at]
+
+    done, prices = 0, np.empty(0)  # rows written, and the last ``window`` hv prices
+    for rows in blocks.map(part):
+        for text, hv_prices in rows:
+            if window is not None:
+                hv, prices = _hv_cells(path, window, done, prices, hv_prices)
+                text = list(map(",".join, zip(text, hv)))
+            out.write(("\n".join(text) + "\n").encode())
+            done += len(text)
+        if rows.tail:  # the block's rows above its error are not written
+            i, error, message = rows.tail
+            raise error(f"{path}: row {done + i + 2}: {message}")
     if not blocks.n_rows:
         raise FormatError(f"{path}: quote file has no rows")
-    if window is not None and done <= window:
-        historical_vol(prices, window)  # raises its error for a series this short
+    if window is not None and done <= window and not blocks.ragged:  # a ragged row comes first
+        raise WindowError(f"{path}: need at least {window + 1} prices, got {done}")
 
 
-def _hv_cells(window: int, before: np.ndarray,
+def _hv_cells(path, window: int, done: int, before: np.ndarray,
               prices: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The ``hv`` cells of a block's ``prices``, and the last ``window`` prices so far.
 
-    ``before`` holds the last ``window`` prices of the blocks above (all of
-    them, when fewer). A row that no full window ends on gets a blank cell.
+    ``before`` holds the last ``window`` prices of the ``done`` rows above
+    (all of them, when fewer). A row that no full window ends on gets a
+    blank cell. Once the series holds ``window`` + 1 prices, a price that is
+    not positive raises, naming the first such row.
     """
     series = np.concatenate([before, prices])
     ends = len(series) - window + 1  # windows ending on a price of ``series``
     if ends > 1:
+        if series.min() <= 0:
+            # Any earlier non-positive price would have raised already: this is the file's first.
+            row = done - len(before) + int(np.argmax(series <= 0)) + 2
+            raise PricingError(f"{path}: row {row}: prices must be positive and finite")
         values = historical_vol(series, window)[-len(prices):]
     elif ends == 1 and series.min() > 0:
         # historical_vol needs two windows: a repeated last price adds one after the first.
         values = historical_vol(np.append(series, series[-1]), window)[:1]
-    else:  # no window yet, or a price that historical_vol rejects once the series is long enough
+    else:  # no window yet, or a price that raises once the series is long enough
         values = np.empty(0)
     cells = [""] * (len(prices) - len(values)) + list(map(repr, values.tolist()))
     return cells, series[-window:]
 
 
-def _analytics_text(cells: np.ndarray, extended: np.ndarray, hv: list[str] | None) -> bytes:
-    """The ``analytics.csv`` rows of a block of quote ``cells``, formatted a column at a time.
+def _analytics_rows(cells: np.ndarray, extended: np.ndarray) -> list[str]:
+    """The ``analytics.csv`` rows of a block of quote ``cells``, but their ``hv`` cells,
+    formatted a column at a time.
 
     Echoed cells are stripped; a first cell such as `` #a`` is echoed as
     read, since stripped it would start a comment row.
@@ -568,9 +589,7 @@ def _analytics_text(cells: np.ndarray, extended: np.ndarray, hv: list[str] | Non
     columns = [table.quote([c if c.lstrip().startswith("#") else c.strip() for c in first])]
     columns += [table.quote(list(map(str.strip, column))) for column in rest]
     columns += [list(map(repr, column)) for column in extended.T.tolist()]
-    if hv is not None:
-        columns.append(hv)
-    return ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
+    return list(map(",".join, zip(*columns)))
 
 
 COMMANDS = {

@@ -14,7 +14,8 @@ the rows above it. A file that is not UTF-8 text is an error too.
 Big bodies are read and written by a range map, on every CPU the process
 may use. ``Blocks.map`` cuts a body of RANGE_BYTES or more into contiguous
 byte ranges, each ending on a newline, and ``write_rows`` cuts its rows the
-same way. The parent process does the first range itself; forked workers do
+same way. Its callers are the panel and forecast readers and
+``option-analytics``, which solves and formats a range's quotes in the map. The parent process does the first range itself; forked workers do
 the others, each into an unlinked temporary file, and the parent takes
 their results in file order. A range is read only while it is plain: once
 any range meets a quote, CR, NUL or comment row, where a csv.reader row may

@@ -1,0 +1,20 @@
+"""Helpers that cut every CSV body into a chosen number of ranges, and check that
+no forked worker of ``finpipe.table``'s range map is left behind."""
+
+import os
+
+import pytest
+
+from finpipe import table
+
+
+def in_ranges(monkeypatch, count):
+    """Cut every body into ``count`` ranges, whatever its size and the CPUs."""
+    monkeypatch.setattr(table, "RANGE_BYTES", 1)
+    monkeypatch.setattr(table, "MAX_RANGES", count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from finpipe import (
 from finpipe import cli, frame, table
 from finpipe.cli import COMMANDS, OPTIONS, derive_seed, main
 from finpipe.forecast import read_metadata
+from ranges import assert_no_worker_left, in_ranges
 from synth import ohlcv_panel, write_raw_csv
 
 
@@ -968,13 +970,13 @@ class TestOptionAnalyticsStreaming:
         assert self._body(tmp_path / "plain.csv") == _analytics_oracle(src)
 
     def test_hv_of_a_series_too_short_is_an_error(self, tmp_path, monkeypatch, capsys):
-        # Eight prices, four blocks: the error is historical_vol's own, after the last block.
+        # Eight prices, four blocks: the error comes after the last block, and names the file.
         monkeypatch.setattr(table, "BLOCK_BYTES", 128)
         src, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
         self._quotes_csv(src, n=8)
         assert len(_block_starts(src)) > 2
         assert self._run(src, out, "--hv-window", "8") == 1
-        assert "error: need at least 9 prices, got 8\n" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"error: {src}: need at least 9 prices, got 8\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("column", ["spot", "market_price"])
@@ -1064,7 +1066,7 @@ class TestOptionAnalyticsStreaming:
         assert not out.exists()
 
     @pytest.mark.parametrize("price_row, kind_row, message", [
-        (5, 30, "prices must be positive and finite"),
+        (5, 30, "row 5: prices must be positive and finite"),
         (30, 5, "row 5: kind must be 'call' or 'put', got 'cal'"),
     ])
     def test_a_non_positive_hv_price_is_named_after_its_block(self, tmp_path, monkeypatch,
@@ -1080,7 +1082,18 @@ class TestOptionAnalyticsStreaming:
         src.write_text("".join(",".join(cells) + "\n" for cells in lines))
         assert 3 < _block_starts(src)[1] <= 28  # rows 5 and 30 lie in different blocks
         assert self._run(src, out, "--hv-window", "3", "--hv-source", "underlying") == 1
-        assert capsys.readouterr().err.endswith(f"{message}\n")
+        assert capsys.readouterr().err.endswith(f"error: {src}: {message}\n")
+        assert not out.exists()
+
+    def test_a_ragged_row_is_named_before_a_short_hv_series(self, tmp_path, capsys):
+        # The rows above the ragged one used to be named as too short a series: "got 1".
+        src, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
+        self._quotes_csv(src, n=3)
+        lines = src.read_text().splitlines()
+        lines[2] += ",EXTRA"
+        src.write_text("\n".join(lines) + "\n")
+        assert self._run(src, out, "--hv-window", "5", "--hv-source", "spot") == 1
+        assert capsys.readouterr().err.endswith(f"error: {src}: row 3 has 8 fields, expected 7\n")
         assert not out.exists()
 
     def test_memory_does_not_grow_with_the_book(self, tmp_path):
@@ -1099,6 +1112,131 @@ class TestOptionAnalyticsStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+
+def _range_of_row(path, row, count, monkeypatch):
+    """The range, of ``count``, that holds the 0-based body ``row`` of ``path``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    with monkeypatch.context() as patch, open(path, "rb") as fh:
+        in_ranges(patch, count)
+        cuts = table.Blocks(path, fh, split=True)._cuts()
+    start = sum(map(len, lines[: row + 1]))  # the header is line 0
+    return sum(cut <= start for cut in cuts[1:-1])
+
+
+class TestOptionAnalyticsRanges:
+    """A quote body cut into ranges gives the bytes, errors and files of one range."""
+
+    _quotes_csv = TestOptionAnalyticsCli._quotes_csv
+
+    def _run(self, monkeypatch, count, src, out, *flags, plain=True):
+        """Exit code of option-analytics with the body cut into ``count`` ranges (1: uncut),
+        after checking that every worker did its range when they are all ``plain``."""
+        loaded = []
+        with monkeypatch.context() as patch:
+            if count > 1:
+                in_ranges(patch, count)
+                load = table._load
+                patch.setattr(table, "_load", lambda out: loaded.append(load(out)) or loaded[-1])
+            rc = main(["option-analytics", "--input", str(src), "--output", str(out), *flags])
+        assert None not in loaded or not plain
+        assert_no_worker_left()
+        return rc
+
+    def _book(self, src, n=60, underlying=False):
+        self._quotes_csv(src, n=n)
+        lines = [line.split(",") for line in src.read_text().splitlines()]
+        if underlying:
+            for i, cells in enumerate(lines):
+                cells.append("underlying" if i == 0 else repr(100.0 + i))
+        return lines
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_ranges_write_the_bytes_of_one_range(self, tmp_path, monkeypatch, count):
+        monkeypatch.setattr(table, "BLOCK_BYTES", 512)  # a few blocks a range
+        src = tmp_path / "quotes.csv"
+        self._quotes_csv(src, n=60)
+        first = next(i for i in range(60) if _range_of_row(src, i, count, monkeypatch))
+        # The widest window is longer than the first range, so its hv straddles the cut.
+        for flags in ([], ["--hv-window", "3"], ["--hv-window", str(first + 5)]):
+            serial, ranged_out = tmp_path / "serial.csv", tmp_path / "analytics.csv"
+            assert self._run(monkeypatch, 1, src, serial, *flags) == 0
+            assert self._run(monkeypatch, count, src, ranged_out, *flags) == 0
+            assert ranged_out.read_bytes() == serial.read_bytes()
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "analytics.csv", "quotes.csv", "serial.csv"]
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("kind", ["bad_cell", "no_arbitrage", "hv_price", "ragged"])
+    def test_an_error_in_a_later_range_is_the_one_of_one_range(self, tmp_path, monkeypatch,
+                                                               capsys, kind, count):
+        src = tmp_path / "quotes.csv"
+        lines = self._book(src, underlying=True)
+        row = 45  # 0-based body row, in the last range or the one above it
+        cells = lines[row + 1]
+        if kind == "bad_cell":
+            cells[6] = "x"
+        elif kind == "no_arbitrage":  # a call priced at its spot, the upper bound
+            cells[5], cells[6] = "call", cells[1]
+        elif kind == "hv_price":
+            cells[-1] = "0.0"
+        else:
+            cells.append("EXTRA")
+        src.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        assert _range_of_row(src, row, count, monkeypatch) >= 1
+        flags = ["--hv-window", "3", "--hv-source", "underlying"]
+        errors = []
+        for ranges in (1, count):
+            capsys.readouterr()
+            assert self._run(monkeypatch, ranges, src, tmp_path / "out.csv", *flags,
+                             plain=kind != "ragged") == 1
+            errors.append(capsys.readouterr().err)
+            assert sorted(tmp_path.iterdir()) == [src]
+        assert errors[1] == errors[0]
+        assert f"{src}: row {row + 2}" in errors[0]
+
+    @pytest.mark.parametrize("kind", ["quoted", "crlf"])
+    def test_a_range_that_is_not_plain_is_read_again_in_one_range(self, tmp_path, monkeypatch,
+                                                                   kind):
+        src = tmp_path / "quotes.csv"
+        lines = self._book(src)
+        row = 45
+        if kind == "quoted":
+            lines[row + 1][0] = f'"{lines[row + 1][0]}"'
+        else:
+            lines[row + 1][-1] += "\r"
+        src.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        assert _range_of_row(src, row, 2, monkeypatch) == 1
+        flags = ["--hv-window", "3", "--hv-source", "spot"]
+        serial, out = tmp_path / "serial.csv", tmp_path / "analytics.csv"
+        assert self._run(monkeypatch, 1, src, serial, *flags) == 0
+        assert self._run(monkeypatch, 2, src, out, *flags, plain=False) == 0
+        assert out.read_bytes() == serial.read_bytes()
+        text = out.read_text()
+        assert text.count("#config_hash=") == text.count("\ntimestamp,") == 1
+        assert len(ref.read_table(out)[1]) == 60
+
+    def test_no_worker_or_file_outlives_a_failure_in_the_parents_range(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        src, out = tmp_path / "quotes.csv", tmp_path / "analytics.csv"
+        lines = self._book(src)
+        lines[2][5] = "cal"
+        src.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        parent, solve, slept = os.getpid(), cli.implied_vol, []
+
+        def slow_in_a_worker(quote):  # the worker is still solving when the parent fails
+            if os.getpid() != parent and not slept:
+                slept.append(True)
+                time.sleep(30)
+            return solve(quote)
+
+        monkeypatch.setattr(cli, "implied_vol", slow_in_a_worker)
+        start = time.monotonic()
+        assert self._run(monkeypatch, 2, src, out) == 1
+        assert time.monotonic() - start < 15
+        assert capsys.readouterr().err.endswith(
+            f"error: {src}: row 3: kind must be 'call' or 'put', got 'cal'\n")
+        assert sorted(tmp_path.iterdir()) == [src]
 
 
 class TestReportCli:

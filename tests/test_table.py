@@ -36,6 +36,7 @@ from finpipe import (
 from finpipe import cli, forecast, table
 from finpipe.errors import FormatError, IngestError
 from finpipe.table import _split_plain, read_blocks
+from ranges import assert_no_worker_left, in_ranges
 from synth import ohlcv_panel
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -487,23 +488,11 @@ def test_columns_grow_past_the_first_blocks_estimate(tmp_path, monkeypatch):
 
 # --- ranges -------------------------------------------------------------------
 
-def in_ranges(monkeypatch, count):
-    """Cut every body into ``count`` ranges, whatever its size and the CPUs."""
-    monkeypatch.setattr(table, "RANGE_BYTES", 1)
-    monkeypatch.setattr(table, "MAX_RANGES", count)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def ranged(monkeypatch, count, fn, *args):
     """The outcome of ``fn(*args)`` with bodies cut into ``count`` ranges."""
     with monkeypatch.context() as patch:
         in_ranges(patch, count)
         return outcome(fn, *args)
-
-
-def assert_no_worker_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_small_body_or_one_cpu_is_one_range(monkeypatch):
