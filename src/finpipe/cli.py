@@ -297,14 +297,14 @@ def _header(blocks: table.Blocks, path, kind: str, required: tuple[str, ...]) ->
     return header
 
 
-def _read_columns(path, kind: str, required: tuple[str, ...], floats: tuple[str, ...]):
-    """Header, cells and the ``floats`` columns of a curve or quote table."""
+def _read_columns(path, required: tuple[str, ...], floats: tuple[str, ...]):
+    """Header, cells and the ``floats`` columns of a curve table."""
 
     def parse(blocks: table.Blocks):
-        header = _header(blocks, path, kind, required)
+        header = _header(blocks, path, "curve", required)
         cells = np.concatenate([np.empty((0, len(header)), dtype=object), *blocks])
         if not blocks.n_rows:
-            raise FormatError(f"{path}: {kind} file has no rows")
+            raise FormatError(f"{path}: curve file has no rows")
         at = [header.index(c) for c in floats]
         dtypes = [float if j in at else None for j in range(len(header))]
         columns, bad = table.typed(cells, dtypes)
@@ -459,7 +459,7 @@ def cmd_backtest(opts: dict) -> None:
 
 def cmd_report(opts: dict) -> None:
     header, cells, (net, rets) = _read_columns(
-        opts["input"], "curve", ("timestamp", "net_value", "period_return"),
+        opts["input"], ("timestamp", "net_value", "period_return"),
         ("net_value", "period_return"),
     )
     timestamps = tuple(label.strip() for label in cells[:, header.index("timestamp")])

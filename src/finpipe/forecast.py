@@ -16,8 +16,7 @@ import numpy as np
 from .errors import AlignError, FormatError, WindowError
 from .frame import WindowSet
 from .metrics import ForecastBatch
-from . import table
-from .table import Blocks, read_blocks, typed, write_rows
+from .table import Blocks, read_blocks, write_rows
 
 DEFAULT_NOISE_STD = 0.001
 
@@ -51,7 +50,7 @@ def naive_forecast(
         b, c = last.shape
         shape = (b, horizon, c) if redraw_per_step else (b, 1, c)
         rng = np.random.default_rng(seed)
-        preds = preds + rng.normal(0.0, noise_std, size=shape)
+        preds += rng.normal(0.0, noise_std, size=shape)
     return preds
 
 
@@ -147,172 +146,198 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
         )
 
     targets = tuple(truth_windows.target_vars)
+    n_windows = len(truth_windows)
 
-    def records(cell_blocks):  # one range's typed records, up to its first bad one
-        codes = {name: i for i, name in enumerate(targets)}
-        for cells in cell_blocks:
-            *columns, bad = _typed_records(cells, codes)
-            yield columns
-            if bad:
-                return list(codes), bad
-        return list(codes), None
+    def part(typed_blocks):  # one range's records as grid keys and values, up to its first bad one
+        for (ids, steps, names, values), bad, cells in typed_blocks:
+            codes = {name: i for i, name in enumerate(targets)}  # the targets, then other names
+            code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(names)}
+            var_codes = np.fromiter(map(code_of.__getitem__, names), np.int64, len(names))
+            keys = ids * horizon  # (id*H + step-1)*T + code, wrapping where it is off the grid
+            keys += steps
+            keys -= 1
+            keys *= len(targets)
+            keys += var_codes
+            on = ((ids >= 0) & (ids < n_windows) & (steps >= 1) & (steps <= horizon)
+                  & (var_codes < len(targets)))
+            if on.all():
+                yield keys, values, None
+            else:
+                off = np.flatnonzero(~on)
+                yield keys[on], values[on], (off, ids[off], steps[off], var_codes[off],
+                                             list(codes)[len(targets):])
+            if bad:  # a cell that does not convert, or else a value that is not finite
+                n = len(ids)
+                return (True, list(cells[n])) if bad[2] else (False, cells[n, 3])
 
     def parse(blocks: Blocks):
         if blocks.header != ["sample_id", "step", "variable", "y_pred"]:
             raise FormatError(f"{path}: expected header sample_id,step,variable,y_pred")
-        # A variable's code is its index in ``codes``: the targets, then other names.
-        codes = {name: i for i, name in enumerate(targets)}
-        # ids, steps, variable codes and values, sized at the first block
-        columns = [np.empty(0, dtype) for dtype in (np.int64, np.int64, np.int64, float)]
-        kept, bad = 0, None  # records kept; the first bad one
-        for rows in blocks.map(records):
-            start = kept
-            for typed_columns in rows:
-                n = len(typed_columns[0])
-                if kept + n > len(columns[0]):
-                    columns = _with_room(columns, kept, n, path)
-                for column, part in zip(columns, typed_columns):
-                    column[kept : kept + n] = part
-                kept += n
-            # The range numbered its variables in its own order; the file's order is kept.
-            names, bad = rows.tail
-            recode = np.array([codes.setdefault(name, len(codes)) for name in names])
-            if (recode != np.arange(len(names))).any():
-                columns[2][start:kept] = recode[columns[2][start:kept]]
+        grid, bad = _Grid(n_windows, horizon, targets), None
+        for rows in blocks.map(part, (np.int64, np.int64, None, float)):
+            for keys, values, off in rows:
+                grid.add(keys, values, off)
+            bad = rows.tail
             if bad:  # the rows below a malformed or non-finite record are not read
                 break
         if not blocks.n_rows:
             raise FormatError(f"{path}: no forecast records")
-        ids, steps, var_codes, values = (column[:kept] for column in columns)
         # In file order: a duplicate above the first bad record, then that record.
-        i = _first_duplicate(ids, steps, var_codes)
-        if i is not None:
+        dup = grid.first_duplicate()
+        if dup:
+            sample, step, name = dup
             raise FormatError(
-                f"{path}: duplicate record for sample {ids[i]}, step {steps[i]}, "
-                f"variable {list(codes)[var_codes[i]]!r}"
+                f"{path}: duplicate record for sample {sample}, step {step}, variable {name!r}"
             )
         if bad:
             failed, cells = bad
-            row = kept + 2
+            row = grid.n_records + 2
             raise FormatError(f"{path}: row {row}: malformed record {cells!r}" if failed else
                               f"{path}: non-finite value {cells!r} at row {row}, column 'y_pred'")
-        return list(codes), ids, steps, var_codes, values
+        return grid
 
-    names, ids, steps, var_codes, values = read_blocks(path, parse, FormatError, "forecast file")
-    used = np.flatnonzero(np.bincount(var_codes, minlength=len(names)))
-    unknown = sorted(names[i] for i in used if i >= len(targets))
+    grid = read_blocks(path, parse, FormatError, "forecast file")
+    _, off_ids, _, off_codes = grid.off()
+    names = list(grid.codes)
+    unknown = sorted({names[code] for code in off_codes[off_codes >= len(targets)].tolist()})
     if unknown:
         raise AlignError(f"forecast variable(s) not in truth targets: {unknown}")
-    variables = tuple(targets[i] for i in used)
-    # np.unique would import numpy.ma, for a masked-array check, in each stage.
-    sample_ids = np.sort(ids)
-    sample_ids = sample_ids[np.concatenate(([True], sample_ids[1:] != sample_ids[:-1]))]
-    out_of_range = sample_ids[(sample_ids < 0) | (sample_ids >= len(truth_windows))].tolist()
+    out_of_range = sorted(set(off_ids[(off_ids < 0) | (off_ids >= n_windows)].tolist()))
     if out_of_range:
         raise AlignError(
             f"sample id(s) {out_of_range} outside the {len(truth_windows)} truth windows"
         )
 
-    # Ids and variables are in range now and steps outside 1..H are screened
-    # out, so each record's key sample*H*C + (step-1)*C + var is its own cell.
-    # The key is built in place, and each column is dropped once it is added.
-    shape = (len(sample_ids), horizon, len(variables))
-    on_grid = (steps >= 1) & (steps <= horizon)
-    n_records = len(ids)
-    key = np.searchsorted(sample_ids, ids)
-    del ids
-    key *= horizon
-    key += steps
-    key -= 1
-    del steps
-    key *= len(variables)
-    key += np.searchsorted(used, var_codes)
-    del var_codes
-    key = key[on_grid]
-    filled = np.zeros(shape, dtype=bool)
-    filled.flat[key] = True
+    # Left off the grid now are records whose step is not in 1..H; they name their sample
+    # and variable all the same.
+    grid.take_rows(off_ids)
+    sample_ids = np.flatnonzero(grid.row >= 0)
+    named = grid.filled.any(axis=(0, 1))
+    named[off_codes] = True
+    used = np.flatnonzero(named)
+    variables = tuple(targets[i] for i in used)
+    rows = grid.row[sample_ids]
+    in_order = bool((rows == np.arange(len(rows))).all())
+
+    def take(cells: np.ndarray) -> np.ndarray:  # the grid's samples in id order, used variables
+        cells = cells[: len(rows)] if in_order else cells[rows]
+        return cells if len(used) == len(targets) else cells[:, :, used]
+
+    filled = take(grid.filled)
     if not filled.all():
-        sample, step, var = np.unravel_index(np.argmin(filled), shape)
+        sample, step, var = np.unravel_index(np.argmin(filled), filled.shape)
         raise FormatError(
             f"{path}: missing step {step + 1} of sample {sample_ids[sample]} "
             f"for variable {variables[var]!r}"
         )
-    if len(key) < n_records:
-        extra = n_records - len(key)
-        raise FormatError(f"{path}: {extra} record(s) outside the sample/step/variable grid")
-    preds = np.empty(shape)
-    preds.flat[key] = values[on_grid]
+    if len(off_ids):
+        raise FormatError(f"{path}: {len(off_ids)} record(s) outside the sample/step/variable grid")
 
+    truth = truth_windows.truth if len(sample_ids) == n_windows else truth_windows.truth[sample_ids]
     origins = truth_windows.origins
+    columns = [truth_windows.variables.index(targets[i]) for i in used]  # in the inputs
     return ForecastBatch(
-        y_true=truth_windows.truth[sample_ids][:, :, used],
-        y_pred=preds,
+        y_true=truth if len(used) == len(targets) else truth[:, :, used],
+        y_pred=take(grid.values),
         sample_order=sample_ids,
         variables=variables,
         origins=tuple(origins[s] for s in sample_ids),
-        last_observed=truth_windows.last_observed[sample_ids][:, used],
+        last_observed=truth_windows.inputs[sample_ids, -1][:, columns],
     )
 
 
-def _typed_records(cells: np.ndarray, codes: dict[str, int]) -> tuple:
-    """Ids, steps, variable codes and values of a block's leading good records, and the first
-    bad one: (True, its cells) when a cell does not convert, (False, its value) when the
-    value is not finite, None when there is none.
+class _Grid:
+    """A forecast file's records, scattered into a (sample, step, target) grid as they come.
 
-    A record is good when its id and step are ints and its value a finite
-    float. A variable new to ``codes`` is given the next code.
+    A sample takes the grid's next row when a record first names it, so a
+    file that names few samples keeps few rows; the rows double as needed,
+    up to one per truth window. ``row`` maps each window to its row, -1
+    until a record names it. Records off the grid, with an id outside the
+    windows, a step outside 1..H or a variable not a target, are kept apart
+    with their file index. A variable's code is its index in ``codes``: the
+    targets, then other names in file order.
     """
-    (ids, steps, names, values), bad = typed(cells, (np.int64, np.int64, None, float))
-    n = len(ids)
-    code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(names)}
-    var_codes = np.fromiter(map(code_of.__getitem__, names), np.int64, n)
-    # A cell that does not convert, or else a value that is not finite.
-    bad = bad and ((True, list(cells[n])) if bad[2] else (False, cells[n, 3]))
-    return ids, steps, var_codes, values, bad
 
+    def __init__(self, n_windows: int, horizon: int, targets: Sequence[str]):
+        self.codes, self.n_targets = {name: i for i, name in enumerate(targets)}, len(targets)
+        self.width = horizon * len(targets)  # cells a sample has
+        self.row = np.full(n_windows, -1)
+        self.rows = self.n_records = 0  # rows taken; records added
+        self.values = np.empty((0, horizon, len(targets)))
+        self.filled = np.zeros((0, horizon, len(targets)), dtype=bool)
+        self._off: list[tuple] = []  # file indices, ids, steps and codes of records off the grid
+        self._dup = None  # (file index, sample, step, name) of the first duplicate on the grid
 
-def _first_duplicate(ids: np.ndarray, steps: np.ndarray, var_codes: np.ndarray) -> int | None:
-    """The index of the first record whose (id, step, variable) an earlier record has.
+    def add(self, keys: np.ndarray, values: np.ndarray, off: tuple | None) -> None:
+        """Scatter one block's grid records; ``off`` holds its other records' block indices,
+        ids, steps and codes, and the names its codes past the targets stand for."""
+        sample, cell = np.divmod(keys, self.width)
+        self.take_rows(sample)
+        flat = self.row[sample]
+        flat *= self.width
+        flat += cell
+        filled, n = self.filled.reshape(-1), len(keys)
+        if self._dup is None:
+            seen = filled[flat]
+            if seen.any() or not (flat[1:] > flat[:-1]).all():
+                self._find_duplicate(flat, seen, sample, cell, off)
+        filled[flat] = True
+        self.values.reshape(-1)[flat] = values
+        if off is not None:
+            at, ids, steps, codes, names = off
+            new = [self.codes.setdefault(name, len(self.codes)) for name in names]
+            recode = np.array([*range(self.n_targets), *new], dtype=np.int64)
+            self._off.append((at + self.n_records, ids, steps, recode[codes]))
+            n += len(at)
+        self.n_records += n
 
-    Where the three spans multiply to less than 2**63, each key is packed
-    into one int64 as (id*S + step)*V + variable. The arithmetic wraps, but
-    a box of that many keys still packs to distinct values, so a file with
-    no duplicate costs one in-place sort; only a file with one pays the
-    lexsort that finds the first.
-    """
-    if len(ids) < 2:
-        return None
-    spans = [int(k.max()) - int(k.min()) + 1 for k in (ids, steps, var_codes)]
-    if spans[0] * spans[1] * spans[2] < 2**63:
-        packed = ids * spans[1]
-        packed += steps
-        packed *= spans[2]
-        packed += var_codes
-        packed.sort()
-        if not (packed[1:] == packed[:-1]).any():
-            return None
-        del packed
-    order = np.lexsort((var_codes, steps, ids))
-    same = True
-    for key in (ids, steps, var_codes):
-        ordered = key[order]
-        same = same & (ordered[1:] == ordered[:-1])
-    dup = order[1:][same]
-    return int(dup.min()) if dup.size else None
+    def take_rows(self, samples: np.ndarray) -> None:
+        """Give the samples in ``samples`` that have no row the next rows, in id order,
+        growing the grid."""
+        samples = np.sort(samples[self.row[samples] < 0])
+        if not samples.size:
+            return
+        samples = samples[np.concatenate(([True], samples[1:] != samples[:-1]))]
+        self.row[samples] = np.arange(self.rows, self.rows + len(samples))
+        self.rows += len(samples)
+        if self.rows > len(self.values):
+            size = min(len(self.row), max(self.rows, 2 * len(self.values)))
+            for name, new in (("values", np.empty), ("filled", np.zeros)):
+                old = getattr(self, name)
+                grown = new((size, *old.shape[1:]), old.dtype)
+                grown[: len(old)] = old
+                setattr(self, name, grown)
 
+    def _find_duplicate(self, flat, seen, sample, cell, off) -> None:
+        """Note the block's first record whose cell is filled already, or by an earlier
+        record of the block."""
+        order = np.argsort(flat, kind="stable")
+        ordered = flat[order]
+        repeats = np.concatenate((np.flatnonzero(seen), order[1:][ordered[1:] == ordered[:-1]]))
+        if not repeats.size:
+            return
+        i = int(repeats.min())
+        at = i if off is None else int(np.delete(np.arange(len(flat) + len(off[0])), off[0])[i])
+        step, code = divmod(int(cell[i]), self.n_targets)
+        self._dup = (self.n_records + at, int(sample[i]), step + 1, list(self.codes)[code])
 
-def _with_room(columns: list[np.ndarray], kept: int, n: int, path: Path) -> list[np.ndarray]:
-    """``columns`` with their first ``kept`` records, and room for ``n`` more and a file's worth.
+    def off(self) -> tuple[np.ndarray, ...]:
+        """File indices, ids, steps and variable codes of the records off the grid."""
+        if not self._off:
+            return tuple(np.empty(0, np.int64) for _ in range(4))
+        return tuple(np.concatenate(column) for column in zip(*self._off))
 
-    A file's worth is its size over the mean line of its first BLOCK_BYTES,
-    and 1/16 more. Allocated once, the columns leave no freed blocks behind
-    for the process to keep.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(table.BLOCK_BYTES)
-    line = len(head) / max(head.count(b"\n"), 1)
-    capacity = kept + n + int(path.stat().st_size / line * 17 / 16)
-    grown = [np.empty(capacity, column.dtype) for column in columns]
-    for new, old in zip(grown, columns):
-        new[:kept] = old[:kept]
-    return grown
+    def first_duplicate(self) -> tuple | None:
+        """(sample, step, name) of the first record in file order whose sample, step and
+        variable an earlier record has; None when there is none."""
+        at, ids, steps, codes = self.off()
+        dups = [] if self._dup is None else [self._dup]
+        order = np.lexsort((codes, steps, ids))  # stable: equal records keep file order
+        same = np.ones(max(len(order) - 1, 0), dtype=bool)
+        for key in (ids, steps, codes):
+            ordered = key[order]
+            same &= ordered[1:] == ordered[:-1]
+        if same.any():
+            i = order[1:][same].min()
+            dups.append((int(at[i]), int(ids[i]), int(steps[i]), list(self.codes)[codes[i]]))
+        return min(dups)[1:] if dups else None

@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IngestError, SplitError, WindowError
-from .table import Blocks, read_blocks, typed, write_rows
+from .table import Blocks, read_blocks, write_rows
 
 
 def _timestamp_key(label: str):
@@ -109,16 +109,15 @@ def load_csv(path) -> Panel:
             raise IngestError(f"{path}: empty file")
         dtypes = [None] + [float] * (len(header) - 1)
 
-        def part(cell_blocks):  # one range's labels and float rows, up to its first bad cell
-            for cells in cell_blocks:
-                (stamps, *values), bad = typed(cells, dtypes)
+        def part(typed_blocks):  # one range's labels and float rows, up to its first bad cell
+            for (stamps, *values), bad, cells in typed_blocks:
                 rows = np.reshape(values, (len(values), len(stamps))).T.copy()  # in C order
                 yield list(map(str.strip, stamps)), rows
                 if bad:
                     return bad[1], cells[bad[0], bad[1]]
 
         labels, parts = [], [np.empty((0, len(header) - 1))]  # only floats and labels are kept
-        for rows in blocks.map(part):
+        for rows in blocks.map(part, dtypes):
             for stamps, values in rows:
                 labels += stamps
                 parts.append(values)

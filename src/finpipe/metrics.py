@@ -96,14 +96,15 @@ def mse(batch: ForecastBatch) -> float:
     if batch.y_true.size == 0:
         raise MetricError("cannot evaluate an empty batch")
     diff = batch.y_pred - batch.y_true
-    return float(np.mean(diff * diff))
+    return float(np.mean(np.multiply(diff, diff, out=diff)))
 
 
 def mae(batch: ForecastBatch) -> float:
     """Mean absolute error over all B*F*C elements."""
     if batch.y_true.size == 0:
         raise MetricError("cannot evaluate an empty batch")
-    return float(np.mean(np.abs(batch.y_pred - batch.y_true)))
+    diff = batch.y_pred - batch.y_true
+    return float(np.mean(np.abs(diff, out=diff)))
 
 
 def _corr_matrix(y_true: np.ndarray, y_pred: np.ndarray, method: str) -> np.ndarray:

@@ -6,18 +6,24 @@ first field starts with ``#`` are skipped; the other rows are numbered from
 is read once, in blocks of about BLOCK_BYTES of text, and its cells come back
 as text a block at a time; callers cast the cells with ``typed``, and numpy
 calls Python's ``int``/``float`` on each cell, so the accepted grammar is
-theirs. Errors still come in file order: ``typed`` finds a block's first bad
-cell by row, then column, and the reader stops at the first row with the
-wrong field count and raises for it only once the caller has finished with
-the rows above it. A file that is not UTF-8 text is an error too.
+theirs. The panel and forecast readers take their blocks typed instead
+(``Blocks.map`` with ``dtypes``): each plain block goes through numpy's C
+reader in one call, whose grammar is a strict subset of Python's with the
+same values, and a block it refuses, or that holds a float that is not
+finite, falls back to the text cells and ``typed``. Errors still come in
+file order: ``typed`` finds a block's first bad cell by row, then column,
+and the reader stops at the first row with the wrong field count and raises
+for it only once the caller has finished with the rows above it. A file
+that is not UTF-8 text is an error too.
 
 Big bodies are read and written by a range map, on every CPU the process
 may use. ``Blocks.map`` cuts a body of RANGE_BYTES or more into contiguous
 byte ranges, each ending on a newline, and ``write_rows`` cuts its rows the
 same way. Its callers are the panel and forecast readers and
-``option-analytics``, which solves and formats a range's quotes in the map. The parent process does the first range itself; forked workers do
-the others, each into an unlinked temporary file, and the parent takes
-their results in file order. A range is read only while it is plain: once
+``option-analytics``, which solves and formats a range's quotes in the map.
+The parent process does the first range itself; forked workers do the
+others, each into an unlinked temporary file, and the parent takes their
+results in file order. A range is read only while it is plain: once
 any range meets a quote, CR, NUL or comment row, where a csv.reader row may
 span newlines, the whole file is read again in one range. With one CPU, no
 ``os.fork`` or a smaller body there is one range, done by the parent alone.
@@ -67,12 +73,12 @@ class Blocks:
 
     def __init__(self, path: Path, fh: BinaryIO, split: bool):
         self.path, self.n_rows, self.ragged = path, 0, None
-        self._fh, self._split, self._maps = fh, split, []
-        self._rows = _rows(path, fh)
+        self._fh, self._split, self._maps, self._dtypes = fh, split, [], None
+        self._rows = _rows(path, fh, lambda block, width: _split_plain(block, width, self._dtypes))
         header = next(self._rows)
         self.header = None if header is None else [h.strip() for h in header]
 
-    def __iter__(self) -> Iterator[np.ndarray]:
+    def __iter__(self) -> Iterator:
         width = len(self.header or ())
         for rows in self._rows:
             if isinstance(rows, list):  # csv.reader's rows, of any length
@@ -83,13 +89,15 @@ class Blocks:
                                    f"fields, expected {width}")
                     rows = rows[:i]
                 rows = np.array(rows, dtype=object).reshape(len(rows), width)
-            self.n_rows += len(rows) + (self.ragged is not None)
-            if len(rows):
-                yield rows
+            n, block = self._block(rows)
+            self.n_rows += n + (self.ragged is not None)
+            if n:
+                yield block
             if self.ragged:
                 return
 
-    def map(self, part: Callable[[Iterator[np.ndarray]], Generator]) -> Iterator["Range"]:
+    def map(self, part: Callable[[Iterator], Generator], dtypes: Sequence | None = None
+            ) -> Iterator["Range"]:
         """``part`` run over the body's blocks range by range, as the ranges in file order.
 
         ``part`` takes one range's blocks and yields what the caller reads
@@ -98,9 +106,23 @@ class Blocks:
         for every range but the first, so it must not rely on state it
         changes. A range that is not plain raises ``_NotPlain`` in the
         parent, and ``read_blocks`` reads the file again in one range.
+
+        With ``dtypes`` (as ``typed`` takes them), the blocks come typed, as
+        (columns, bad, cells): ``typed``'s columns and first bad cell, and
+        the block's text cells, None where numpy's C reader cast the block.
         """
+        self._dtypes = dtypes
         self._maps.append(ranges := self._ranges(part))
         return ranges
+
+    def _block(self, rows) -> tuple[int, object]:
+        """The body rows in ``rows`` (cells, or columns ``_split_plain`` cast) and the block
+        a caller takes of them: the cells, or with dtypes (columns, bad, cells)."""
+        if isinstance(rows, tuple):
+            return len(rows[0]), (rows, None, None)
+        if self._dtypes is None:
+            return len(rows), rows
+        return len(rows), (*typed(rows, self._dtypes), rows)
 
     def _ranges(self, part) -> Iterator["Range"]:
         cuts = self._cuts()
@@ -154,16 +176,17 @@ class Blocks:
                 cuts.append(fh.tell())
         return cuts + [size]
 
-    def _range(self, fh: BinaryIO, start: int, stop: int) -> Iterator[np.ndarray]:
+    def _range(self, fh: BinaryIO, start: int, stop: int) -> Iterator:
         """The blocks of the body lines from ``start`` to ``stop``; _NotPlain at one not plain."""
         fh.seek(start)
         for block in _line_blocks(fh, stop - start):
-            rows = _split_plain(block, len(self.header))
+            rows = _split_plain(block, len(self.header), self._dtypes)
             if rows is None:
                 raise _NotPlain
-            self.n_rows += len(rows)
-            if len(rows):
-                yield rows
+            n, block = self._block(rows)
+            self.n_rows += n
+            if n:
+                yield block
 
     def close(self) -> None:
         for ranges in self._maps:
@@ -213,20 +236,21 @@ def _parse(path: Path, parse: Callable[[Blocks], Parsed], split: bool) -> tuple[
         return parse(blocks), blocks.ragged
 
 
-def _rows(path: Path, fh: BinaryIO) -> Iterator:
+def _rows(path: Path, fh: BinaryIO, split: Callable) -> Iterator:
     """The header row (None when the file has no rows), then blocks of body rows.
 
     np.loadtxt splits a block three times faster than csv.reader, and the
     same way on a block without quote, CR or NUL bytes, without a comment
-    row below the header and with rows as long as the header; it gives an
-    array. From the first block that is not so, csv.reader splits the rest
-    of the file, and gives lists of rows. Each line above that block is one
+    row below the header and with rows as long as the header; ``split``
+    (``_split_plain``) gives such a block as an array, or as typed columns.
+    From the first block that is not so, csv.reader splits the rest of the
+    file, and gives lists of rows. Each line above that block is one
     csv.reader row, so the reader skips as many rows as they have lines.
     """
     width = None  # the header's field count, once it is read
     lines = 0  # the lines of the blocks split so far, one csv.reader row each
     for block in _line_blocks(fh):
-        rows = _split_plain(block, width)
+        rows = split(block, width)
         if rows is None:
             break
         if width is None and len(rows):
@@ -273,7 +297,8 @@ def _line_blocks(fh: BinaryIO, size: int = -1) -> Iterator[bytes]:
         yield carry
 
 
-def _split_plain(block: bytes, width: int | None) -> np.ndarray | None:
+def _split_plain(block: bytes, width: int | None, dtypes: Sequence | None = None
+                 ) -> np.ndarray | tuple[np.ndarray, ...] | None:
     """The rows of ``block`` as np.loadtxt splits them, or None where its split may differ.
 
     ``block`` holds whole lines. Where ``width`` is None, no header has been
@@ -281,6 +306,8 @@ def _split_plain(block: bytes, width: int | None) -> np.ndarray | None:
     the row below them is the header. None for a quote, CR or NUL byte, a
     comment row below the header, undecodable text, or a row whose field
     count differs from the others' or from ``width``; blank lines give no rows.
+    With ``dtypes``, a block that ``_cast_plain`` casts comes back as a
+    tuple of its typed columns instead of its cells.
     """
     if any(byte in block for byte in (b'"', b"\r", b"\0")):
         return None
@@ -294,11 +321,35 @@ def _split_plain(block: bytes, width: int | None) -> np.ndarray | None:
         text = block[start:].decode("utf-8")
         if not text.strip("\n"):
             return np.empty((0, width or 0), dtype=object)
+        if dtypes is not None and (columns := _cast_plain(text, dtypes)) is not None:
+            return columns
         rows = np.loadtxt(io.StringIO(text), dtype=object, delimiter=",", comments=None,
                           quotechar=None, ndmin=2)
     except ValueError:  # UnicodeDecodeError, or rows of unequal length; csv.reader finds the first
         return None
     return rows if width in (None, rows.shape[1]) else None
+
+
+def _cast_plain(text: str, dtypes: Sequence) -> tuple[np.ndarray, ...] | None:
+    """The columns of ``text``'s rows cast to ``dtypes`` by numpy's C reader, in one pass;
+    None where it refuses a row or a cell, or a float is not finite.
+
+    Its grammar is a strict subset of Python's ``int`` and ``float``, with
+    the same values: it refuses underscores, non-ASCII digits, an int cell
+    written as a float, an empty cell and an int beyond 64 bits. So a block
+    it casts is one ``typed`` would cast alike with no bad cell, and any
+    other goes to ``typed``, which finds the first bad cell.
+    """
+    struct = np.dtype([(f"f{j}", dtype or object) for j, dtype in enumerate(dtypes)])
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=struct, delimiter=",", comments=None,
+                          quotechar=None, ndmin=1)
+    except ValueError:  # a cell it refuses, or a row of another length
+        return None
+    columns = tuple(rows[name] for name in struct.names)
+    if any(column.dtype.kind == "f" and not np.isfinite(column).all() for column in columns):
+        return None
+    return columns
 
 
 def typed(cells: np.ndarray, dtypes: Sequence) -> tuple[list[np.ndarray], tuple | None]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finpipe import (
+    Panel,
     WindowSpec,
     load_forecasts,
     make_batch,
@@ -131,6 +132,52 @@ class TestForecastFileRoundTrip:
             assert batch.y_pred.size == n_windows * 20
         assert peaks[0] < 12e6
         assert (peaks[1] - peaks[0]) / (6017 * 20) < 64
+
+
+CLOSES = tuple(f"close_{asset}" for asset in ("SPX", "NDX", "DJI", "RUT"))
+
+
+def close_windows(n_windows):
+    """Truth windows of the close_backtest shape: L=512, H=5 over four closes."""
+    rng = np.random.default_rng(1)
+    panel = Panel(range(n_windows + 516), CLOSES, rng.normal(100.0, 1.0, (n_windows + 516, 4)))
+    return sliding_windows(panel, WindowSpec(512, 5, CLOSES))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestForecastReadMemory:
+    def test_peak_grows_by_the_grid_not_the_records(self, tmp_path):
+        # A read keeps each record in the (sample, step, variable) grid only:
+        # 8 B of value and 1 B of mask, with at most as many rows again while
+        # the grid doubles. Whole-file record columns took 43.1 B a record.
+        peaks = []
+        for n_windows in (6017, 2 * 6017):
+            windows = close_windows(n_windows)
+            path = tmp_path / f"fc{n_windows}.csv"
+            write_forecasts(path, make_batch(windows, naive_forecast(windows, 5, seed=1)), 512)
+            peaks.append(traced_peak(load_forecasts, path, windows))
+        assert (peaks[1] - peaks[0]) / (6017 * 20) < 24
+
+    def test_a_file_naming_few_samples_keeps_few_rows(self, tmp_path):
+        # Three samples spread over a 12k-window truth: the grid holds three
+        # rows, not one per window. The bound is the traced peak of the
+        # record-column reader on this file, most of it the last inputs of
+        # every window.
+        windows = close_windows(2 * 6017)
+        path = tmp_path / "fc.csv"
+        _write_records(path, [(s, t, v, 1.5) for s in (0, 6000, 2 * 6017 - 1)
+                              for t in range(1, 6) for v in CLOSES], input_len=512)
+        batch = load_forecasts(path, windows)
+        np.testing.assert_array_equal(batch.sample_order, [0, 6000, 2 * 6017 - 1])
+        assert traced_peak(load_forecasts, path, windows) < 490_345
 
 
 def _write_records(path, records, horizon=5, input_len=10):

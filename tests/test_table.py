@@ -33,7 +33,7 @@ from finpipe import (
     write_csv,
     write_forecasts,
 )
-from finpipe import cli, forecast, table
+from finpipe import cli, table
 from finpipe.errors import FormatError, IngestError
 from finpipe.table import _split_plain, read_blocks
 from ranges import assert_no_worker_left, in_ranges
@@ -314,14 +314,14 @@ def test_anchor_file_matches_reference(tmp_path, data, kinds):
 @given(rows=st.lists(st.tuples(st.sampled_from(["1.5", " 2 ", "1_0", "x", "", "-3e2", "nan"]),
                                st.sampled_from(["0.5", "y", "٣", "inf"])), max_size=6))
 def test_cli_table_columns_match_reference(tmp_path, rows):
-    # The curve and quote reader reports the first bad cell of the per-cell
+    # The curve reader reports the first bad cell of the per-cell
     # reader's columns in file order: the earliest row, then column a before b.
     path = tmp_path / "table.csv"
     path.write_text("#seed=1\nlabel,a,b\n" + "".join(f"t{i},{a},{b}\n" for i, (a, b) in enumerate(rows)))
     header, old_rows = ref.read_table(path)
     old = [outcome(ref.table_floats, path, header, old_rows, column) for column in ("a", "b")]
     errors = [o for o in old if o[0] == "error"]
-    new = outcome(cli._read_columns, path, "curve", ("label", "a", "b"), ("a", "b"))
+    new = outcome(cli._read_columns, path, ("label", "a", "b"), ("a", "b"))
     if not old_rows:
         assert new == ("error", FormatError, f"{path}: curve file has no rows")
     elif errors:
@@ -463,9 +463,9 @@ def test_a_bad_record_is_looked_for_in_one_block(tmp_path, monkeypatch):
     assert max(sizes) <= 1024 // len("0,1,v0,1\n") + 1 < n
 
 
-def test_columns_grow_past_the_first_blocks_estimate(tmp_path, monkeypatch):
-    # The first rows are the file's longest, so the room sized from the
-    # file's first BLOCK_BYTES is too small and the typed columns must grow.
+def test_a_file_whose_longest_rows_come_first_matches_reference(tmp_path, monkeypatch):
+    # The first rows are the file's longest, and the blocks are small, so
+    # the grid grows many times as later blocks name new samples.
     panel = Panel(range(60), ("v0",), np.arange(60.0)[:, None])
     windows = sliding_windows(panel, WindowSpec(2, 1))
     preds = np.ones(windows.truth.shape)
@@ -473,17 +473,8 @@ def test_columns_grow_past_the_first_blocks_estimate(tmp_path, monkeypatch):
     path = tmp_path / "fc.csv"
     write_forecasts(path, make_batch(windows, preds), 2)
     monkeypatch.setattr(table, "BLOCK_BYTES", 64)
-    original, kept = forecast._with_room, []
-
-    def with_room(columns, n_kept, n, path):
-        kept.append(n_kept)
-        return original(columns, n_kept, n, path)
-
-    monkeypatch.setattr(forecast, "_with_room", with_room)
     assert_same(outcome(load_forecasts, path, windows),
                 outcome(ref.load_forecasts, path, windows), same_batch)
-    assert len(kept) > 1
-    assert kept[0] == 0 and len(kept) > 1
 
 
 # --- ranges -------------------------------------------------------------------
@@ -613,6 +604,101 @@ def test_ranged_panel_reads_match_one_range(tmp_path, monkeypatch, data, kind, c
     path = tmp_path / "panel.csv"
     write_csv(panel, path, header_comments=PROVENANCE)
     corrupt_at_a_cut(monkeypatch, data, path, len(PROVENANCE) + 1, count, kind)
+    serial = outcome(load_csv, path)
+    assert_same(ranged(monkeypatch, count, load_csv, path), serial, same_panel)
+    assert_no_worker_left()
+
+
+# --- the typed C cast -------------------------------------------------------------
+
+# Cells numpy's C reader refuses or reads as not finite, where Python's int and
+# float accept some of them, and two it reads as Python does.
+EDGE_CELLS = ["1_0", "\u0663", "1.0", "0x10", "", "99999999999999999999", "nan", "inf", "1e400",
+              " 5 ", "+1"]
+VALID_CELLS = {np.int64: st.integers(-2**63, 2**63 - 1).map(str),
+               float: st.floats(allow_nan=False, allow_infinity=False).map(repr),
+               None: st.text("ab x", max_size=3)}
+
+
+def edge_or_valid(dtype):
+    return st.one_of(VALID_CELLS[dtype], st.sampled_from(EDGE_CELLS))
+
+
+@st.composite
+def plain_blocks(draw):
+    """``dtypes`` and a block of rows of cells for them, valid or from EDGE_CELLS."""
+    dtypes = draw(st.lists(st.sampled_from([np.int64, float, None]), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*map(edge_or_valid, dtypes)), min_size=1, max_size=8))
+    return dtypes, "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=plain_blocks())
+@example(block=([np.int64, float, None], b"1,2.5,a\n+1, 5 ,b\n"))  # all cast in C
+@example(block=([float, float], b"1.5,nan\n1e400,2\n"))  # the first non-finite value
+def test_the_c_cast_gives_the_columns_and_bad_cell_of_the_object_split(block):
+    dtypes, text = block
+    cells = _split_plain(text, len(dtypes))
+    columns, bad = table.typed(cells, dtypes)
+    cast = _split_plain(text, len(dtypes), dtypes)
+    if isinstance(cast, tuple):  # numpy's C reader took every cell
+        assert bad is None
+        cast_columns = list(cast)
+    else:
+        cast_columns, cast_bad = table.typed(cast, dtypes)
+        assert cast_bad == bad
+    for new, old in zip(cast_columns, columns, strict=True):
+        assert new.dtype == old.dtype
+        if new.dtype == object:
+            assert new.tolist() == old.tolist()
+        else:  # bit for bit, -0.0 included
+            assert np.ascontiguousarray(new).tobytes() == old.tobytes()
+
+
+@st.composite
+def edge_cell_forecast_files(draw):
+    """Truth windows and the text of a forecast file for them, with cells from EDGE_CELLS."""
+    n_vars, horizon = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    panel = Panel(range(12), tuple(f"v{i}" for i in range(n_vars)), np.ones((12, n_vars)))
+    windows = sliding_windows(panel, WindowSpec(2, horizon))
+    n_samples = draw(st.integers(1, len(windows)))
+    rows = [[str(s), str(t), v, draw(VALID_CELLS[float])]
+            for s in range(n_samples) for t in range(1, horizon + 1) for v in panel.variables]
+    for _ in range(draw(st.integers(0, 3))):
+        row, column = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from([0, 1, 3]))
+        rows[row][column] = draw(st.sampled_from(EDGE_CELLS))
+    head = "#L=2\n" f"#H={horizon}\n" "sample_id,step,variable,y_pred\n"
+    return windows, head + "".join(",".join(row) + "\n" for row in rows)
+
+
+@SETTINGS
+@given(case=edge_cell_forecast_files(), count=st.integers(2, 4), block=st.integers(16, 256))
+def test_ranged_forecast_reads_of_edge_cells_match_one_range(tmp_path, monkeypatch, case, count,
+                                                             block):
+    windows, text = case
+    path = tmp_path / "fc.csv"
+    path.write_text(text)
+    monkeypatch.setattr(table, "BLOCK_BYTES", block)
+    serial = outcome(load_forecasts, path, windows)
+    assert_same(ranged(monkeypatch, count, load_forecasts, path, windows), serial, same_batch)
+    assert_no_worker_left()
+
+
+@SETTINGS
+@given(data=st.data(), count=st.integers(2, 4), block=st.integers(16, 256),
+       n_rows=st.integers(1, 20), n_vars=st.integers(1, 3))
+def test_ranged_panel_reads_of_edge_cells_match_one_range(tmp_path, monkeypatch, data, count,
+                                                          block, n_rows, n_vars):
+    rows = [[str(100 + i)] + [data.draw(VALID_CELLS[float], label="value") for _ in range(n_vars)]
+            for i in range(n_rows)]
+    for _ in range(data.draw(st.integers(0, 3), label="edges")):
+        row = data.draw(st.integers(0, n_rows - 1), label="row")
+        column = data.draw(st.integers(1, n_vars), label="column")
+        rows[row][column] = data.draw(st.sampled_from(EDGE_CELLS), label="edge")
+    path = tmp_path / "panel.csv"
+    path.write_text(",".join(["timestamp", *(f"v{j}" for j in range(n_vars))]) + "\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    monkeypatch.setattr(table, "BLOCK_BYTES", block)
     serial = outcome(load_csv, path)
     assert_same(ranged(monkeypatch, count, load_csv, path), serial, same_panel)
     assert_no_worker_left()
