@@ -98,27 +98,23 @@ def write_forecasts(
 
 def read_metadata(path) -> dict:
     """Read the ``#key=value`` header of a forecast file without its records."""
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"no such forecast file: {path}")
+    return read_blocks(path, _metadata, FormatError, "forecast file")
+
+
+def _metadata(blocks: Blocks) -> dict:
+    """The ``#key=value`` lines above a forecast file's header, with #L and #H as integers."""
     meta: dict = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):  # blank lines are skipped
-                    break
-                key, sep, value = line[1:].partition("=")
-                if sep:
-                    meta[key.strip()] = value.strip()
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not UTF-8 text") from None
+    for line in blocks.head:
+        key, sep, value = line[1:].partition("=")
+        if sep:
+            meta[key.strip()] = value.strip()
     for key in ("L", "H"):
         if key in meta:
             try:
                 meta[key] = int(meta[key])
             except ValueError:
-                raise FormatError(f"{path}: header #{key}={meta[key]!r} is not an integer") from None
+                raise FormatError(
+                    f"{blocks.path}: header #{key}={meta[key]!r} is not an integer") from None
     if "variables" in meta:
         meta["variables"] = tuple(v for v in meta["variables"].split(",") if v)
     return meta
@@ -132,19 +128,8 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
     windows' target variables and the sample ids a subset of the window
     indices.
     """
-    meta = read_metadata(path)
     path = Path(path)
     horizon = truth_windows.spec.horizon
-    if "H" not in meta:
-        raise FormatError(f"{path}: missing #H header")
-    if meta["H"] != horizon:
-        raise AlignError(f"forecast horizon {meta['H']} != truth horizon {horizon}")
-    if "L" in meta and meta["L"] != truth_windows.spec.input_len:
-        raise AlignError(
-            f"forecast input length {meta['L']} != truth input length "
-            f"{truth_windows.spec.input_len}"
-        )
-
     targets = tuple(truth_windows.target_vars)
     n_windows = len(truth_windows)
 
@@ -171,6 +156,16 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
                 return (True, list(cells[n])) if bad[2] else (False, cells[n, 3])
 
     def parse(blocks: Blocks):
+        meta = _metadata(blocks)
+        if "H" not in meta:
+            raise FormatError(f"{path}: missing #H header")
+        if meta["H"] != horizon:
+            raise AlignError(f"forecast horizon {meta['H']} != truth horizon {horizon}")
+        if "L" in meta and meta["L"] != truth_windows.spec.input_len:
+            raise AlignError(
+                f"forecast input length {meta['L']} != truth input length "
+                f"{truth_windows.spec.input_len}"
+            )
         if blocks.header != ["sample_id", "step", "variable", "y_pred"]:
             raise FormatError(f"{path}: expected header sample_id,step,variable,y_pred")
         grid, bad = _Grid(n_windows, horizon, targets), None

@@ -2,33 +2,35 @@
 
 Reading follows the csv module's default dialect. Blank lines and rows whose
 first field starts with ``#`` are skipped; the other rows are numbered from
-1, the header. Every body row must have as many fields as the header. A file
-is read once, in blocks of about BLOCK_BYTES of text, and its cells come back
-as text a block at a time; callers cast the cells with ``typed``, and numpy
-calls Python's ``int``/``float`` on each cell, so the accepted grammar is
-theirs. The panel and forecast readers take their blocks typed instead
-(``Blocks.map`` with ``dtypes``): each plain block goes through numpy's C
-reader in one call, whose grammar is a strict subset of Python's with the
-same values, and a block it refuses, or that holds a float that is not
-finite, falls back to the text cells and ``typed``. Errors still come in
-file order: ``typed`` finds a block's first bad cell by row, then column,
-and the reader stops at the first row with the wrong field count and raises
-for it only once the caller has finished with the rows above it. A file
-that is not UTF-8 text is an error too.
+1, the header. Every body row must have as many fields as the header. A
+file's head, the lines down to its header, is scanned once, by ``_head``.
+Its cells come back as text in blocks of about BLOCK_BYTES; callers cast
+them with ``typed``, and numpy calls Python's ``int``/``float`` on each
+cell, so the accepted grammar is theirs. The panel and forecast readers take
+their blocks typed instead (``Blocks.map`` with ``dtypes``): each plain
+block goes through numpy's C reader in one call, whose grammar is a strict
+subset of Python's with the same values, and a block it refuses, or that
+holds a float that is not finite, falls back to the text cells and
+``typed``. Errors come in file order: ``typed`` finds a block's first bad
+cell by row, then column, and the reader stops at the first row with the
+wrong field count and raises for it only once the caller has finished with
+the rows above it. A file that is not UTF-8 text is an error too.
 
-Big bodies are read and written by a range map, on every CPU the process
-may use. ``Blocks.map`` cuts a body of RANGE_BYTES or more into contiguous
-byte ranges, each ending on a newline, and ``write_rows`` cuts its rows the
-same way. Its callers are the panel and forecast readers and
+A file is read one of two ways. Plain, np.loadtxt splits its body, in
+byte ranges. Where a quote, CR, NUL, comment row, ragged row or text that is
+not UTF-8 shows that csv.reader may split the file otherwise, it is read
+again, by csv.reader from its first row, in one range. Big plain bodies are
+read, and big bodies written, by a range map, on every CPU the process may
+use. ``Blocks.map`` cuts a body of RANGE_BYTES or more into
+contiguous byte ranges, each ending on a newline, and ``write_rows`` cuts
+its rows the same way. Its callers are the panel and forecast readers and
 ``option-analytics``, which solves and formats a range's quotes in the map.
 The parent process does the first range itself; forked workers do the
 others, each into an unlinked temporary file, and the parent takes their
-results in file order. A range is read only while it is plain: once
-any range meets a quote, CR, NUL or comment row, where a csv.reader row may
-span newlines, the whole file is read again in one range. With one CPU, no
-``os.fork`` or a smaller body there is one range, done by the parent alone.
-A worker that fails has its range redone by the parent, so the output bytes,
-the parsed arrays and the errors are the same however a body is cut.
+results in file order. With one CPU, no ``os.fork`` or a smaller body there
+is one range, done by the parent alone. A worker that fails has its range
+redone by the parent, so the output bytes, the parsed arrays and the errors
+are the same however a body is cut.
 
 Every file is written by ``replacing``: into a new file beside its path,
 renamed over it once complete, so a failed write leaves the path as it was.
@@ -41,7 +43,6 @@ import io
 import os
 import pickle
 from contextlib import closing, contextmanager
-from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Generator, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
@@ -57,39 +58,52 @@ MAX_RANGES = 4  # ranges a body is cut into at most, one per usable CPU
 
 
 class _NotPlain(Exception):
-    """A range holds text that csv.reader may split otherwise; the file is read in one range."""
+    """A file holds text that csv.reader may split otherwise; it is read by csv.reader."""
 
 
 class Blocks:
     """The body rows of an open CSV file, as consecutive blocks of cells.
 
-    ``header`` is the file's stripped header, None when it has no rows.
-    Each block is an object array of ``str``, one row per body row. ``n_rows``
-    counts the body rows read so far and, once the blocks have ended at a
-    row with the wrong field count, that row; ``ragged`` then names it.
-    Iterating gives the blocks in one range; ``map`` may cut them into
-    several, where ``split`` allows it.
+    ``head`` holds the lines above the header, decoded, and ``header`` the
+    file's stripped header, None when it has no rows. Each block is an
+    object array of ``str``, one row per body row. ``n_rows`` counts the body
+    rows read so far and, once the blocks have ended at a row with the wrong
+    field count, that row; ``ragged`` then names it.
+
+    With ``split``, the file is read plain: its body is split by
+    ``_split_plain``, in one range when iterated and in several where
+    ``map`` cuts it, and the first text that is not plain raises
+    ``_NotPlain``. Without it, csv.reader reads the whole file from its
+    first row.
     """
 
     def __init__(self, path: Path, fh: BinaryIO, split: bool):
         self.path, self.n_rows, self.ragged = path, 0, None
         self._fh, self._split, self._maps, self._dtypes = fh, split, [], None
-        self._rows = _rows(path, fh, lambda block, width: _split_plain(block, width, self._dtypes))
-        header = next(self._rows)
+        self.head, line = _head(fh)
+        if split:
+            if any(byte in text for text in (*self.head, line) for byte in ('"', "\r", "\0")):
+                raise _NotPlain
+            self._start, self._size = fh.tell(), os.fstat(fh.fileno()).st_size
+            header = line.rstrip("\n").split(",") if line else None
+        else:
+            self._rows = _rows(path)
+            header = next(self._rows)
         self.header = None if header is None else [h.strip() for h in header]
 
     def __iter__(self) -> Iterator:
+        return self._range(self._fh, self._start, self._size) if self._split else self._csv()
+
+    def _csv(self) -> Iterator:
         width = len(self.header or ())
-        for rows in self._rows:
-            if isinstance(rows, list):  # csv.reader's rows, of any length
-                bad = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != width)
-                if bad.size:
-                    i = bad[0]
-                    self.ragged = (f"{self.path}: row {self.n_rows + i + 2} has {len(rows[i])} "
-                                   f"fields, expected {width}")
-                    rows = rows[:i]
-                rows = np.array(rows, dtype=object).reshape(len(rows), width)
-            n, block = self._block(rows)
+        for rows in self._rows:  # csv.reader's rows, of any length
+            bad = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != width)
+            if bad.size:
+                i = bad[0]
+                self.ragged = (f"{self.path}: row {self.n_rows + i + 2} has {len(rows[i])} "
+                               f"fields, expected {width}")
+                rows = rows[:i]
+            n, block = self._block(np.array(rows, dtype=object).reshape(len(rows), width))
             self.n_rows += n + (self.ragged is not None)
             if n:
                 yield block
@@ -104,8 +118,9 @@ class Blocks:
         of them, picklable objects, ending early where it likes; what it
         returns becomes the range's ``tail``. It runs in a forked worker
         for every range but the first, so it must not rely on state it
-        changes. A range that is not plain raises ``_NotPlain`` in the
-        parent, and ``read_blocks`` reads the file again in one range.
+        changes. A plain file whose text turns out not to be plain, in any
+        range, raises ``_NotPlain`` in the parent, and ``read_blocks`` reads
+        it again with csv.reader from its first row.
 
         With ``dtypes`` (as ``typed`` takes them), the blocks come typed, as
         (columns, bad, cells): ``typed``'s columns and first bad cell, and
@@ -152,28 +167,20 @@ class Blocks:
     def _cuts(self) -> list[int]:
         """The offsets that cut the body into ranges, each inner one just past a newline.
 
-        Fewer than three when the body is read in one range: ``split`` is
-        off, the body is small or there is one CPU, or the lines above the
-        body hold a quote, CR or NUL byte, where csv.reader's rows may span
-        newlines.
+        Fewer than three when the body is read in one range: the file is
+        read by csv.reader, or the body is small, or there is one CPU.
         """
-        if not self._split or self.header is None:
+        if not self._split:
             return []
-        with open(self.path, "rb") as fh:
-            head = b""
-            for line in fh:  # the header is the first line neither blank nor a comment
-                head += line
-                if line[:1] not in (b"#", b"\n"):
-                    break
-            start, size = len(head), os.fstat(fh.fileno()).st_size
-            count = _range_count(size - start)
-            if count == 1 or any(byte in head for byte in (b'"', b"\r", b"\0")):
-                return []
-            cuts = [start]
-            for k in range(1, count):
-                fh.seek(max(cuts[-1], start + (size - start) * k // count) - 1)
-                fh.readline()
-                cuts.append(fh.tell())
+        start, size = self._start, self._size
+        count = _range_count(size - start)
+        if count == 1:
+            return []
+        cuts = [start]
+        for k in range(1, count):
+            self._fh.seek(max(cuts[-1], start + (size - start) * k // count) - 1)
+            self._fh.readline()
+            cuts.append(self._fh.tell())
         return cuts + [size]
 
     def _range(self, fh: BinaryIO, start: int, stop: int) -> Iterator:
@@ -191,7 +198,8 @@ class Blocks:
     def close(self) -> None:
         for ranges in self._maps:
             ranges.close()
-        self._rows.close()
+        if not self._split:
+            self._rows.close()
 
 
 class Range:
@@ -213,8 +221,8 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
     ends the blocks, and raises ``error`` once ``parse`` has returned on the
     rows above it, so that errors come in file order and no caller sees a
     table cut short. Text that is not UTF-8 raises ``error`` where it is met.
-    Where a range of ``Blocks.map`` is not plain, ``parse`` runs again on
-    the file in one range.
+    The file is read plain first; where its text is not plain, ``parse``
+    runs again on the file read by csv.reader from its first row.
     """
     path = Path(path)
     if not path.exists():
@@ -224,7 +232,7 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
             parsed, ragged = _parse(path, parse, split=True)
         except _NotPlain:
             parsed, ragged = _parse(path, parse, split=False)
-    except UnicodeDecodeError:  # csv.reader's; the np.loadtxt split hands such a block to it
+    except UnicodeDecodeError:  # the head's, or csv.reader's; the plain split hands such text to it
         raise error(f"{path}: not UTF-8 text") from None
     if ragged:
         raise error(ragged)
@@ -236,41 +244,33 @@ def _parse(path: Path, parse: Callable[[Blocks], Parsed], split: bool) -> tuple[
         return parse(blocks), blocks.ragged
 
 
-def _rows(path: Path, fh: BinaryIO, split: Callable) -> Iterator:
-    """The header row (None when the file has no rows), then blocks of body rows.
+def _head(fh: BinaryIO) -> tuple[list[str], str]:
+    """The lines of ``fh`` above its header, and the header line ("" when there is none),
+    decoded; where no line ends in a CR, ``fh`` is left at the first body line.
 
-    np.loadtxt splits a block three times faster than csv.reader, and the
-    same way on a block without quote, CR or NUL bytes, without a comment
-    row below the header and with rows as long as the header; ``split``
-    (``_split_plain``) gives such a block as an array, or as typed columns.
-    From the first block that is not so, csv.reader splits the rest of the
-    file, and gives lists of rows. Each line above that block is one
-    csv.reader row, so the reader skips as many rows as they have lines.
+    The header is the first line that is neither blank nor starts with
+    ``#``. A line ends at LF, CRLF or a lone CR, as for csv.reader. No text
+    below the header is decoded; text above it that is not UTF-8 raises
+    UnicodeDecodeError.
     """
-    width = None  # the header's field count, once it is read
-    lines = 0  # the lines of the blocks split so far, one csv.reader row each
-    for block in _line_blocks(fh):
-        rows = split(block, width)
-        if rows is None:
-            break
-        if width is None and len(rows):
-            width = rows.shape[1]
-            yield rows[0]
-            rows = rows[1:]
-        if len(rows):
-            yield rows
-        lines += block.count(b"\n")
-    else:
-        if width is None:
-            yield None
-        return
+    lines = []
+    for line in iter(fh.readline, b""):
+        for part in line.splitlines(keepends=True):
+            if part[:1] not in (b"#", b"\n", b"\r"):
+                return lines, part.decode("utf-8")
+            lines.append(part.decode("utf-8"))
+    return lines, ""
+
+
+def _rows(path: Path) -> Iterator:
+    """The header row (None when the file has no rows), then blocks of body rows, as
+    csv.reader reads the file from its first row; blank and comment rows are skipped."""
     with open(path, newline="", encoding="utf-8") as text:
-        rows = (r for r in islice(csv.reader(text), lines, None) if r and not r[0].startswith("#"))
-        if width is None:
-            header = next(rows, None)
-            yield header
-            if header is None:
-                return
+        rows = (r for r in csv.reader(text) if r and not r[0].startswith("#"))
+        header = next(rows, None)
+        yield header
+        if header is None:
+            return
         block, size = [], 0
         for row in rows:
             block.append(row)
@@ -297,37 +297,29 @@ def _line_blocks(fh: BinaryIO, size: int = -1) -> Iterator[bytes]:
         yield carry
 
 
-def _split_plain(block: bytes, width: int | None, dtypes: Sequence | None = None
+def _split_plain(block: bytes, width: int, dtypes: Sequence | None = None
                  ) -> np.ndarray | tuple[np.ndarray, ...] | None:
-    """The rows of ``block`` as np.loadtxt splits them, or None where its split may differ.
+    """The body rows of ``block`` as np.loadtxt splits them, or None where its split may differ.
 
-    ``block`` holds whole lines. Where ``width`` is None, no header has been
-    read: the block's leading comment rows and blank lines are skipped, and
-    the row below them is the header. None for a quote, CR or NUL byte, a
-    comment row below the header, undecodable text, or a row whose field
-    count differs from the others' or from ``width``; blank lines give no rows.
-    With ``dtypes``, a block that ``_cast_plain`` casts comes back as a
-    tuple of its typed columns instead of its cells.
+    ``block`` holds whole lines. None for a quote, CR or NUL byte, a comment
+    row, undecodable text, or a row whose field count is not ``width``;
+    blank lines give no rows. With ``dtypes``, a block that ``_cast_plain``
+    casts comes back as a tuple of its typed columns instead of its cells.
     """
-    if any(byte in block for byte in (b'"', b"\r", b"\0")):
-        return None
-    start = 0
-    if width is None:
-        while block[start : start + 1] in (b"#", b"\n"):
-            start = block.find(b"\n", start) + 1 or len(block)
-    if block.startswith(b"#", start) or block.find(b"\n#", start) >= 0:
+    if any(byte in block for byte in (b'"', b"\r", b"\0")) or block.startswith(b"#") \
+            or block.find(b"\n#") >= 0:
         return None
     try:
-        text = block[start:].decode("utf-8")
+        text = block.decode("utf-8")
         if not text.strip("\n"):
-            return np.empty((0, width or 0), dtype=object)
+            return np.empty((0, width), dtype=object)
         if dtypes is not None and (columns := _cast_plain(text, dtypes)) is not None:
             return columns
         rows = np.loadtxt(io.StringIO(text), dtype=object, delimiter=",", comments=None,
                           quotechar=None, ndmin=2)
     except ValueError:  # UnicodeDecodeError, or rows of unequal length; csv.reader finds the first
         return None
-    return rows if width in (None, rows.shape[1]) else None
+    return rows if rows.shape[1] == width else None
 
 
 def _cast_plain(text: str, dtypes: Sequence) -> tuple[np.ndarray, ...] | None:

@@ -13,8 +13,10 @@ from finpipe import (
     per_pair_corr,
     read_metadata,
     sliding_windows,
+    write_csv,
     write_forecasts,
 )
+from finpipe.cli import main
 from finpipe.errors import AlignError, FormatError
 from synth import ohlcv_panel, random_walk_panel
 
@@ -92,6 +94,23 @@ class TestForecastFileRoundTrip:
         assert meta["model"] == "demo"
         assert meta["variables"] == ("v0", "v2")
         assert meta["seed"] == "3"
+
+    @pytest.mark.parametrize("line", ["   ", " #H=5"])
+    def test_a_whitespace_or_indented_comment_line_ends_the_head(self, tmp_path, capsys,
+                                                                 windows, line):
+        # csv.reader reads such a line as a row, so it is the table's header;
+        # the metadata reader stops there too and never sees the #H below it.
+        path, truth = tmp_path / "fc.csv", tmp_path / "truth.csv"
+        write_forecasts(path, make_batch(windows, naive_forecast(windows, 5, seed=3)), 10)
+        first, rest = path.read_text().split("\n", 1)
+        path.write_text(f"{first}\n{line}\n{rest}")
+        assert read_metadata(path) == {"L": 10}
+        with pytest.raises(FormatError, match="missing #H header"):
+            load_forecasts(path, windows)
+        write_csv(random_walk_panel(40, 3, seed=11), truth)
+        assert main(["evaluate", "--truth", str(truth), "--forecasts", str(path),
+                     "--output", str(tmp_path / "m.csv")]) == 1
+        assert "forecast file lacks #L/#H headers" in capsys.readouterr().err
 
     def test_subset_of_samples(self, tmp_path, windows):
         preds = naive_forecast(windows, 5, seed=3)

@@ -353,13 +353,14 @@ def test_a_ragged_table_never_reaches_the_caller(tmp_path, text):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=st.text(st.sampled_from('a1 ,#\n"\r\x00\t.-_e\u0663'), max_size=40))
-def test_plain_split_matches_the_csv_module(text):
-    # Where the np.loadtxt split of a file's first block answers at all, its
-    # rows are csv.reader's.
+@given(text=st.text(st.sampled_from('a1 ,#\n"\r\x00\t.-_e\u0663'), max_size=40),
+       width=st.integers(1, 4))
+def test_plain_split_matches_the_csv_module(text, width):
+    # Where the np.loadtxt split of a body block answers at all, its rows
+    # are csv.reader's.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        plain = _split_plain(text.encode(), None)
+        plain = _split_plain(text.encode(), width)
     if plain is not None:
         rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
         assert plain.tolist() == rows
@@ -475,6 +476,27 @@ def test_a_file_whose_longest_rows_come_first_matches_reference(tmp_path, monkey
     monkeypatch.setattr(table, "BLOCK_BYTES", 64)
     assert_same(outcome(load_forecasts, path, windows),
                 outcome(ref.load_forecasts, path, windows), same_batch)
+
+
+def test_a_clean_body_in_one_range_is_cast_in_c_from_its_first_block(tmp_path, monkeypatch):
+    # The block that holds the header used to be split into text cells and
+    # cast by ``typed``; now every block of a plain body goes to numpy's C reader.
+    rng = np.random.default_rng(4)
+    panel = Panel(range(3000), ("a", "b", "c"), rng.normal(size=(3000, 3)))
+    windows = sliding_windows(panel, WindowSpec(8, 3))
+    panel_path, forecast_path = tmp_path / "p.csv", tmp_path / "f.csv"
+    write_csv(panel, panel_path, header_comments=PROVENANCE)
+    write_forecasts(forecast_path, make_batch(windows, naive_forecast(windows, 3, seed=1)), 8,
+                    header_comments=PROVENANCE)
+    monkeypatch.setattr(table, "MAX_RANGES", 1)
+    calls, typed = [], table.typed
+    monkeypatch.setattr(table, "typed", lambda cells, dtypes: calls.append(len(cells))
+                        or typed(cells, dtypes))
+    assert_same(outcome(load_csv, panel_path), outcome(ref.load_csv, panel_path), same_panel)
+    assert_same(outcome(load_forecasts, forecast_path, windows),
+                outcome(ref.load_forecasts, forecast_path, windows), same_batch)
+    assert panel_path.stat().st_size > 2 * table.BLOCK_BYTES
+    assert calls == []
 
 
 # --- ranges -------------------------------------------------------------------
