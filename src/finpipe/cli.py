@@ -37,7 +37,6 @@ from .errors import (
 from .forecast import load_forecasts, make_batch, naive_forecast, read_metadata, write_forecasts
 from .frame import (Panel, SplitSpec, WindowSpec, chronological_split, load_csv,
                     sliding_windows, write_csv)
-from .metrics import mae, mse
 from .options import OptionQuote, greeks, historical_vol, implied_vol
 from .preprocess import inverse_price_transform, load_anchor_file, transform_panel, write_anchor_file
 from .stats import FREQUENCIES, full_report, periods_per_year_for
@@ -378,7 +377,7 @@ def cmd_evaluate(opts: dict) -> None:
     spec = _windows_for_forecast_file(opts["forecasts"])
     windows = sliding_windows(panel, spec)
     batch = load_forecasts(opts["forecasts"], windows)
-    rows = [("mse", repr(mse(batch))), ("mae", repr(mae(batch)))]
+    rows = []
     try:
         per_sample = metrics.per_sample_ic(batch, opts["method"])  # once for msic and msir
         rows.append(("msic", repr(float(per_sample.mean()))))
@@ -389,6 +388,9 @@ def cmd_evaluate(opts: dict) -> None:
         # horizon of 1: correlation metrics are undefined
         rows.append(("msic", "NA"))
         rows.append(("msir", "NA"))
+    # Last: the differences overwrite the predictions, which nothing reads after.
+    squared, absolute = metrics.errors(batch, out=batch.y_pred)
+    rows[:0] = [("mse", repr(squared)), ("mae", repr(absolute))]
     lines = provenance_lines("evaluate", opts) + ["metric,value"]
     lines.extend(f"{name},{value}" for name, value in rows)
     table.write_lines(opts["output"], lines)
@@ -548,7 +550,7 @@ def _analytics(blocks: table.Blocks, opts: dict, out) -> None:
             raise error(f"{path}: row {done + i + 2}: {message}")
     if not blocks.n_rows:
         raise FormatError(f"{path}: quote file has no rows")
-    if window is not None and done <= window and not blocks.ragged:  # a ragged row comes first
+    if window is not None and done <= window and not blocks.ended:  # its error comes first
         raise WindowError(f"{path}: need at least {window + 1} prices, got {done}")
 
 

@@ -34,7 +34,8 @@ def naive_forecast(
     statistics never see an exactly constant prediction. Noise is drawn in a
     fixed (sample, step, channel) order from ``seed``, so outputs are
     bit-reproducible. With ``redraw_per_step=False`` one draw per (sample,
-    channel) is shared across the horizon.
+    channel) is shared across the horizon. The last values are added into
+    the drawn noise, so the (B, H, C) result is the one array of its size.
     """
     if len(windows) == 0:
         raise WindowError("no windows to forecast")
@@ -44,14 +45,14 @@ def naive_forecast(
         )
     if noise_std < 0:
         raise ValueError(f"noise_std must be non-negative, got {noise_std}")
-    last = windows.last_observed  # (B, C)
-    preds = np.repeat(last[:, None, :], horizon, axis=1).astype(float)
-    if noise_std > 0:
-        b, c = last.shape
-        shape = (b, horizon, c) if redraw_per_step else (b, 1, c)
-        rng = np.random.default_rng(seed)
-        preds += rng.normal(0.0, noise_std, size=shape)
-    return preds
+    last = windows.last_observed[:, None, :]  # (B, 1, C), float
+    if not noise_std > 0:
+        return np.repeat(last, horizon, axis=1)
+    steps = horizon if redraw_per_step else 1
+    rng = np.random.default_rng(seed)
+    preds = rng.normal(0.0, noise_std, size=(len(last), steps, last.shape[2]))
+    preds += last  # float addition commutes: the bits of last + noise
+    return preds if steps == horizon else np.repeat(preds, horizon, axis=1)
 
 
 def make_batch(windows: WindowSet, y_pred: np.ndarray) -> ForecastBatch:
@@ -245,12 +246,12 @@ class _Grid:
     """A forecast file's records, scattered into a (sample, step, target) grid as they come.
 
     A sample takes the grid's next row when a record first names it, so a
-    file that names few samples keeps few rows; the rows double as needed,
-    up to one per truth window. ``row`` maps each window to its row, -1
-    until a record names it. Records off the grid, with an id outside the
-    windows, a step outside 1..H or a variable not a target, are kept apart
-    with their file index. A variable's code is its index in ``codes``: the
-    targets, then other names in file order.
+    file that names few samples keeps few rows; the rows grow in place, to
+    twice as many as needed, up to one per truth window. ``row`` maps each
+    window to its row, -1 until a record names it. Records off the grid,
+    with an id outside the windows, a step outside 1..H or a variable not a
+    target, are kept apart with their file index. A variable's code is its
+    index in ``codes``: the targets, then other names in file order.
     """
 
     def __init__(self, n_windows: int, horizon: int, targets: Sequence[str]):
@@ -297,11 +298,10 @@ class _Grid:
         self.rows += len(samples)
         if self.rows > len(self.values):
             size = min(len(self.row), max(self.rows, 2 * len(self.values)))
-            for name, new in (("values", np.empty), ("filled", np.zeros)):
-                old = getattr(self, name)
-                grown = new((size, *old.shape[1:]), old.dtype)
-                grown[: len(old)] = old
-                setattr(self, name, grown)
+            # In place, new rows 0. No view of the grid is alive here, and a profiler's or
+            # tracer's reference would fail numpy's reference check.
+            self.values.resize((size, *self.values.shape[1:]), refcheck=False)
+            self.filled.resize((size, *self.filled.shape[1:]), refcheck=False)
 
     def _find_duplicate(self, flat, seen, sample, cell, off) -> None:
         """Note the block's first record whose cell is filled already, or by an earlier

@@ -1,7 +1,7 @@
 """Forecast-quality metrics over (samples x horizon x channels) tensors.
 
-Besides pointwise MSE/MAE, two correlation metrics summarize how well the
-predicted horizon sequence tracks the true one:
+Pointwise MSE and MAE come from one home, ``errors``. Two correlation
+metrics summarize how well the predicted horizon sequence tracks the true one:
 
 * ``ms_ic``: the rank (Spearman) correlation between the predicted and true
   horizon sequence, computed per sample and channel along the time axis,
@@ -91,20 +91,25 @@ def _require_finite(**arrays: np.ndarray) -> None:
             )
 
 
-def mse(batch: ForecastBatch) -> float:
-    """Mean squared error over all B*F*C elements."""
+def errors(batch: ForecastBatch, out: np.ndarray | None = None) -> tuple[float, float]:
+    """(MSE, MAE) over all B*F*C elements, from one difference ``d`` made into ``out``
+    (new when None; it may be ``batch.y_pred``), then overwritten by ``|d|`` and then by
+    ``|d|*|d|``, which is ``d*d`` bit for bit."""
     if batch.y_true.size == 0:
         raise MetricError("cannot evaluate an empty batch")
-    diff = batch.y_pred - batch.y_true
-    return float(np.mean(np.multiply(diff, diff, out=diff)))
+    diff = np.subtract(batch.y_pred, batch.y_true, out=out)
+    mae = float(np.mean(np.abs(diff, out=diff)))
+    return float(np.mean(np.multiply(diff, diff, out=diff))), mae
+
+
+def mse(batch: ForecastBatch) -> float:
+    """Mean squared error over all B*F*C elements."""
+    return errors(batch)[0]
 
 
 def mae(batch: ForecastBatch) -> float:
     """Mean absolute error over all B*F*C elements."""
-    if batch.y_true.size == 0:
-        raise MetricError("cannot evaluate an empty batch")
-    diff = batch.y_pred - batch.y_true
-    return float(np.mean(np.abs(diff, out=diff)))
+    return errors(batch)[1]
 
 
 def _corr_matrix(y_true: np.ndarray, y_pred: np.ndarray, method: str) -> np.ndarray:

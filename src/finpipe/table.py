@@ -14,7 +14,7 @@ holds a float that is not finite, falls back to the text cells and
 ``typed``. Errors come in file order: ``typed`` finds a block's first bad
 cell by row, then column, and the reader stops at the first row with the
 wrong field count and raises for it only once the caller has finished with
-the rows above it. A file that is not UTF-8 text is an error too.
+the rows above it; so does a row holding text that is not UTF-8.
 
 A file is read one of two ways. Plain, np.loadtxt splits its body, in
 byte ranges. Where a quote, CR, NUL, comment row, ragged row or text that is
@@ -42,6 +42,7 @@ import csv
 import io
 import os
 import pickle
+import re
 from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import BinaryIO, Callable, Generator, Iterable, Iterator, NoReturn, Sequence, TypeVar
@@ -55,6 +56,7 @@ Parsed = TypeVar("Parsed")
 BLOCK_BYTES = 1 << 16  # text split per block; bounds the str cells held at once
 RANGE_BYTES = 1 << 20  # a body smaller than this is read or written in one range
 MAX_RANGES = 4  # ranges a body is cut into at most, one per usable CPU
+_SURROGATE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as surrogateescape reads it
 
 
 class _NotPlain(Exception):
@@ -68,7 +70,7 @@ class Blocks:
     file's stripped header, None when it has no rows. Each block is an
     object array of ``str``, one row per body row. ``n_rows`` counts the body
     rows read so far and, once the blocks have ended at a row with the wrong
-    field count, that row; ``ragged`` then names it.
+    field count or non-UTF-8 text, that row; ``ended`` then holds its error.
 
     With ``split``, the file is read plain: its body is split by
     ``_split_plain``, in one range when iterated and in several where
@@ -78,7 +80,7 @@ class Blocks:
     """
 
     def __init__(self, path: Path, fh: BinaryIO, split: bool):
-        self.path, self.n_rows, self.ragged = path, 0, None
+        self.path, self.n_rows, self.ended = path, 0, None
         self._fh, self._split, self._maps, self._dtypes = fh, split, [], None
         self.head, line = _head(fh)
         if split:
@@ -97,17 +99,20 @@ class Blocks:
     def _csv(self) -> Iterator:
         width = len(self.header or ())
         for rows in self._rows:  # csv.reader's rows, of any length
-            bad = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != width)
-            if bad.size:
-                i = bad[0]
-                self.ragged = (f"{self.path}: row {self.n_rows + i + 2} has {len(rows[i])} "
-                               f"fields, expected {width}")
+            bad = np.fromiter(map(len, rows), int, len(rows)) != width
+            undecoded = _undecoded(rows)
+            bad[undecoded : undecoded + 1] = True
+            if bad.any():
+                i = int(np.argmax(bad))
+                self.ended = (f"{self.path}: not UTF-8 text" if i == undecoded else
+                              f"{self.path}: row {self.n_rows + i + 2} has {len(rows[i])} "
+                              f"fields, expected {width}")
                 rows = rows[:i]
             n, block = self._block(np.array(rows, dtype=object).reshape(len(rows), width))
-            self.n_rows += n + (self.ragged is not None)
+            self.n_rows += n + (self.ended is not None)
             if n:
                 yield block
-            if self.ragged:
+            if self.ended:
                 return
 
     def map(self, part: Callable[[Iterator], Generator], dtypes: Sequence | None = None
@@ -217,10 +222,10 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
                 what: str = "file") -> Parsed:
     """What ``parse`` makes of the body blocks of ``path``; a missing file raises ``error``.
 
-    ``parse`` reads every block or raises. A row with the wrong field count
-    ends the blocks, and raises ``error`` once ``parse`` has returned on the
-    rows above it, so that errors come in file order and no caller sees a
-    table cut short. Text that is not UTF-8 raises ``error`` where it is met.
+    ``parse`` reads every block or raises. A row with the wrong field count or
+    (a comment row too) text that is not UTF-8 ends the blocks, and raises
+    ``error`` once ``parse`` has returned on the rows above it, so that errors
+    come in file order and no caller sees a table cut short.
     The file is read plain first; where its text is not plain, ``parse``
     runs again on the file read by csv.reader from its first row.
     """
@@ -229,19 +234,19 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
         raise error(f"no such {what}: {path}")
     try:
         try:
-            parsed, ragged = _parse(path, parse, split=True)
+            parsed, ended = _parse(path, parse, split=True)
         except _NotPlain:
-            parsed, ragged = _parse(path, parse, split=False)
-    except UnicodeDecodeError:  # the head's, or csv.reader's; the plain split hands such text to it
+            parsed, ended = _parse(path, parse, split=False)
+    except UnicodeDecodeError:  # the head's, or a header row's
         raise error(f"{path}: not UTF-8 text") from None
-    if ragged:
-        raise error(ragged)
+    if ended:
+        raise error(ended)
     return parsed
 
 
 def _parse(path: Path, parse: Callable[[Blocks], Parsed], split: bool) -> tuple[Parsed, str | None]:
     with open(path, "rb") as fh, closing(Blocks(path, fh, split)) as blocks:
-        return parse(blocks), blocks.ragged
+        return parse(blocks), blocks.ended
 
 
 def _head(fh: BinaryIO) -> tuple[list[str], str]:
@@ -264,10 +269,13 @@ def _head(fh: BinaryIO) -> tuple[list[str], str]:
 
 def _rows(path: Path) -> Iterator:
     """The header row (None when the file has no rows), then blocks of body rows, as
-    csv.reader reads the file from its first row; blank and comment rows are skipped."""
-    with open(path, newline="", encoding="utf-8") as text:
-        rows = (r for r in csv.reader(text) if r and not r[0].startswith("#"))
+    csv.reader reads the file from its first row; blank and comment rows are skipped,
+    but for a comment row holding bytes that are not UTF-8 (``_SURROGATE``)."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as text:
+        rows = (r for r in csv.reader(text) if r and r[0][:1] != "#" or _undecoded([r]) == 0)
         header = next(rows, None)
+        if header and _undecoded([header]) == 0:  # a quoted header cell may span lines
+            raise UnicodeDecodeError("utf-8", b"", 0, 1, "in the header row")
         yield header
         if header is None:
             return
@@ -280,6 +288,15 @@ def _rows(path: Path) -> Iterator:
                 block, size = [], 0
         if block:
             yield block
+
+
+def _undecoded(rows: Sequence[Sequence[str]]) -> int:
+    """The index of the first of ``rows`` holding a ``_SURROGATE``, else ``len(rows)``."""
+    texts = list(map("".join, rows))
+    found = _SURROGATE.search("".join(texts))
+    if found is None:
+        return len(rows)
+    return int(np.searchsorted(np.cumsum(list(map(len, texts))), found.start(), side="right"))
 
 
 def _line_blocks(fh: BinaryIO, size: int = -1) -> Iterator[bytes]:
@@ -306,8 +323,8 @@ def _split_plain(block: bytes, width: int, dtypes: Sequence | None = None
     blank lines give no rows. With ``dtypes``, a block that ``_cast_plain``
     casts comes back as a tuple of its typed columns instead of its cells.
     """
-    if any(byte in block for byte in (b'"', b"\r", b"\0")) or block.startswith(b"#") \
-            or block.find(b"\n#") >= 0:
+    if any(byte in block for byte in (b'"', b"\r", b"\0")) or b"#" in block and (
+            block.startswith(b"#") or block.find(b"\n#") >= 0):
         return None
     try:
         text = block.decode("utf-8")

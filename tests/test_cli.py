@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finpipe
 import reference_io as ref
@@ -22,7 +25,7 @@ from finpipe import (
     implied_vol,
     load_csv,
 )
-from finpipe import cli, frame, table
+from finpipe import cli, forecast, frame, metrics, table
 from finpipe.cli import COMMANDS, OPTIONS, derive_seed, main
 from finpipe.forecast import read_metadata
 from ranges import assert_no_worker_left, in_ranges
@@ -670,6 +673,74 @@ class TestEvaluateDegenerateDispersion:
         assert list(metrics) == ["mse", "mae", "msic", "msir"]
         assert float(metrics["mse"]) > 0.0
         assert (metrics["msic"], metrics["msir"]) == ("NA", "NA")
+
+
+class TestEvaluateErrors:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_vars=st.integers(1, 3), horizon=st.integers(1, 4), n_windows=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e6]),
+           data=st.data())
+    def test_mse_and_mae_cells_are_the_metrics_of_the_loaded_batch(
+            self, tmp_path, n_vars, horizon, n_windows, seed, scale, data):
+        # evaluate makes both from one difference array written over the
+        # predictions; a batch loaded afresh gives the same bits through
+        # mse and mae, for full files and for sample and variable subsets,
+        # whose predictions are copies taken from the file's grid.
+        rng = np.random.default_rng(seed)
+        n_rows = n_windows + 2 + horizon - 1
+        names = tuple(f"v{i}" for i in range(n_vars))
+        panel = Panel(range(n_rows), names, rng.normal(0.0, scale, (n_rows, n_vars)))
+        windows = frame.sliding_windows(panel, frame.WindowSpec(2, horizon))
+        preds = windows.truth + rng.normal(0.0, scale, windows.truth.shape)
+        truth, forecasts = tmp_path / "truth.csv", tmp_path / "fc.csv"
+        frame.write_csv(panel, truth)
+        forecast.write_forecasts(forecasts, forecast.make_batch(windows, preds), 2)
+        samples = data.draw(st.sets(st.integers(0, n_windows - 1), min_size=1), label="samples")
+        variables = data.draw(st.sets(st.sampled_from(names), min_size=1), label="variables")
+        head, body = forecasts.read_text().split("sample_id,step,variable,y_pred\n")
+        kept = [line for line in body.splitlines()
+                if int(line.split(",")[0]) in samples and line.split(",")[2] in variables]
+        forecasts.write_text(head + "sample_id,step,variable,y_pred\n" + "\n".join(kept) + "\n")
+        out = tmp_path / "metrics.csv"
+        assert main(["evaluate", "--truth", str(truth), "--forecasts", str(forecasts),
+                     "--output", str(out)]) == 0
+        cells = _read_metric_csv(out)
+        batch = forecast.load_forecasts(forecasts, windows)
+        assert (cells["mse"], cells["mae"]) == (repr(metrics.mse(batch)), repr(metrics.mae(batch)))
+        assert list(cells) == ["mse", "mae", "msic", "msir"]
+
+    def test_peak_grows_by_the_grid_not_a_difference_array(self, tmp_path, monkeypatch):
+        # A full m2m file of 25 steps over 4 variables, at 200 and 400 windows.
+        # Smaller blocks of text and of ranked samples keep what does not grow
+        # with the file below the difference array, so a small file shows it.
+        # The traced peak grew 18.8 B a record when mse and mae each made a
+        # difference array (8 B) beside the grid's values (8 B); it grows
+        # 12.3-12.8 B now: the grid's 9 B, the truth panel's share and the
+        # per-sample arrays.
+        monkeypatch.setattr(table, "BLOCK_BYTES", 4096)
+        monkeypatch.setattr(metrics, "IC_BLOCK_SAMPLES", 16)
+        rng = np.random.default_rng(3)
+        names = tuple(f"v{i}" for i in range(4))
+        peaks = []
+        for n_windows in (200, 400):
+            panel = Panel(range(n_windows + 26), names, rng.normal(100.0, 1.0, (n_windows + 26, 4)))
+            windows = frame.sliding_windows(panel, frame.WindowSpec(2, 25))
+            truth, forecasts = tmp_path / f"truth{n_windows}.csv", tmp_path / f"fc{n_windows}.csv"
+            frame.write_csv(panel, truth)
+            preds = forecast.naive_forecast(windows, 25, seed=1)
+            forecast.write_forecasts(forecasts, forecast.make_batch(windows, preds), 2)
+            argv = ["evaluate", "--truth", str(truth), "--forecasts", str(forecasts),
+                    "--output", str(tmp_path / "metrics.csv")]
+            if not peaks:  # what only a process's first run allocates is left out
+                assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (200 * 25 * 4) < 14
 
 
 class TestBacktestCli:

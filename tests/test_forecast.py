@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from finpipe import (
     write_csv,
     write_forecasts,
 )
+from finpipe import table
 from finpipe.cli import main
 from finpipe.errors import AlignError, FormatError
 from synth import ohlcv_panel, random_walk_panel
@@ -67,6 +69,36 @@ class TestNaiveForecast:
     def test_negative_noise_rejected(self, windows):
         with pytest.raises(ValueError, match="noise_std"):
             naive_forecast(windows, 5, noise_std=-0.1)
+
+    @pytest.mark.parametrize("redraw_per_step", [True, False])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.001, 3.0])
+    def test_bits_are_last_plus_noise(self, windows, redraw_per_step, noise_std):
+        # The last values are added into the noise draw; float addition
+        # commutes, so every bit is the repeat-then-add formula's.
+        last = windows.last_observed
+        expected = np.repeat(last[:, None, :], 5, axis=1).astype(float)
+        if noise_std > 0:
+            b, c = last.shape
+            shape = (b, 5, c) if redraw_per_step else (b, 1, c)
+            expected += np.random.default_rng(4).normal(0.0, noise_std, size=shape)
+        preds = naive_forecast(windows, 5, noise_std, seed=4, redraw_per_step=redraw_per_step)
+        assert preds.dtype == expected.dtype and preds.shape == expected.shape
+        assert preds.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kwargs, bound", [({}, 1.25), ({"redraw_per_step": False}, 1.5),
+                                               ({"noise_std": 0.0}, 1.5)])
+    def test_the_forecast_is_the_one_array_of_its_size(self, kwargs, bound):
+        # The m2m_eval shape: 6017 windows, H=5, 20 channels, 4.8 MB a forecast.
+        # Traced peak over the forecast's bytes: 2.20 in each case when a
+        # repeat, its float copy and the noise were alive together; now 1.21
+        # (noise, last values and a ufunc buffer), and 1.40 with shared or no
+        # noise, where the last values are repeated from a (B, 1, C) array.
+        rng = np.random.default_rng(5)
+        names = tuple(f"v{i}" for i in range(20))
+        windows = sliding_windows(Panel(range(6533), names, rng.normal(size=(6533, 20))),
+                                  WindowSpec(512, 5))
+        preds = naive_forecast(windows, 5, **kwargs)
+        assert traced_peak(naive_forecast, windows, 5, **kwargs) < bound * preds.nbytes
 
 
 class TestForecastFileRoundTrip:
@@ -163,10 +195,10 @@ def close_windows(n_windows):
     return sliding_windows(panel, WindowSpec(512, 5, CLOSES))
 
 
-def traced_peak(fn, *args):
+def traced_peak(fn, *args, **kwargs):
     tracemalloc.start()
     try:
-        fn(*args)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,6 +229,20 @@ class TestForecastReadMemory:
         batch = load_forecasts(path, windows)
         np.testing.assert_array_equal(batch.sample_order, [0, 6000, 2 * 6017 - 1])
         assert traced_peak(load_forecasts, path, windows) < 490_345
+
+    def test_the_grid_grows_under_a_profiler(self, tmp_path, monkeypatch, windows):
+        # The grid's rows grow in place; a profiler holds a reference to the
+        # array being grown, which numpy's reference check would refuse.
+        path = tmp_path / "fc.csv"
+        preds = naive_forecast(windows, 5, seed=3)
+        write_forecasts(path, make_batch(windows, preds), 10)
+        monkeypatch.setattr(table, "BLOCK_BYTES", 64)  # a few records a block: many growths
+        sys.setprofile(lambda *args: None)
+        try:
+            batch = load_forecasts(path, windows)
+        finally:
+            sys.setprofile(None)
+        np.testing.assert_array_equal(batch.y_pred, preds)
 
 
 def _write_records(path, records, horizon=5, input_len=10):

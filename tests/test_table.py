@@ -352,6 +352,69 @@ def test_a_ragged_table_never_reaches_the_caller(tmp_path, text):
     assert rows < n_rows
 
 
+@pytest.mark.parametrize("text, above", [
+    (b"h,a\n1,2\n3,\xff\n4,5\n", 1),  # a body cell
+    (b"h,a\n1,2\n\xff\n4,5\n", 1),  # a row of its own, with the wrong field count too
+    (b"h,a\n1,2\n#\xff\n4,5\n", 1),  # a comment row
+    (b'"h\n\xff",a\n1,2\n', None),  # a header cell that spans lines
+])
+def test_text_that_is_not_utf8_ends_the_rows_above_it(tmp_path, text, above):
+    # Like a ragged row: the parse callback sees the rows above it, then
+    # read_blocks raises; in the header, before any row.
+    path = tmp_path / "table.csv"
+    path.write_bytes(text)
+    seen = []
+
+    def parse(blocks):
+        seen.append(sum(map(len, blocks)))
+
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: not UTF-8 text$"):
+        read_blocks(path, parse)
+    assert seen == ([] if above is None else [above])
+
+
+def test_a_bad_cell_above_a_non_utf8_byte_in_its_block_is_named(tmp_path):
+    # A non-numeric cell on row 7 and a 0xff byte further on in the same
+    # first 64 KiB block. csv.reader's decoder used to meet the byte before
+    # the block reached the cast, so every position read "not UTF-8 text".
+    path = tmp_path / "panel.csv"
+    write_csv(Panel(range(20_000), ("a", "b"), np.arange(40_000.0).reshape(20_000, 2) / 7), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    stamp, _, b = lines[6].split(b",")
+    lines[6] = stamp + b",abc," + b
+    path.write_bytes(b"".join(lines))
+    with open(path, "r+b") as fh:
+        for at in range(8_000, 65_501, 250):
+            fh.seek(at)
+            byte = fh.read(1)
+            fh.seek(at)
+            fh.write(b"\xff")
+            fh.flush()
+            with pytest.raises(IngestError, match="non-numeric value 'abc' at row 7, column 'a'"):
+                load_csv(path)
+            fh.seek(at)
+            fh.write(byte)
+
+
+@pytest.mark.parametrize("block", [64, table.BLOCK_BYTES])
+def test_a_duplicate_above_a_non_utf8_byte_is_named(tmp_path, monkeypatch, block):
+    # Errors come in file order whether the byte is in the duplicate's block
+    # or a later one.
+    panel = Panel(range(60), ("v0", "v1"), np.arange(120.0).reshape(60, 2))
+    windows = sliding_windows(panel, WindowSpec(4, 2))
+    path = tmp_path / "fc.csv"
+    write_forecasts(path, make_batch(windows, windows.truth), 4)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[8] = lines[6]
+    lines[-1] = b"\xff" + lines[-1]
+    path.write_bytes(b"".join(lines))
+    monkeypatch.setattr(table, "BLOCK_BYTES", block)
+    sample, step, name = lines[6].decode().split(",")[:3]
+    with pytest.raises(FormatError, match=f"duplicate record for sample {sample}, step {step}, "
+                                          f"variable '{name}'"):
+        load_forecasts(path, windows)
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=st.text(st.sampled_from('a1 ,#\n"\r\x00\t.-_e\u0663'), max_size=40),
        width=st.integers(1, 4))
