@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, table
+from . import __version__, forecast, metrics, table
 from .errors import (
     AlignError,
     DegenerateDispersionError,
@@ -34,7 +34,7 @@ from .errors import (
     ToolkitError,
     WindowError,
 )
-from .forecast import load_forecasts, make_batch, naive_forecast, read_metadata, write_forecasts
+from .forecast import load_forecasts, read_metadata
 from .frame import (Panel, SplitSpec, WindowSpec, chronological_split, load_csv,
                     sliding_windows, write_csv)
 from .options import OptionQuote, greeks, historical_vol, implied_vol
@@ -350,18 +350,13 @@ def cmd_naive_forecast(opts: dict) -> None:
             f"task m2p needs a proper subset of the {n_all} variables, got {n_targets}"
         )
     windows = sliding_windows(panel, WindowSpec(opts["input_len"], opts["horizon"], targets))
-    preds = naive_forecast(
-        windows,
-        opts["horizon"],
-        noise_std=opts["noise_std"],
-        seed=derive_seed(opts["seed"], "naive-forecast"),
-        redraw_per_step=not opts["shared_noise"],
-    )
-    batch = make_batch(windows, preds)
-    write_forecasts(
-        opts["output"], batch, input_len=opts["input_len"], model="naive",
-        header_comments=provenance_lines("naive-forecast", opts),
-    )
+    block = forecast.naive_blocks(windows, opts["horizon"], opts["noise_std"],
+                                  derive_seed(opts["seed"], "naive-forecast"),
+                                  not opts["shared_noise"])
+    # Drawn, formatted and written a block at a time: no (B, H, C) array is held.
+    forecast._write_blocks(opts["output"], range(len(windows)), windows.target_vars,
+                           opts["horizon"], block, opts["input_len"], "naive",
+                           provenance_lines("naive-forecast", opts))
 
 
 def _windows_for_forecast_file(forecast_path):

@@ -9,33 +9,44 @@ headers ``#L=``, ``#H=``, ``#model=`` (and ``#variables=``) followed by
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AlignError, FormatError, WindowError
 from .frame import WindowSet
-from .metrics import ForecastBatch
+from .metrics import ForecastBatch, _require_finite
 from .table import Blocks, read_blocks, write_rows
 
 DEFAULT_NOISE_STD = 0.001
 
 
-def naive_forecast(
-    windows: WindowSet,
-    horizon: int,
-    noise_std: float = DEFAULT_NOISE_STD,
-    seed: int = 0,
-    redraw_per_step: bool = True,
-) -> np.ndarray:
+def naive_forecast(windows: WindowSet, horizon: int, noise_std: float = DEFAULT_NOISE_STD,
+                   seed: int = 0, redraw_per_step: bool = True) -> np.ndarray:
     """Repeat each window's last observed value for all horizon steps.
 
     Gaussian noise (mean 0, std ``noise_std``) is added so downstream rank
     statistics never see an exactly constant prediction. Noise is drawn in a
     fixed (sample, step, channel) order from ``seed``, so outputs are
     bit-reproducible. With ``redraw_per_step=False`` one draw per (sample,
-    channel) is shared across the horizon. The last values are added into
-    the drawn noise, so the (B, H, C) result is the one array of its size.
+    channel) is shared across the horizon. This is ``naive_blocks`` drawn
+    for every sample at once.
+    """
+    return naive_blocks(windows, horizon, noise_std, seed, redraw_per_step)(0, len(windows))
+
+
+NOISE_SKIP = 1 << 13  # noise values drawn and dropped at once when a block skips samples
+
+
+def naive_blocks(windows: WindowSet, horizon: int, noise_std: float = DEFAULT_NOISE_STD,
+                 seed: int = 0, redraw_per_step: bool = True) -> Callable[[int, int], np.ndarray]:
+    """``block(start, stop)``: ``naive_forecast``'s rows [start, stop), bit for bit.
+
+    The last values are added into the block's noise draw, so its result is
+    the one array of its size. A block that does not start where the last
+    one stopped seeds a new generator and draws, NOISE_SKIP values at a
+    time, the noise of the samples before it: normal draws made in pieces
+    are the draw made at once.
     """
     if len(windows) == 0:
         raise WindowError("no windows to forecast")
@@ -45,14 +56,25 @@ def naive_forecast(
         )
     if noise_std < 0:
         raise ValueError(f"noise_std must be non-negative, got {noise_std}")
-    last = windows.last_observed[:, None, :]  # (B, 1, C), float
-    if not noise_std > 0:
-        return np.repeat(last, horizon, axis=1)
-    steps = horizon if redraw_per_step else 1
-    rng = np.random.default_rng(seed)
-    preds = rng.normal(0.0, noise_std, size=(len(last), steps, last.shape[2]))
-    preds += last  # float addition commutes: the bits of last + noise
-    return preds if steps == horizon else np.repeat(preds, horizon, axis=1)
+    last = windows.last_observed  # (B, C), float
+    shape = (horizon if redraw_per_step else 1, last.shape[1])  # noise drawn for one sample
+    rng, at = None, None  # at: the sample whose noise ``rng`` draws next
+
+    def block(start: int, stop: int) -> np.ndarray:
+        nonlocal rng, at
+        here = last[start:stop, None, :]  # (n, 1, C)
+        if not noise_std > 0:
+            return np.repeat(here, horizon, axis=1)
+        if at != start:
+            rng, skip = np.random.default_rng(seed), start * shape[0] * shape[1]
+            for done in range(0, skip, NOISE_SKIP):
+                rng.normal(0.0, noise_std, size=min(NOISE_SKIP, skip - done))
+        preds = rng.normal(0.0, noise_std, size=(stop - start, *shape))
+        preds += here  # float addition commutes: the bits of last + noise
+        at = stop
+        return preds if shape[0] == horizon else np.repeat(preds, horizon, axis=1)
+
+    return block
 
 
 def make_batch(windows: WindowSet, y_pred: np.ndarray) -> ForecastBatch:
@@ -82,19 +104,32 @@ def write_forecasts(
     """Write a batch's predictions in the long-format interchange CSV."""
     if batch.variables is None:
         raise FormatError("batch has no variable names; cannot write forecasts")
-    b, h, c = batch.shape
-    head = [*header_comments, f"#L={input_len}", f"#H={h}", f"#model={model}",
-            f"#variables={','.join(batch.variables)}", "sample_id,step,variable,y_pred"]
-    keys = [f",{step + 1},{var}," for step in range(h) for var in batch.variables]
-    ids, values = batch.sample_order.tolist(), batch.y_pred.reshape(b, h * c)
+    _write_blocks(path, batch.sample_order.tolist(), batch.variables, batch.shape[1],
+                  lambda start, stop: batch.y_pred[start:stop], input_len, model, header_comments)
+
+
+def _write_blocks(path, ids: Sequence[int], variables: Sequence[str], horizon: int,
+                  block: Callable[[int, int], np.ndarray], input_len: int, model: str,
+                  header_comments: Sequence[str]) -> None:
+    """Write, as ``write_forecasts`` does, the (stop - start, H, C) predictions
+    ``block(start, stop)`` gives for the samples ``ids[start:stop]``, a block at a time.
+
+    A non-finite prediction is refused as ForecastBatch refuses it, named at
+    its index in the whole forecast, and nothing is written.
+    """
+    head = [*header_comments, f"#L={input_len}", f"#H={horizon}", f"#model={model}",
+            f"#variables={','.join(variables)}", "sample_id,step,variable,y_pred"]
+    keys = [f",{step + 1},{var}," for step in range(horizon) for var in variables]
 
     def lines(start: int, stop: int) -> list[str]:  # H*C lines per sample
+        values = block(start, stop)
+        _require_finite(start, y_pred=values)
         prefixes = map(str, map(int, ids[start:stop]))
         return [prefix + key + repr(value)
-                for prefix, row in zip(prefixes, values[start:stop].tolist())
+                for prefix, row in zip(prefixes, values.reshape(stop - start, -1).tolist())
                 for key, value in zip(keys, row)]
 
-    write_rows(path, head, b, lines)
+    write_rows(path, head, len(ids), lines)
 
 
 def read_metadata(path) -> dict:
@@ -229,16 +264,19 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
     if len(off_ids):
         raise FormatError(f"{path}: {len(off_ids)} record(s) outside the sample/step/variable grid")
 
-    truth = truth_windows.truth if len(sample_ids) == n_windows else truth_windows.truth[sample_ids]
+    whole = len(sample_ids) == n_windows
+    truth = truth_windows.truth if whole else truth_windows.truth[sample_ids]
     origins = truth_windows.origins
     columns = [truth_windows.variables.index(targets[i]) for i in used]  # in the inputs
+    last_observed = (truth_windows.last_observed if whole and len(used) == len(targets)
+                     else truth_windows.inputs[sample_ids, -1][:, columns])
     return ForecastBatch(
         y_true=truth if len(used) == len(targets) else truth[:, :, used],
         y_pred=take(grid.values),
         sample_order=sample_ids,
         variables=variables,
         origins=tuple(origins[s] for s in sample_ids),
-        last_observed=truth_windows.inputs[sample_ids, -1][:, columns],
+        last_observed=last_observed,
     )
 
 

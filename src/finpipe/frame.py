@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple, Sequence
@@ -14,11 +15,12 @@ from .table import Blocks, read_blocks, write_rows
 
 
 def _timestamp_key(label: str):
-    """Sortable key for a timestamp label: integer index or ISO-8601 text."""
-    try:
-        return int(label)
-    except ValueError:
-        pass
+    """Sortable key for a stripped timestamp label: integer index or ISO-8601 text."""
+    if label.find("-", 1) < 0:  # int() refuses a '-' past the first character, as in a date
+        try:
+            return int(label)
+        except ValueError:
+            pass
     try:
         return datetime.fromisoformat(label)
     except ValueError:
@@ -132,12 +134,14 @@ def load_csv(path) -> Panel:
     path, labels, variables, matrix = read_blocks(path, columns, IngestError)
     keys = [_timestamp_key(lab) for lab in labels]
     try:
-        order = sorted(range(len(labels)), key=lambda i: keys[i])
+        # Rows in strictly increasing order, as written panels are, need no sort or scan.
+        ordered = all(map(operator.lt, keys, keys[1:]))
+        order = None if ordered else sorted(range(len(labels)), key=keys.__getitem__)
     except TypeError:
         raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
-    if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
-        raise IngestError("timestamps must be strictly increasing with no duplicates")
-    if order != list(range(len(order))):
+    if not ordered:
+        if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
+            raise IngestError("timestamps must be strictly increasing with no duplicates")
         labels, matrix = [labels[i] for i in order], matrix[order]
     return Panel(tuple(labels), variables, _Owned(matrix))
 
@@ -235,7 +239,9 @@ class WindowSet(Sequence):
         self.variables = variables
         self.target_vars = spec.target_vars or variables
         self.spec = spec
-        self._target_idx = [variables.index(v) for v in self.target_vars]
+        # A basic slice when the targets are every variable in order: last_observed is a view.
+        self._target_idx = (slice(None) if self.target_vars == variables
+                            else [variables.index(v) for v in self.target_vars])
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -256,7 +262,8 @@ class WindowSet(Sequence):
 
     @property
     def last_observed(self) -> np.ndarray:
-        """(B, n_targets) last input-row value of each target variable."""
+        """(B, n_targets) last input-row value of each target variable: a view of the
+        panel when the targets are every variable in panel order, else a copy."""
         return self.inputs[:, -1, self._target_idx]
 
 
@@ -265,7 +272,9 @@ def sliding_windows(panel: Panel, spec: WindowSpec) -> WindowSet:
 
     Produces exactly ``n_rows - input_len - horizon + 1`` windows; the truth
     block starts on the row right after the input block, so the origin always
-    precedes every truth timestamp.
+    precedes every truth timestamp. The inputs view the panel's values; so
+    does the truth when the targets are every variable in panel order, and
+    otherwise it views one copy of the target columns.
     """
     n, L, H = panel.n_rows, spec.input_len, spec.horizon
     b = n - L - H + 1
@@ -280,7 +289,8 @@ def sliding_windows(panel: Panel, spec: WindowSpec) -> WindowSet:
     t_idx = [panel.variables.index(v) for v in targets]
     swv = np.lib.stride_tricks.sliding_window_view
     inputs = np.swapaxes(swv(panel.values, L, axis=0), 1, 2)[:b]
-    truth = np.swapaxes(swv(panel.values[:, t_idx], H, axis=0), 1, 2)[L : L + b]
+    columns = panel.values if targets == panel.variables else panel.values[:, t_idx]
+    truth = np.swapaxes(swv(columns, H, axis=0), 1, 2)[L : L + b]
     origin_indices = np.arange(L - 1, L - 1 + b)
     resolved = WindowSpec(L, H, tuple(targets))
     return WindowSet(inputs, truth, origin_indices, panel.timestamps, panel.variables, resolved)

@@ -80,15 +80,16 @@ class ForecastBatch:
         return self.y_true.shape
 
 
-def _require_finite(**arrays: np.ndarray) -> None:
-    """Raise MetricError naming the first non-finite element of any named array."""
+def _require_finite(first: int = 0, /, **arrays: np.ndarray) -> None:
+    """Raise MetricError naming the first non-finite element of any named array, whose
+    rows are rows ``first``.. of a larger whole. Only an array whose minimum or maximum
+    is not finite is masked, to find that element."""
     for name, values in arrays.items():
-        finite = np.isfinite(values)
-        if not finite.all():
-            at = np.unravel_index(np.argmin(finite), values.shape)
-            raise MetricError(
-                f"{name} must be finite, got {values[at]} at index {tuple(map(int, at))}"
-            )
+        if not values.size or np.isfinite(values.min()) and np.isfinite(values.max()):
+            continue
+        at = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
+        index = (first + int(at[0]), *map(int, at[1:]))
+        raise MetricError(f"{name} must be finite, got {values[at]} at index {index}")
 
 
 def errors(batch: ForecastBatch, out: np.ndarray | None = None) -> tuple[float, float]:
@@ -182,7 +183,8 @@ def per_pair_corr(y: np.ndarray, y_pred: np.ndarray, method: str = "spearman") -
     return float(_corr_matrix(a, b, method)[0, 0])
 
 
-IC_BLOCK_SAMPLES = 512  # samples ranked at once; bounds the rank temporaries
+# Samples ranked at once: bounds the rank temporaries; any size gives the same bits.
+IC_BLOCK_SAMPLES = 128
 
 
 def per_sample_ic(batch: ForecastBatch, method: str = "spearman") -> np.ndarray:

@@ -27,6 +27,7 @@ from finpipe import (
 )
 from finpipe import cli, forecast, frame, metrics, table
 from finpipe.cli import COMMANDS, OPTIONS, derive_seed, main
+from finpipe.errors import MetricError
 from finpipe.forecast import read_metadata
 from ranges import assert_no_worker_left, in_ranges
 from synth import ohlcv_panel, write_raw_csv
@@ -642,6 +643,131 @@ class TestConfigFile:
         assert not out.exists()
         if message is not None:
             assert f"error: {message}\n" in capsys.readouterr().err
+
+
+class TestNaiveForecastStream:
+    """naive-forecast draws, formats and writes its predictions a block at a time."""
+
+    NAMES = ("v0", "v1", "v2")
+
+    def _inputs(self, tmp_path, values=None):
+        """A 3-variable panel CSV of 40 rows: 33 windows at L=5, H=3."""
+        if values is None:
+            values = np.random.default_rng(8).normal(100.0, 1.0, (40, 3))
+        path = tmp_path / "panel.csv"
+        frame.write_csv(Panel(range(len(values)), self.NAMES, values), path)
+        return path
+
+    def _windows(self, path, targets=()):
+        return frame.sliding_windows(load_csv(path), frame.WindowSpec(5, 3, targets))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("task, targets", [("m2m", ()), ("m2p", ("v2", "v0"))])
+    @pytest.mark.parametrize("flags, noise_std, redraw", [
+        ([], 0.001, True), (["--shared-noise"], 0.001, False), (["--noise-std", "0"], 0.0, True)])
+    def test_the_file_is_the_whole_forecast_written(self, tmp_path, monkeypatch, count, task,
+                                                    targets, flags, noise_std, redraw):
+        # The bytes of write_forecasts(make_batch(windows, naive_forecast(...))), however
+        # the samples fall into ranges and blocks and however the skipped noise is drawn.
+        src, out, whole = self._inputs(tmp_path), tmp_path / "fc.csv", tmp_path / "whole.csv"
+        argv = ["naive-forecast", "--input", str(src), "--output", str(out), "--input-len", "5",
+                "--horizon", "3", "--task", task, "--seed", "4", *flags]
+        if targets:
+            argv += ["--target-vars", ",".join(targets)]
+        with monkeypatch.context() as patch:
+            patch.setattr(table, "BLOCK_BYTES", 256)  # a few samples a block
+            patch.setattr(forecast, "NOISE_SKIP", 7)  # a skip draws in several pieces
+            if count > 1:
+                in_ranges(patch, count)
+            assert main(argv) == 0
+        assert_no_worker_left()
+        windows = self._windows(src, targets)
+        preds = forecast.naive_forecast(windows, 3, noise_std, derive_seed(4, "naive-forecast"),
+                                        redraw)
+        forecast.write_forecasts(whole, forecast.make_batch(windows, preds), 5,
+                                 header_comments=out.read_text().splitlines()[:3])
+        assert out.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("redraw", [True, False])
+    def test_blocks_in_any_order_are_the_forecasts_rows(self, tmp_path, monkeypatch, redraw):
+        # Chunked normal draws are the one draw, so a block that skips ahead,
+        # or back, re-seeds and drops the samples before it to land on its rows.
+        rng = np.random.default_rng(12)
+        whole = rng.normal(0.0, 0.5, 1000)
+        again = np.random.default_rng(12)
+        pieces = [again.normal(0.0, 0.5, n) for n in (1, 6, 7, 500, 486)]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        monkeypatch.setattr(forecast, "NOISE_SKIP", 5)
+        windows = self._windows(self._inputs(tmp_path))
+        preds = forecast.naive_forecast(windows, 3, 0.01, seed=9, redraw_per_step=redraw)
+        block = forecast.naive_blocks(windows, 3, 0.01, seed=9, redraw_per_step=redraw)
+        for start, stop in ((20, 33), (0, 1), (1, 4), (4, 20), (7, 8), (8, 9), (32, 33)):
+            assert block(start, stop).tobytes() == preds[start:stop].tobytes()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_non_finite_prediction_is_refused_and_nothing_written(
+            self, tmp_path, monkeypatch, capsys, count):
+        # As ForecastBatch refused it when the whole forecast was made first;
+        # a block source without the check wrote 694 'inf' cells at the
+        # m2m_eval shape and exited 0.
+        src, out = self._inputs(tmp_path), tmp_path / "fc.csv"
+        windows = self._windows(src)
+        with pytest.raises(MetricError) as refused:
+            forecast.make_batch(windows, forecast.naive_forecast(
+                windows, 3, 1e308, derive_seed(0, "naive-forecast")))
+        with monkeypatch.context() as patch:
+            if count > 1:
+                in_ranges(patch, count)
+            assert main(["naive-forecast", "--input", str(src), "--output", str(out),
+                         "--input-len", "5", "--horizon", "3", "--noise-std", "1e308"]) == 1
+        assert capsys.readouterr().err == f"finpipe naive-forecast: error: {refused.value}\n"
+        assert "y_pred must be finite, got " in str(refused.value)
+        assert not out.exists()
+        assert_no_worker_left()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+    def test_a_non_finite_prediction_in_a_workers_range_is_found_by_the_parent(
+            self, tmp_path, monkeypatch, capsys):
+        # Only the last window's last value is the largest float, so only its
+        # predictions overflow: the last range's worker fails, and the parent
+        # redoes that range and names the value at its index in the whole forecast.
+        values = np.random.default_rng(8).normal(0.0, 1.0, (40, 3))
+        values[-4, 1] = np.finfo(float).max
+        src, out = self._inputs(tmp_path, values), tmp_path / "fc.csv"
+        windows = self._windows(src)
+        with pytest.raises(MetricError) as refused:
+            forecast.make_batch(windows, forecast.naive_forecast(
+                windows, 3, 1e300, derive_seed(0, "naive-forecast")))
+        assert "at index (32, " in str(refused.value)
+        with monkeypatch.context() as patch:
+            in_ranges(patch, 3)
+            assert main(["naive-forecast", "--input", str(src), "--output", str(out),
+                         "--input-len", "5", "--horizon", "3", "--noise-std", "1e300"]) == 1
+        assert capsys.readouterr().err == f"finpipe naive-forecast: error: {refused.value}\n"
+        assert not out.exists()
+        assert_no_worker_left()
+
+    def test_the_stage_holds_no_forecast(self, tmp_path, monkeypatch):
+        # The m2m_eval shape: 6533 rows of 20 variables, 6017 windows, a 4.8 MB
+        # forecast. Beyond the traced peak of reading its panel (2.5 MB, the
+        # stage's largest step now) the stage took 7.2 MB at the parent, which
+        # held the forecast; it takes 0.06 MB now, under a quarter forecast.
+        monkeypatch.setattr(table, "MAX_RANGES", 1)  # every byte read in this process
+        names = tuple(f"v{i}" for i in range(20))
+        src = tmp_path / "panel.csv"
+        frame.write_csv(Panel(range(6533), names,
+                              np.random.default_rng(5).normal(size=(6533, 20))), src)
+        argv = ["naive-forecast", "--input", str(src), "--output", str(tmp_path / "fc.csv")]
+        assert main(argv) == 0  # what only a process's first run allocates is left out
+        peaks = []
+        for run in (lambda: load_csv(src), lambda: main(argv)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.25 * 6017 * 5 * 20 * 8
 
 
 class TestEvaluateDegenerateDispersion:
@@ -1481,11 +1607,12 @@ class TestEntryPoint:
 
     def test_import_leaves_the_worker_modules_unloaded(self):
         # The range map in finpipe.table imports what its workers need on
-        # first use, so a stage with small files pays for none of it. Without
+        # first use, so a stage with small files pays for none of it; numpy.random
+        # (2.8 MB of RSS) is loaded by naive-forecast's first draw alone. Without
         # site (-S), no .pth file imports tempfile before the package does.
         package_root = str(Path(finpipe.__file__).resolve().parents[1])
         numpy_root = str(Path(np.__file__).resolve().parents[1])
-        modules = ("multiprocessing", "concurrent.futures", "tempfile")
+        modules = ("multiprocessing", "concurrent.futures", "tempfile", "numpy.random")
         done = subprocess.run(
             [sys.executable, "-S", "-c", "import sys, finpipe.cli; "
              f"print([m for m in {modules!r} if m in sys.modules])"],

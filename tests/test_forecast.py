@@ -90,9 +90,10 @@ class TestNaiveForecast:
     def test_the_forecast_is_the_one_array_of_its_size(self, kwargs, bound):
         # The m2m_eval shape: 6017 windows, H=5, 20 channels, 4.8 MB a forecast.
         # Traced peak over the forecast's bytes: 2.20 in each case when a
-        # repeat, its float copy and the noise were alive together; now 1.21
+        # repeat, its float copy and the noise were alive together; then 1.21
         # (noise, last values and a ufunc buffer), and 1.40 with shared or no
         # noise, where the last values are repeated from a (B, 1, C) array.
+        # Now that the last values view the panel: 1.01, and 1.20.
         rng = np.random.default_rng(5)
         names = tuple(f"v{i}" for i in range(20))
         windows = sliding_windows(Panel(range(6533), names, rng.normal(size=(6533, 20))),
@@ -114,6 +115,26 @@ class TestForecastFileRoundTrip:
         assert loaded.variables == batch.variables
         assert loaded.origins == batch.origins
         np.testing.assert_array_equal(loaded.last_observed, batch.last_observed)
+
+    def test_a_whole_all_target_file_views_the_panel(self, tmp_path):
+        # Every window and every panel variable: the batch's truth and last
+        # values are views of the panel; the last values were a (B, C) copy
+        # at the parent (np.shares_memory False). A subset still copies.
+        panel = random_walk_panel(40, 3, seed=11)
+        windows = sliding_windows(panel, WindowSpec(10, 5))
+        path = tmp_path / "fc.csv"
+        write_forecasts(path, make_batch(windows, naive_forecast(windows, 5, seed=3)), 10)
+        batch = load_forecasts(path, windows)
+        assert np.shares_memory(batch.y_true, panel.values)
+        assert np.shares_memory(batch.last_observed, panel.values)
+        np.testing.assert_array_equal(batch.last_observed, panel.values[9:35])
+        head, body = path.read_text().split("sample_id,step,variable,y_pred\n")
+        path.write_text(head + "sample_id,step,variable,y_pred\n"
+                        + "".join(line + "\n" for line in body.splitlines()
+                                  if not line.startswith("0,")))
+        batch = load_forecasts(path, windows)
+        assert not np.shares_memory(batch.last_observed, panel.values)
+        np.testing.assert_array_equal(batch.last_observed, panel.values[10:35])
 
     def test_metadata_header(self, tmp_path, windows):
         preds = naive_forecast(windows, 5, seed=3)
