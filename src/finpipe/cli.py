@@ -392,6 +392,26 @@ def cmd_evaluate(opts: dict) -> None:
 
 
 def cmd_backtest(opts: dict) -> None:
+    positions, curve = _backtest(opts)  # all else the stage built is freed by now
+    assets, weights = positions.assets, positions.weights
+
+    def lines(start: int, stop: int) -> list[str]:  # the curve rows [start, stop)
+        if opts["strategy"] == "topk":
+            held = ["|".join(a for a, w in zip(assets, row) if w > 0)
+                    for row in weights[start:stop].tolist()]
+        else:
+            held = map(repr, weights[start:stop, 0].tolist())
+        return [f"{label},{net!r},{ret!r},{position}"
+                for label, net, ret, position in zip(
+                    curve.timestamps[start:stop], curve.net_values[start:stop].tolist(),
+                    curve.period_returns[start:stop].tolist(), held)]
+
+    head = [*provenance_lines("backtest", opts), "timestamp,net_value,period_return,position"]
+    table.write_rows(opts["output"], head, len(curve.timestamps), lines)
+
+
+def _backtest(opts: dict):
+    """The strategy's positions and its equity curve, all that the curve file is made of."""
     panel = load_csv(opts["panel"])
     records = {r.variable: r for r in load_anchor_file(opts["anchors"])}
     spec = _windows_for_forecast_file(opts["forecasts"])
@@ -436,22 +456,7 @@ def cmd_backtest(opts: dict) -> None:
             positions = timing_positions(dd_one, opts["rebalance"])
         else:
             positions = long_short_positions(dd_one, opts["rebalance"])
-    curve = equity_curve(positions, traded_returns)
-
-    lines = provenance_lines("backtest", opts)
-    lines.append("timestamp,net_value,period_return,position")
-    if strategy == "topk":
-        held = ["|".join(a for a, w in zip(positions.assets, row) if w > 0)
-                for row in positions.weights.tolist()]
-    else:
-        held = list(map(repr, positions.weights[:, 0].tolist()))
-    lines.extend(
-        f"{label},{net!r},{ret!r},{position}"
-        for label, net, ret, position in zip(
-            curve.timestamps, curve.net_values.tolist(), curve.period_returns.tolist(), held
-        )
-    )
-    table.write_lines(opts["output"], lines)
+    return positions, equity_curve(positions, traded_returns)
 
 
 def cmd_report(opts: dict) -> None:
