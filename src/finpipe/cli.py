@@ -34,7 +34,7 @@ from .errors import (
     ToolkitError,
     WindowError,
 )
-from .forecast import load_forecasts, read_metadata
+from .forecast import load_forecasts
 from .frame import (Panel, SplitSpec, WindowSpec, chronological_split, load_csv,
                     sliding_windows, write_csv)
 from .options import OptionQuote, greeks, historical_vol, implied_vol
@@ -314,26 +314,24 @@ def _read_columns(path, required: tuple[str, ...], floats: tuple[str, ...]):
     return table.read_blocks(path, parse)
 
 
-def cmd_preprocess(opts: dict) -> None:
+def cmd_preprocess(opts: dict, stamp: list[str]) -> None:
     panel = load_csv(opts["input"])
     transformed, records = transform_panel(panel, baseline=opts["baseline"])
-    stamp = provenance_lines("preprocess", opts)
     write_csv(transformed, opts["output"], header_comments=stamp)
     write_anchor_file(opts["anchors"], records, header_comments=stamp)
 
 
-def cmd_split(opts: dict) -> None:
+def cmd_split(opts: dict, stamp: list[str]) -> None:
     panel = load_csv(opts["input"])
     spec = SplitSpec(opts["train"], opts["val"], opts["test"])
     train, val, test = chronological_split(panel, spec)
-    stamp = provenance_lines("split", opts)
     out_dir = Path(opts["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", train), ("val", val), ("test", test)):
         write_csv(part, out_dir / f"{name}.csv", header_comments=stamp)
 
 
-def cmd_naive_forecast(opts: dict) -> None:
+def cmd_naive_forecast(opts: dict, stamp: list[str]) -> None:
     panel = load_csv(opts["input"])
     targets = opts["target_vars"]
     task = opts["task"]
@@ -355,23 +353,26 @@ def cmd_naive_forecast(opts: dict) -> None:
                                   not opts["shared_noise"])
     # Drawn, formatted and written a block at a time: no (B, H, C) array is held.
     forecast._write_blocks(opts["output"], range(len(windows)), windows.target_vars,
-                           opts["horizon"], block, opts["input_len"], "naive",
-                           provenance_lines("naive-forecast", opts))
+                           opts["horizon"], block, opts["input_len"], "naive", stamp)
 
 
-def _windows_for_forecast_file(forecast_path):
-    meta = read_metadata(forecast_path)
-    if "L" not in meta or "H" not in meta:
-        raise FormatError(f"{forecast_path}: forecast file lacks #L/#H headers")
-    targets = meta.get("variables", ())
-    return WindowSpec(meta["L"], meta["H"], tuple(targets))
+def _read_forecasts(panel: Panel, path):
+    """A forecast file's batch, read once, and the windows over ``panel`` that its
+    ``#L``/``#H``/``#variables`` head names, which the batch is aligned with."""
+    made = []
+
+    def windows(meta: dict):
+        if "L" not in meta or "H" not in meta:
+            raise FormatError(f"{path}: forecast file lacks #L/#H headers")
+        made.append(sliding_windows(panel, WindowSpec(meta["L"], meta["H"],
+                                                      meta.get("variables", ()))))
+        return made[0]
+
+    return load_forecasts(path, windows), made[0]
 
 
-def cmd_evaluate(opts: dict) -> None:
-    panel = load_csv(opts["truth"])
-    spec = _windows_for_forecast_file(opts["forecasts"])
-    windows = sliding_windows(panel, spec)
-    batch = load_forecasts(opts["forecasts"], windows)
+def cmd_evaluate(opts: dict, stamp: list[str]) -> None:
+    batch, _ = _read_forecasts(load_csv(opts["truth"]), opts["forecasts"])
     rows = []
     try:
         per_sample = metrics.per_sample_ic(batch, opts["method"])  # once for msic and msir
@@ -386,12 +387,10 @@ def cmd_evaluate(opts: dict) -> None:
     # Last: the differences overwrite the predictions, which nothing reads after.
     squared, absolute = metrics.errors(batch, out=batch.y_pred)
     rows[:0] = [("mse", repr(squared)), ("mae", repr(absolute))]
-    lines = provenance_lines("evaluate", opts) + ["metric,value"]
-    lines.extend(f"{name},{value}" for name, value in rows)
-    table.write_lines(opts["output"], lines)
+    table.write_rows(opts["output"], [*stamp, "metric,value", *map(",".join, rows)])
 
 
-def cmd_backtest(opts: dict) -> None:
+def cmd_backtest(opts: dict, stamp: list[str]) -> None:
     positions, curve = _backtest(opts)  # all else the stage built is freed by now
     assets, weights = positions.assets, positions.weights
 
@@ -406,7 +405,7 @@ def cmd_backtest(opts: dict) -> None:
                     curve.timestamps[start:stop], curve.net_values[start:stop].tolist(),
                     curve.period_returns[start:stop].tolist(), held)]
 
-    head = [*provenance_lines("backtest", opts), "timestamp,net_value,period_return,position"]
+    head = [*stamp, "timestamp,net_value,period_return,position"]
     table.write_rows(opts["output"], head, len(curve.timestamps), lines)
 
 
@@ -414,9 +413,7 @@ def _backtest(opts: dict):
     """The strategy's positions and its equity curve, all that the curve file is made of."""
     panel = load_csv(opts["panel"])
     records = {r.variable: r for r in load_anchor_file(opts["anchors"])}
-    spec = _windows_for_forecast_file(opts["forecasts"])
-    windows = sliding_windows(panel, spec)
-    batch = load_forecasts(opts["forecasts"], windows)
+    batch, windows = _read_forecasts(panel, opts["forecasts"])
     gaps = np.flatnonzero(np.diff(batch.sample_order) != 1)
     if gaps.size:
         before, after = batch.sample_order[gaps[0] : gaps[0] + 2]
@@ -426,6 +423,8 @@ def _backtest(opts: dict):
         )
 
     signal = difference_signal(batch)
+    origin_rows = windows.origin_indices[batch.sample_order][opts["window"] - 1 :]
+    del windows, batch  # the strategy reads the signal, its origin rows and the traded closes
     dd = diff_in_diff(signal, opts["window"])
 
     for var in signal.variables:
@@ -438,8 +437,8 @@ def _backtest(opts: dict):
         [inverse_price_transform(panel.column(v), records[v].state()) for v in signal.variables]
     )
     raw_panel = Panel(panel.timestamps, signal.variables, raw_prices)
+    del panel  # the strategy reads none of its other columns
 
-    origin_rows = windows.origin_indices[batch.sample_order][opts["window"] - 1 :]
     returns = forward_returns(raw_panel, signal.variables, origin_rows)
 
     strategy = opts["strategy"]
@@ -459,7 +458,7 @@ def _backtest(opts: dict):
     return positions, equity_curve(positions, traded_returns)
 
 
-def cmd_report(opts: dict) -> None:
+def cmd_report(opts: dict, stamp: list[str]) -> None:
     header, cells, (net, rets) = _read_columns(
         opts["input"], ("timestamp", "net_value", "period_return"),
         ("net_value", "period_return"),
@@ -474,18 +473,17 @@ def cmd_report(opts: dict) -> None:
             f"product of period_return (expected {float(curve.net_values[i])!r})"
         )
     report = full_report(curve, opts["periods_per_year"], opts["risk_free"])
-    lines = provenance_lines("report", opts) + ["metric,value"]
-    for name, value in report.rows():
-        lines.append(f"{name},{'NA' if value is None else repr(float(value))}")
-    table.write_lines(opts["output"], lines)
+    table.write_rows(opts["output"], [*stamp, "metric,value"] + [
+        f"{name},{'NA' if value is None else repr(float(value))}" for name, value in report.rows()
+    ])
 
 
-def cmd_option_analytics(opts: dict) -> None:
+def cmd_option_analytics(opts: dict, stamp: list[str]) -> None:
     with table.replacing(opts["output"]) as out:
-        table.read_blocks(opts["input"], lambda blocks: _analytics(blocks, opts, out))
+        table.read_blocks(opts["input"], lambda blocks: _analytics(blocks, opts, stamp, out))
 
 
-def _analytics(blocks: table.Blocks, opts: dict, out) -> None:
+def _analytics(blocks: table.Blocks, opts: dict, stamp: list[str], out) -> None:
     """Solve, format and write the quotes of ``blocks``, range by range and block by block.
 
     ``Blocks.map`` runs ``part`` on each range of a big body, in a forked
@@ -512,7 +510,7 @@ def _analytics(blocks: table.Blocks, opts: dict, out) -> None:
     out_header = header + ["iv", "delta", "theta", "gamma", "vega", "rho"]
     if window is not None:
         out_header.append("hv")
-    lines = provenance_lines("option-analytics", opts) + [",".join(table.quote(out_header))]
+    lines = [*stamp, ",".join(table.quote(out_header))]
     out.seek(0)
     out.truncate()  # a body that is not plain is read again, in one range, into the same file
     out.write(("\n".join(lines) + "\n").encode())
@@ -615,8 +613,9 @@ def main(argv=None) -> int:
         extra = _config_args(parser, namespace.command, namespace.config)
         namespace = parser.parse_args(argv[:at] + extra + argv[at:])
     opts = resolve_options(parser, namespace)
+    stamp = provenance_lines(namespace.command, opts)
     try:
-        COMMANDS[namespace.command](opts)
+        COMMANDS[namespace.command](opts, stamp)
     except ToolkitError as exc:
         print(f"finpipe {namespace.command}: error: {exc}", file=sys.stderr)
         return 1

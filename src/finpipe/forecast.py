@@ -156,8 +156,9 @@ def _metadata(blocks: Blocks) -> dict:
     return meta
 
 
-def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
-    """Read a forecast file and align it with the given truth windows.
+def load_forecasts(path, truth: WindowSet | Callable[[dict], WindowSet]) -> ForecastBatch:
+    """Read a forecast file, once, and align it with ``truth``: the truth windows, or a
+    function making them of the file's ``#key=value`` head as ``read_metadata`` reads it.
 
     Every referenced sample must carry a full, duplicate-free grid of steps
     1..H over a single variable set; the variables must be a subset of the
@@ -165,9 +166,8 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
     indices.
     """
     path = Path(path)
-    horizon = truth_windows.spec.horizon
-    targets = tuple(truth_windows.target_vars)
-    n_windows = len(truth_windows)
+    windows = truth if isinstance(truth, WindowSet) else None
+    horizon = targets = n_windows = None  # the windows', once they are known
 
     def part(typed_blocks):  # one range's records as grid keys and values, up to its first bad one
         for (ids, steps, names, values), bad, cells in typed_blocks:
@@ -192,15 +192,19 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
                 return (True, list(cells[n])) if bad[2] else (False, cells[n, 3])
 
     def parse(blocks: Blocks):
+        nonlocal windows, horizon, targets, n_windows
         meta = _metadata(blocks)
+        if windows is None:  # built once, though a file that is not plain is parsed twice
+            windows = truth(meta)
+        horizon, targets, n_windows = windows.spec.horizon, windows.target_vars, len(windows)
         if "H" not in meta:
             raise FormatError(f"{path}: missing #H header")
         if meta["H"] != horizon:
             raise AlignError(f"forecast horizon {meta['H']} != truth horizon {horizon}")
-        if "L" in meta and meta["L"] != truth_windows.spec.input_len:
+        if "L" in meta and meta["L"] != windows.spec.input_len:
             raise AlignError(
                 f"forecast input length {meta['L']} != truth input length "
-                f"{truth_windows.spec.input_len}"
+                f"{windows.spec.input_len}"
             )
         if blocks.header != ["sample_id", "step", "variable", "y_pred"]:
             raise FormatError(f"{path}: expected header sample_id,step,variable,y_pred")
@@ -236,7 +240,7 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
     out_of_range = sorted(set(off_ids[(off_ids < 0) | (off_ids >= n_windows)].tolist()))
     if out_of_range:
         raise AlignError(
-            f"sample id(s) {out_of_range} outside the {len(truth_windows)} truth windows"
+            f"sample id(s) {out_of_range} outside the {len(windows)} truth windows"
         )
 
     # Left off the grid now are records whose step is not in 1..H; they name their sample
@@ -265,13 +269,13 @@ def load_forecasts(path, truth_windows: WindowSet) -> ForecastBatch:
         raise FormatError(f"{path}: {len(off_ids)} record(s) outside the sample/step/variable grid")
 
     whole = len(sample_ids) == n_windows
-    truth = truth_windows.truth if whole else truth_windows.truth[sample_ids]
-    origins = truth_windows.origins
-    columns = [truth_windows.variables.index(targets[i]) for i in used]  # in the inputs
-    last_observed = (truth_windows.last_observed if whole and len(used) == len(targets)
-                     else truth_windows.inputs[sample_ids, -1][:, columns])
+    y_true = windows.truth if whole else windows.truth[sample_ids]
+    origins = windows.origins
+    columns = [windows.variables.index(targets[i]) for i in used]  # in the inputs
+    last_observed = (windows.last_observed if whole and len(used) == len(targets)
+                     else windows.inputs[sample_ids, -1][:, columns])
     return ForecastBatch(
-        y_true=truth if len(used) == len(targets) else truth[:, :, used],
+        y_true=y_true if len(used) == len(targets) else y_true[:, :, used],
         y_pred=take(grid.values),
         sample_order=sample_ids,
         variables=variables,

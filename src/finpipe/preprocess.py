@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FormatError, TransformError
 from .frame import Panel
-from .table import Blocks, read_blocks, write_lines
+from .table import Blocks, read_blocks, write_rows
 
 PRICE_FIELDS = ("open", "high", "low", "close")
 DEFAULT_BASELINE = 100.0
@@ -163,12 +163,11 @@ def write_anchor_file(
     path, records: Sequence[VariableTransform], header_comments: Sequence[str] = ()
 ) -> None:
     """Persist transform records as the sidecar enabling exact inversion."""
-    lines = list(header_comments)
-    lines.append("variable,kind,asset,anchor_close,baseline")
+    lines = [*header_comments, "variable,kind,asset,anchor_close,baseline"]
     for r in records:
         anchor = "" if r.anchor_close is None else repr(float(r.anchor_close))
         lines.append(f"{r.variable},{r.kind},{r.asset},{anchor},{repr(float(r.baseline))}")
-    write_lines(path, lines)
+    write_rows(path, lines)
 
 
 def load_anchor_file(path) -> tuple[VariableTransform, ...]:

@@ -32,8 +32,10 @@ is one range, done by the parent alone. A worker that fails has its range
 redone by the parent, so the output bytes, the parsed arrays and the errors
 are the same however a body is cut.
 
-Every file is written by ``replacing``: into a new file beside its path,
-renamed over it once complete, so a failed write leaves the path as it was.
+``write_rows`` is the one writer of a table; ``option-analytics`` alone
+writes its rows as it reads them. Every file is written by ``replacing``:
+into a new file beside its path, renamed over it once complete, so a
+failed write leaves the path as it was.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import pickle
 import re
 from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import BinaryIO, Callable, Generator, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from typing import BinaryIO, Callable, Generator, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -442,15 +444,10 @@ def replacing(path) -> Iterator[BinaryIO]:
         raise
 
 
-def write_lines(path, lines: Iterable[str]) -> None:
-    """Write each item of ``lines`` (one line or a block of them) and a newline, by ``replacing``."""
-    with replacing(path) as out:
-        out.writelines((line + "\n").encode() for line in lines)
-
-
-def write_rows(path, head: Sequence[str], n_rows: int,
-               lines: Callable[[int, int], list[str]]) -> None:
-    """Write the ``head`` lines, then the lines ``lines(start, stop)`` makes of rows 0..n_rows.
+def write_rows(path, head: Sequence[str], n_rows: int = 0,
+               lines: Callable[[int, int], list[str]] | None = None) -> None:
+    """Write the ``head`` lines, then the lines ``lines(start, stop)`` makes of rows 0..n_rows;
+    with no rows, the ``head`` lines alone.
 
     Rows are formatted in blocks of about BLOCK_BYTES of text, sized from
     the first row. A body of RANGE_BYTES or more is cut into ranges of rows;

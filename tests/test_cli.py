@@ -25,7 +25,7 @@ from finpipe import (
     implied_vol,
     load_csv,
 )
-from finpipe import cli, forecast, frame, metrics, table
+from finpipe import cli, forecast, frame, metrics, preprocess, table
 from finpipe.cli import COMMANDS, OPTIONS, derive_seed, main
 from finpipe.errors import MetricError
 from finpipe.forecast import read_metadata
@@ -972,21 +972,16 @@ class TestBacktestCli:
         assert len(lines) == 4 + 42 and len(set(held)) > 1
         assert (tmp_path / "curve.csv").read_text() == "".join(line + "\n" for line in lines)
 
-    def test_the_stage_holds_no_curve_text(self, tmp_path, monkeypatch):
-        # The close_backtest shape: 6533 rows, here of one asset's five columns.
-        # Beyond the traced peak of reading the panel and the forecasts, the
-        # stage took 5.0 times its 0.26 MB curve body when it held every row's
-        # text, the floats it was made of and its signal arrays through the
-        # write; it takes about a fifth of the body now.
-        monkeypatch.setattr(table, "MAX_RANGES", 1)  # every byte read in this process
-        argv = self._backtest_argv(tmp_path, 6533, ("X",), "timing")
+    @staticmethod
+    def _traced_above_reads(argv) -> int:
+        """How far the traced peak of the stage ``argv`` runs rises above the traced peak
+        of reading its panel and forecasts alone."""
         panel_csv, fc = argv[argv.index("--panel") + 1], argv[argv.index("--forecasts") + 1]
         assert main(argv) == 0  # what only a process's first run allocates is left out
 
         def inputs():
             panel = load_csv(panel_csv)
-            return panel, forecast.load_forecasts(fc, frame.sliding_windows(
-                panel, cli._windows_for_forecast_file(fc)))
+            return panel, cli._read_forecasts(panel, fc)
 
         peaks = []
         for run in (inputs, lambda: main(argv)):
@@ -996,8 +991,56 @@ class TestBacktestCli:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks[1] - peaks[0]
+
+    def test_the_stage_holds_no_curve_text(self, tmp_path, monkeypatch):
+        # The close_backtest shape: 6533 rows, here of one asset's five columns.
+        # Beyond the traced peak of reading the panel and the forecasts, the
+        # stage took 5.0 times its 0.26 MB curve body when it held every row's
+        # text, the floats it was made of and its signal arrays through the
+        # write; it takes about a fifth of the body now.
+        monkeypatch.setattr(table, "MAX_RANGES", 1)  # every byte read in this process
+        argv = self._backtest_argv(tmp_path, 6533, ("X",), "timing")
+        above = self._traced_above_reads(argv)
         body = (tmp_path / "curve.csv").read_text().split("position\n", 1)[1]
-        assert peaks[1] - peaks[0] < 0.5 * len(body)
+        assert above < 0.5 * len(body)
+
+    def test_the_strategy_runs_without_the_inputs(self, tmp_path, monkeypatch):
+        # The close_backtest shape: 6533 rows of four assets' 20 columns, the
+        # closes forecast (m2p). With the panel, its windows and the forecast
+        # batch alive through the strategy, the topk stage's traced peak rose
+        # 1.34 MB above that of reading them, more than the 1.05 MB panel
+        # matrix; with them dropped once the signal, its origin rows and the
+        # traded closes exist, it rises 0.07 MB.
+        monkeypatch.setattr(table, "MAX_RANGES", 1)  # every byte read in this process
+        argv = self._backtest_argv(tmp_path, 6533, ("A", "B", "C", "D"), "topk")
+        assert self._traced_above_reads(argv) < 0.25 * 6533 * 20 * 8
+
+    @pytest.mark.parametrize("text", ["plain", "crlf", "quoted"])
+    def test_each_stage_reads_its_forecast_file_once(self, tmp_path, monkeypatch, text):
+        # CRLF is found not plain in the head, a quoted cell in the body: either
+        # file is read again by csv.reader within the same read_blocks call.
+        argv = self._backtest_argv(tmp_path, 70, ("A", "B", "C"), "topk")
+        fc, panel_csv = (Path(argv[argv.index(flag) + 1]) for flag in ("--forecasts", "--panel"))
+        data = fc.read_bytes()
+        if text == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif text == "quoted":
+            data = data[: data.rindex(b",") + 1] + b'"' + data[data.rindex(b",") + 1 : -1] + b'"\n'
+        fc.write_bytes(data)
+        reads, built = [], []
+        read_blocks, sliding_windows = table.read_blocks, cli.sliding_windows
+        for module in (forecast, frame, preprocess, table):  # each binds the name
+            monkeypatch.setattr(module, "read_blocks", lambda path, *a: reads.append(
+                Path(path).name) or read_blocks(path, *a))
+        monkeypatch.setattr(cli, "sliding_windows",
+                            lambda *a: built.append(a) or sliding_windows(*a))
+        for stage in (["evaluate", "--truth", str(panel_csv), "--forecasts", str(fc),
+                       "--output", str(tmp_path / "metrics.csv")], argv):
+            reads.clear()
+            built.clear()
+            assert main(stage) == 0
+            assert reads.count("fc.csv") == 1 and len(built) == 1, stage[0]
 
 
 class TestOptionAnalyticsCli:
@@ -1046,6 +1089,19 @@ class TestOptionAnalyticsCli:
         hv_idx = lines[0].split(",").index("hv")
         assert all(row[hv_idx] == "" for row in rows[:9])
         assert all(row[hv_idx] != "" for row in rows[9:])
+
+    def test_output_carries_provenance(self, tmp_path):
+        # Pinned like the other stages' hashes in TestPipeline: the hv options are hashed.
+        src = tmp_path / "quotes.csv"
+        self._quotes_csv(src, n=30)
+        out = tmp_path / "analytics.csv"
+        for extra, config_hash in (([], "f76ec012710a39c1"),
+                                   (["--hv-window", "10", "--hv-source", "spot"],
+                                    "b747c0e4e7a01441")):
+            assert main(["option-analytics", "--input", str(src), "--output", str(out),
+                         *extra]) == 0
+            assert out.read_text().splitlines()[:3] == [
+                f"#config_hash={config_hash}", "#seed=none", f"#version={finpipe.__version__}"]
 
     def test_block_writer_matches_a_row_by_row_join(self, tmp_path, monkeypatch):
         # Four blocks and a partial one; the hv blanks run into the second block.

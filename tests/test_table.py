@@ -843,9 +843,9 @@ def test_no_worker_or_file_outlives_a_failure(tmp_path, monkeypatch):
     assert_no_worker_left()
 
 
-@pytest.mark.parametrize("writer", ["write_rows", "write_lines"])
+@pytest.mark.parametrize("writer", ["write_rows", "write_head"])
 def test_a_failed_write_leaves_the_earlier_file_as_it_was(tmp_path, monkeypatch, writer):
-    # write_rows used to unlink the earlier file, and write_lines to leave it cut short.
+    # write_rows used to unlink the earlier file, and a head-only write to leave it cut short.
     monkeypatch.setattr(table, "BLOCK_BYTES", 16)  # a few rows a block
     path = tmp_path / "t.csv"
     path.write_bytes(b"h,a\nearlier,1\n")
@@ -859,7 +859,7 @@ def test_a_failed_write_leaves_the_earlier_file_as_it_was(tmp_path, monkeypatch,
         if writer == "write_rows":
             table.write_rows(path, ["h,a"], 20, lines)
         else:
-            table.write_lines(path, (line for i in range(20) for line in lines(i, i + 1)))
+            table.write_rows(path, (line for i in range(20) for line in lines(i, i + 1)))
     assert path.read_bytes() == b"h,a\nearlier,1\n"
     assert list(tmp_path.iterdir()) == [path]
 
@@ -867,7 +867,7 @@ def test_a_failed_write_leaves_the_earlier_file_as_it_was(tmp_path, monkeypatch,
 def test_a_written_file_has_the_mode_of_a_plain_open(tmp_path):
     plain = tmp_path / "plain"
     plain.write_text("")
-    table.write_lines(tmp_path / "lines.csv", ["h", "1"])
+    table.write_rows(tmp_path / "lines.csv", ["h", "1"])
     table.write_rows(tmp_path / "rows.csv", ["h"], 3, lambda a, b: [str(i) for i in range(a, b)])
     assert (tmp_path / "lines.csv").read_text() == "h\n1\n"
     assert (tmp_path / "rows.csv").read_text() == "h\n0\n1\n2\n"
