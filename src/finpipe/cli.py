@@ -511,8 +511,6 @@ def _analytics(blocks: table.Blocks, opts: dict, stamp: list[str], out) -> None:
     if window is not None:
         out_header.append("hv")
     lines = [*stamp, ",".join(table.quote(out_header))]
-    out.seek(0)
-    out.truncate()  # a body that is not plain is read again, in one range, into the same file
     out.write(("\n".join(lines) + "\n").encode())
 
     def part(cell_blocks):  # one range's rows without hv, and hv prices, up to its first error

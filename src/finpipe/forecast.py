@@ -166,8 +166,7 @@ def load_forecasts(path, truth: WindowSet | Callable[[dict], WindowSet]) -> Fore
     indices.
     """
     path = Path(path)
-    windows = truth if isinstance(truth, WindowSet) else None
-    horizon = targets = n_windows = None  # the windows', once they are known
+    windows = horizon = targets = n_windows = None  # once the head is read
 
     def part(typed_blocks):  # one range's records as grid keys and values, up to its first bad one
         for (ids, steps, names, values), bad, cells in typed_blocks:
@@ -194,8 +193,7 @@ def load_forecasts(path, truth: WindowSet | Callable[[dict], WindowSet]) -> Fore
     def parse(blocks: Blocks):
         nonlocal windows, horizon, targets, n_windows
         meta = _metadata(blocks)
-        if windows is None:  # built once, though a file that is not plain is parsed twice
-            windows = truth(meta)
+        windows = truth if isinstance(truth, WindowSet) else truth(meta)
         horizon, targets, n_windows = windows.spec.horizon, windows.target_vars, len(windows)
         if "H" not in meta:
             raise FormatError(f"{path}: missing #H header")

@@ -67,6 +67,10 @@ class Panel:
             raise IngestError("panel values must be finite (no gaps, NaN, or inf)")
         if len(set(self.variables)) != len(self.variables):
             raise IngestError("variable names must be unique")
+        for name in self.variables:  # a header cell, a #variables entry, an anchor row's key
+            if not name or name[0] == "#" or any(char in name for char in ",\r\n"):
+                raise IngestError(f"variable name {name!r} must be non-empty and hold no "
+                                  "comma, CR, LF or leading '#'")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -16,10 +16,11 @@ cell by row, then column, and the reader stops at the first row with the
 wrong field count and raises for it only once the caller has finished with
 the rows above it; so does a row holding text that is not UTF-8.
 
-A file is read one of two ways. Plain, np.loadtxt splits its body, in
-byte ranges. Where a quote, CR, NUL, comment row, ragged row or text that is
-not UTF-8 shows that csv.reader may split the file otherwise, it is read
-again, by csv.reader from its first row, in one range. Big plain bodies are
+A file is read one of two ways, chosen once, so a parse callback runs once.
+One holding a quote, CR or NUL is read by csv.reader from its first row, in
+one range. Any other is read plain: np.loadtxt splits its body, in byte
+ranges, and a block it refuses (a comment or ragged row, text that is not
+UTF-8) is split as csv.reader splits text with no quote. Big plain bodies are
 read, and big bodies written, by a range map, on every CPU the process may
 use. ``Blocks.map`` cuts a body of RANGE_BYTES or more into
 contiguous byte ranges, each ending on a newline, and ``write_rows`` cuts
@@ -28,9 +29,9 @@ its rows the same way. Its callers are the panel and forecast readers and
 The parent process does the first range itself; forked workers do the
 others, each into an unlinked temporary file, and the parent takes their
 results in file order. With one CPU, no ``os.fork`` or a smaller body there
-is one range, done by the parent alone. A worker that fails has its range
-redone by the parent, so the output bytes, the parsed arrays and the errors
-are the same however a body is cut.
+is one range, done by the parent alone. A worker that fails, or meets a row
+that ends the body, has its range redone by the parent, so the output bytes,
+the parsed arrays and the errors are the same however a body is cut.
 
 ``write_rows`` is the one writer of a table; ``option-analytics`` alone
 writes its rows as it reads them. Every file is written by ``replacing``:
@@ -61,10 +62,6 @@ MAX_RANGES = 4  # ranges a body is cut into at most, one per usable CPU
 _SURROGATE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as surrogateescape reads it
 
 
-class _NotPlain(Exception):
-    """A file holds text that csv.reader may split otherwise; it is read by csv.reader."""
-
-
 class Blocks:
     """The body rows of an open CSV file, as consecutive blocks of cells.
 
@@ -74,48 +71,31 @@ class Blocks:
     rows read so far and, once the blocks have ended at a row with the wrong
     field count or non-UTF-8 text, that row; ``ended`` then holds its error.
 
-    With ``split``, the file is read plain: its body is split by
-    ``_split_plain``, in one range when iterated and in several where
-    ``map`` cuts it, and the first text that is not plain raises
-    ``_NotPlain``. Without it, csv.reader reads the whole file from its
-    first row.
+    A scan of the file's bytes chooses its reader. One holding a quote, CR or
+    NUL is read by csv.reader from its first row. Any other is read plain:
+    its body is split by ``_split``, in one range when iterated and in
+    several where ``map`` cuts it.
     """
 
-    def __init__(self, path: Path, fh: BinaryIO, split: bool):
+    def __init__(self, path: Path, fh: BinaryIO):
         self.path, self.n_rows, self.ended = path, 0, None
-        self._fh, self._split, self._maps, self._dtypes = fh, split, [], None
+        self._fh, self._maps, self._dtypes = fh, [], None
+        self._plain = all(b'"' not in chunk and b"\r" not in chunk and b"\0" not in chunk
+                          for chunk in iter(lambda: fh.read(BLOCK_BYTES), b""))
+        self._size = fh.tell()  # the file's, where the scan has read it to its end
+        fh.seek(0)
         self.head, line = _head(fh)
-        if split:
-            if any(byte in text for text in (*self.head, line) for byte in ('"', "\r", "\0")):
-                raise _NotPlain
-            self._start, self._size = fh.tell(), os.fstat(fh.fileno()).st_size
+        if self._plain:
+            self._start = fh.tell()
             header = line.rstrip("\n").split(",") if line else None
+            self._rows = self._range(fh, self._start, self._size)
         else:
             self._rows = _rows(path)
             header = next(self._rows)
         self.header = None if header is None else [h.strip() for h in header]
 
     def __iter__(self) -> Iterator:
-        return self._range(self._fh, self._start, self._size) if self._split else self._csv()
-
-    def _csv(self) -> Iterator:
-        width = len(self.header or ())
-        for rows in self._rows:  # csv.reader's rows, of any length
-            bad = np.fromiter(map(len, rows), int, len(rows)) != width
-            undecoded = _undecoded(rows)
-            bad[undecoded : undecoded + 1] = True
-            if bad.any():
-                i = int(np.argmax(bad))
-                self.ended = (f"{self.path}: not UTF-8 text" if i == undecoded else
-                              f"{self.path}: row {self.n_rows + i + 2} has {len(rows[i])} "
-                              f"fields, expected {width}")
-                rows = rows[:i]
-            n, block = self._block(np.array(rows, dtype=object).reshape(len(rows), width))
-            self.n_rows += n + (self.ended is not None)
-            if n:
-                yield block
-            if self.ended:
-                return
+        return self._checked(self._rows)
 
     def map(self, part: Callable[[Iterator], Generator], dtypes: Sequence | None = None
             ) -> Iterator["Range"]:
@@ -125,9 +105,9 @@ class Blocks:
         of them, picklable objects, ending early where it likes; what it
         returns becomes the range's ``tail``. It runs in a forked worker
         for every range but the first, so it must not rely on state it
-        changes. A plain file whose text turns out not to be plain, in any
-        range, raises ``_NotPlain`` in the parent, and ``read_blocks`` reads
-        it again with csv.reader from its first row.
+        changes. A range whose blocks end at a row ``read_blocks`` raises
+        for is the last read; a worker's is read again by the parent, which
+        numbers that row from the file's first.
 
         With ``dtypes`` (as ``typed`` takes them), the blocks come typed, as
         (columns, bad, cells): ``typed``'s columns and first bad cell, and
@@ -137,14 +117,32 @@ class Blocks:
         self._maps.append(ranges := self._ranges(part))
         return ranges
 
-    def _block(self, rows) -> tuple[int, object]:
-        """The body rows in ``rows`` (cells, or columns ``_split_plain`` cast) and the block
-        a caller takes of them: the cells, or with dtypes (columns, bad, cells)."""
-        if isinstance(rows, tuple):
-            return len(rows[0]), (rows, None, None)
-        if self._dtypes is None:
-            return len(rows), rows
-        return len(rows), (*typed(rows, self._dtypes), rows)
+    def _checked(self, blocks: Iterator) -> Iterator:
+        """The blocks a caller takes of ``blocks``, rows of any length or what ``_split_plain``
+        gives, ending at the first row with the wrong field count or non-UTF-8 text."""
+        width = len(self.header or ())
+        for rows in blocks:
+            if isinstance(rows, list):
+                bad = np.fromiter(map(len, rows), int, len(rows)) != width
+                undecoded = _undecoded(rows)
+                bad[undecoded : undecoded + 1] = True
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    self.ended = (f"{self.path}: not UTF-8 text" if i == undecoded else
+                                  f"{self.path}: row {self.n_rows + i + 2} has {len(rows[i])} "
+                                  f"fields, expected {width}")
+                    rows = rows[:i]
+                rows = np.array(rows, dtype=object).reshape(len(rows), width)
+            if isinstance(rows, tuple):
+                n, block = len(rows[0]), (rows, None, None)
+            else:
+                n, block = len(rows), rows if self._dtypes is None else (
+                    *typed(rows, self._dtypes), rows)
+            self.n_rows += n + (self.ended is not None)
+            if n:
+                yield block
+            if self.ended:
+                return
 
     def _ranges(self, part) -> Iterator["Range"]:
         cuts = self._cuts()
@@ -155,21 +153,25 @@ class Blocks:
         def job(k: int, out: BinaryIO) -> None:
             self.n_rows = 0
             with open(self.path, "rb") as fh:
-                items = Range(part(self._range(fh, cuts[k], cuts[k + 1])))
+                items = Range(part(self._checked(self._range(fh, cuts[k], cuts[k + 1]))))
                 for item in items:
                     pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
-                at = out.tell()
-                pickle.dump((self.n_rows, items.tail), out, pickle.HIGHEST_PROTOCOL)
-                out.write(at.to_bytes(8, "little"))
+            if self.ended:  # numbered from the range's first row: the parent redoes it
+                raise FormatError(self.ended)
+            at = out.tell()
+            pickle.dump((self.n_rows, items.tail), out, pickle.HIGHEST_PROTOCOL)
+            out.write(at.to_bytes(8, "little"))
 
         with closing(_Forked(len(cuts) - 1, job)) as workers:
             for k in range(len(cuts) - 1):
                 loaded = _load(workers.result(k)) if k else None
                 if loaded is None:
-                    yield Range(part(self._range(self._fh, cuts[k], cuts[k + 1])))
+                    yield Range(part(self._checked(self._range(self._fh, cuts[k], cuts[k + 1]))))
                 else:
                     self.n_rows += loaded[0]
                     yield Range(loaded[1])
+                if self.ended:
+                    return
 
     def _cuts(self) -> list[int]:
         """The offsets that cut the body into ranges, each inner one just past a newline.
@@ -177,7 +179,7 @@ class Blocks:
         Fewer than three when the body is read in one range: the file is
         read by csv.reader, or the body is small, or there is one CPU.
         """
-        if not self._split:
+        if not self._plain:
             return []
         start, size = self._start, self._size
         count = _range_count(size - start)
@@ -191,22 +193,23 @@ class Blocks:
         return cuts + [size]
 
     def _range(self, fh: BinaryIO, start: int, stop: int) -> Iterator:
-        """The blocks of the body lines from ``start`` to ``stop``; _NotPlain at one not plain."""
+        """The rows of the body lines from ``start`` to ``stop``, a block at a time."""
         fh.seek(start)
-        for block in _line_blocks(fh, stop - start):
-            rows = _split_plain(block, len(self.header), self._dtypes)
-            if rows is None:
-                raise _NotPlain
-            n, block = self._block(rows)
-            self.n_rows += n
-            if n:
-                yield block
+        yield from map(self._split, _line_blocks(fh, stop - start))
+
+    def _split(self, block: bytes) -> np.ndarray | tuple[np.ndarray, ...] | list[list[str]]:
+        """The rows of ``block`` as ``_split_plain`` gives them; where it refuses, as
+        csv.reader splits lines with no quote, CR or NUL: on LF, then on commas."""
+        rows = _split_plain(block, len(self.header), self._dtypes)
+        if rows is not None:
+            return rows
+        lines = block.decode("utf-8", "surrogateescape").split("\n")
+        return list(filter(_kept, (line.split(",") for line in lines if line)))
 
     def close(self) -> None:
         for ranges in self._maps:
             ranges.close()
-        if not self._split:
-            self._rows.close()
+        self._rows.close()
 
 
 class Range:
@@ -224,21 +227,16 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
                 what: str = "file") -> Parsed:
     """What ``parse`` makes of the body blocks of ``path``; a missing file raises ``error``.
 
-    ``parse`` reads every block or raises. A row with the wrong field count or
-    (a comment row too) text that is not UTF-8 ends the blocks, and raises
-    ``error`` once ``parse`` has returned on the rows above it, so that errors
-    come in file order and no caller sees a table cut short.
-    The file is read plain first; where its text is not plain, ``parse``
-    runs again on the file read by csv.reader from its first row.
+    ``parse`` runs once and reads every block or raises. A row with the wrong
+    field count or (a comment row too) text that is not UTF-8 ends the blocks,
+    and raises ``error`` once ``parse`` has returned on the rows above it, so
+    that errors come in file order and no caller sees a table cut short.
     """
     path = Path(path)
     if not path.exists():
         raise error(f"no such {what}: {path}")
     try:
-        try:
-            parsed, ended = _parse(path, parse, split=True)
-        except _NotPlain:
-            parsed, ended = _parse(path, parse, split=False)
+        parsed, ended = _parse(path, parse)
     except UnicodeDecodeError:  # the head's, or a header row's
         raise error(f"{path}: not UTF-8 text") from None
     if ended:
@@ -246,8 +244,8 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
     return parsed
 
 
-def _parse(path: Path, parse: Callable[[Blocks], Parsed], split: bool) -> tuple[Parsed, str | None]:
-    with open(path, "rb") as fh, closing(Blocks(path, fh, split)) as blocks:
+def _parse(path: Path, parse: Callable[[Blocks], Parsed]) -> tuple[Parsed, str | None]:
+    with open(path, "rb") as fh, closing(Blocks(path, fh)) as blocks:
         return parse(blocks), blocks.ended
 
 
@@ -271,10 +269,9 @@ def _head(fh: BinaryIO) -> tuple[list[str], str]:
 
 def _rows(path: Path) -> Iterator:
     """The header row (None when the file has no rows), then blocks of body rows, as
-    csv.reader reads the file from its first row; blank and comment rows are skipped,
-    but for a comment row holding bytes that are not UTF-8 (``_SURROGATE``)."""
+    csv.reader reads the file from its first row; rows ``_kept`` drops are skipped."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as text:
-        rows = (r for r in csv.reader(text) if r and r[0][:1] != "#" or _undecoded([r]) == 0)
+        rows = filter(_kept, csv.reader(text))
         header = next(rows, None)
         if header and _undecoded([header]) == 0:  # a quoted header cell may span lines
             raise UnicodeDecodeError("utf-8", b"", 0, 1, "in the header row")
@@ -290,6 +287,11 @@ def _rows(path: Path) -> Iterator:
                 block, size = [], 0
         if block:
             yield block
+
+
+def _kept(row: list[str]) -> bool:
+    """Whether csv.reader's ``row`` is read: not blank nor a comment, or holding a _SURROGATE."""
+    return bool(row) and row[0][:1] != "#" or _undecoded([row]) == 0
 
 
 def _undecoded(rows: Sequence[Sequence[str]]) -> int:

@@ -352,6 +352,20 @@ class TestDataErrors:
         assert not out.exists()
         assert not anchors.exists()
 
+    @pytest.mark.parametrize("cell, name", [('"open,SPX"', "open,SPX"), ("", ""),
+                                            ("#open_SPX", "#open_SPX")])
+    def test_a_variable_name_its_files_cannot_carry_exits_one(self, tmp_path, capsys, cell,
+                                                              name):
+        # Each used to exit 0 with files that split, evaluate or the anchor reader misread.
+        raw = tmp_path / "raw.csv"
+        raw.write_text(f"timestamp,{cell},close_SPX\n"
+                       + "".join(f"{i},{100 + i}.5,{101 + i}.25\n" for i in range(40)))
+        rc = main(["preprocess", "--input", str(raw), "--output", str(tmp_path / "t.csv"),
+                   "--anchors", str(tmp_path / "a.csv")])
+        assert rc == 1
+        assert f"error: variable name {name!r} must be non-empty" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [raw]
+
     def test_inconsistent_forecast_file_exits_one(self, tmp_path, raw_csv, capsys):
         # Doctoring the #H header shrinks the truth window count, so the
         # recorded sample ids no longer fit; evaluate must refuse and write
@@ -597,6 +611,28 @@ class TestConfigFile:
         assert main(base + ["--output", str(outs["off"])]) == 0
         assert outs["config"].read_bytes() == outs["flag"].read_bytes()
         assert outs["config"].read_bytes() != outs["off"].read_bytes()
+
+    def test_a_false_flag_comments_and_blank_lines_change_nothing(self, tmp_path, raw_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# note\n\nshared_noise=false\n")
+        base = ["naive-forecast", "--input", str(raw_csv), "--input-len", "512",
+                "--horizon", "5", "--task", "m2s", "--target-vars", "close_X"]
+        config, plain = tmp_path / "config.csv", tmp_path / "plain.csv"
+        assert main(base + ["--output", str(config), "--config", str(cfg)]) == 0
+        assert main(base + ["--output", str(plain)]) == 0
+        assert config.read_bytes() == plain.read_bytes()
+
+    def test_a_flag_value_that_is_not_a_boolean_exits_two(self, tmp_path, raw_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shared_noise=maybe\n")
+        out = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["naive-forecast", "--input", str(raw_csv), "--output", str(out),
+                  "--input-len", "512", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert ("error: config option shared_noise='maybe' is not a valid value\n"
+                in capsys.readouterr().err)
 
     def test_missing_config_exits_two(self, tmp_path, raw_csv, capsys):
         cfg = tmp_path / "absent.cfg"
@@ -1018,8 +1054,8 @@ class TestBacktestCli:
 
     @pytest.mark.parametrize("text", ["plain", "crlf", "quoted"])
     def test_each_stage_reads_its_forecast_file_once(self, tmp_path, monkeypatch, text):
-        # CRLF is found not plain in the head, a quoted cell in the body: either
-        # file is read again by csv.reader within the same read_blocks call.
+        # CRLF in the head or a quoted cell in the body: either file is read by
+        # csv.reader, from its first row, within the same read_blocks call.
         argv = self._backtest_argv(tmp_path, 70, ("A", "B", "C"), "topk")
         fc, panel_csv = (Path(argv[argv.index(flag) + 1]) for flag in ("--forecasts", "--panel"))
         data = fc.read_bytes()
@@ -1445,7 +1481,7 @@ def _range_of_row(path, row, count, monkeypatch):
     lines = path.read_bytes().splitlines(keepends=True)
     with monkeypatch.context() as patch, open(path, "rb") as fh:
         in_ranges(patch, count)
-        cuts = table.Blocks(path, fh, split=True)._cuts()
+        cuts = table.Blocks(path, fh)._cuts()
     start = sum(map(len, lines[: row + 1]))  # the header is line 0
     return sum(cut <= start for cut in cuts[1:-1])
 
@@ -1527,12 +1563,12 @@ class TestOptionAnalyticsRanges:
         src = tmp_path / "quotes.csv"
         lines = self._book(src)
         row = 45
+        assert _range_of_row(src, row, 2, monkeypatch) == 1  # where the plain file is cut
         if kind == "quoted":
             lines[row + 1][0] = f'"{lines[row + 1][0]}"'
         else:
             lines[row + 1][-1] += "\r"
         src.write_text("".join(",".join(cells) + "\n" for cells in lines))
-        assert _range_of_row(src, row, 2, monkeypatch) == 1
         flags = ["--hv-window", "3", "--hv-source", "spot"]
         serial, out = tmp_path / "serial.csv", tmp_path / "analytics.csv"
         assert self._run(monkeypatch, 1, src, serial, *flags) == 0

@@ -20,6 +20,7 @@ from finpipe import (
 from finpipe import table
 from finpipe.cli import main
 from finpipe.errors import AlignError, FormatError
+from ranges import assert_no_worker_left, in_ranges
 from synth import ohlcv_panel, random_walk_panel
 
 
@@ -295,6 +296,23 @@ class TestForecastFileValidation:
         _write_records(path, records)
         with pytest.raises(FormatError, match="duplicate"):
             load_forecasts(path, windows)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("record", [(0, 1, "zzz", 2.0), (999, 1, "v0", 2.0)])
+    def test_a_duplicate_off_the_grid_is_named(self, tmp_path, monkeypatch, windows, record,
+                                               count):
+        # The only duplicate is two records off the grid, an unknown variable's or an
+        # out-of-range sample's, one above the others and one below, in another range.
+        records = [record, *self._full_records(range(len(windows))), record]
+        path = tmp_path / "fc.csv"
+        _write_records(path, records)
+        sample, step, name, _ = record
+        with monkeypatch.context() as patch:
+            in_ranges(patch, count)
+            with pytest.raises(FormatError, match=f"duplicate record for sample {sample}, "
+                                                  f"step {step}, variable '{name}'$"):
+                load_forecasts(path, windows)
+        assert_no_worker_left()
 
     def test_horizon_mismatch_rejected(self, tmp_path, windows):
         path = tmp_path / "fc.csv"

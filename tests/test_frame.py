@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from datetime import date, datetime, time
 
@@ -245,6 +246,11 @@ class TestPanel:
     def test_duplicate_variables_rejected(self):
         with pytest.raises(IngestError, match="unique"):
             Panel(range(2), ("a", "a"), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("name", ["", "#a", "a,b", "a\rb", "a\nb"])
+    def test_a_name_no_csv_file_can_carry_is_rejected(self, name):
+        with pytest.raises(IngestError, match=f"^variable name {re.escape(repr(name))} must"):
+            Panel(range(2), ("ok", name), np.ones((2, 2)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(IngestError, match="shape"):

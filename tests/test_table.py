@@ -612,7 +612,7 @@ def corrupt_at_a_cut(monkeypatch, data, path, first_body, count, kind):
     lines = path.read_bytes().splitlines(keepends=True)
     with monkeypatch.context() as patch, open(path, "rb") as fh:
         in_ranges(patch, count)
-        cuts = table.Blocks(path, fh, split=True)._cuts()
+        cuts = table.Blocks(path, fh)._cuts()
     starts = list(np.cumsum([0] + [len(line) for line in lines]))
     at_cut = [starts.index(c) for c in cuts[1:-1] if c in starts[first_body + 1 : -1]]
     if at_cut:
@@ -786,6 +786,57 @@ def test_ranged_panel_reads_of_edge_cells_match_one_range(tmp_path, monkeypatch,
     monkeypatch.setattr(table, "BLOCK_BYTES", block)
     serial = outcome(load_csv, path)
     assert_same(ranged(monkeypatch, count, load_csv, path), serial, same_panel)
+    assert_no_worker_left()
+
+
+# Files that np.loadtxt refuses somewhere in the body, or that hold a quote late.
+ONCE_KINDS = ["trailing_comment", "comment", "not_utf8", "ragged_last", "quoted_last"]
+
+
+def corrupt_for_one_parse(path, first_body, kind):
+    """``path`` with one line changed, added or quoted below its first body row."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    mid = (first_body + len(lines)) // 2
+    if kind == "trailing_comment":
+        lines.append(b"#end of file\n")
+    elif kind == "comment":
+        lines.insert(mid, b"#note\n")
+    elif kind == "not_utf8":
+        lines[mid] = b"\xff" + lines[mid][1:]
+    elif kind == "ragged_last":  # in the last range, a worker's
+        lines[-1] = lines[-1][:-1] + b",9\n"
+    else:
+        *cells, last = lines[-1][:-1].split(b",")
+        lines[-1] = b",".join([*cells, b'"' + last + b'"']) + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ONCE_KINDS)
+def test_each_read_parses_its_file_once(tmp_path, monkeypatch, kind, count):
+    # A comment row, a byte that is not UTF-8 or a ragged row below the header
+    # used to make the plain read give up and parse the whole file again with
+    # csv.reader; a quote anywhere has it read by csv.reader from the start.
+    panel = Panel(range(100, 400), ("v0", "v1"), np.arange(600.0).reshape(300, 2) / 8)
+    windows = sliding_windows(panel, WindowSpec(4, 2))
+    panel_path, forecast_path = tmp_path / "p.csv", tmp_path / "f.csv"
+    write_csv(panel, panel_path, header_comments=PROVENANCE)
+    write_forecasts(forecast_path, make_batch(windows, windows.truth), 4,
+                    header_comments=PROVENANCE)
+    corrupt_for_one_parse(panel_path, len(PROVENANCE) + 1, kind)
+    corrupt_for_one_parse(forecast_path, len(PROVENANCE) + 5, kind)
+    calls, parse = [], table._parse
+    monkeypatch.setattr(table, "_parse", lambda path, *args, **kwargs: calls.append(path)
+                        or parse(path, *args, **kwargs))
+    for read, compare, args in ((load_csv, same_panel, (panel_path,)),
+                                (load_forecasts, same_batch, (forecast_path, windows))):
+        calls.clear()
+        serial = outcome(read, *args)
+        assert calls == [args[0]]
+        calls.clear()
+        assert_same(ranged(monkeypatch, count, read, *args), serial, compare)
+        assert calls == [args[0]]
+        assert serial[0] == ("error" if kind in ("not_utf8", "ragged_last") else "ok")
     assert_no_worker_left()
 
 
