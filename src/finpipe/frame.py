@@ -68,9 +68,9 @@ class Panel:
         if len(set(self.variables)) != len(self.variables):
             raise IngestError("variable names must be unique")
         for name in self.variables:  # a header cell, a #variables entry, an anchor row's key
-            if not name or name[0] == "#" or any(char in name for char in ",\r\n"):
+            if not name or name[0] in "#\"" or any(char in name for char in ",\r\n"):
                 raise IngestError(f"variable name {name!r} must be non-empty and hold no "
-                                  "comma, CR, LF or leading '#'")
+                                  "comma, CR, LF, leading '#' or leading '\"'")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -141,11 +141,13 @@ def load_csv(path) -> Panel:
         # Rows in strictly increasing order, as written panels are, need no sort or scan.
         ordered = all(map(operator.lt, keys, keys[1:]))
         order = None if ordered else sorted(range(len(labels)), key=keys.__getitem__)
-    except TypeError:
-        raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
+    except TypeError:  # an int and a datetime, or datetimes with and without an offset
+        mixed = ("integer and calendar labels" if any(isinstance(key, int) for key in keys)
+                 else "labels with and without a UTC offset")
+        raise IngestError(f"{path}: timestamps mix {mixed}") from None
     if not ordered:
         if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
-            raise IngestError("timestamps must be strictly increasing with no duplicates")
+            raise IngestError(f"{path}: timestamps must be strictly increasing with no duplicates")
         labels, matrix = [labels[i] for i in order], matrix[order]
     return Panel(tuple(labels), variables, _Owned(matrix))
 

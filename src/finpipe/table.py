@@ -8,24 +8,24 @@ Its cells come back as text in blocks of about BLOCK_BYTES; callers cast
 them with ``typed``, and numpy calls Python's ``int``/``float`` on each
 cell, so the accepted grammar is theirs. The panel and forecast readers take
 their blocks typed instead (``Blocks.map`` with ``dtypes``): each plain
-block goes through numpy's C reader in one call, whose grammar is a strict
-subset of Python's with the same values, and a block it refuses, or that
-holds a float that is not finite, falls back to the text cells and
-``typed``. Errors come in file order: ``typed`` finds a block's first bad
-cell by row, then column, and the reader stops at the first row with the
-wrong field count and raises for it only once the caller has finished with
-the rows above it; so does a row holding text that is not UTF-8.
+block with no comment row goes through numpy's C reader in one call, whose
+grammar is a strict subset of Python's with the same values, and a block it
+refuses, or that holds a float that is not finite, falls back to the text
+cells and ``typed``. Errors come in file order: ``typed`` finds a block's
+first bad cell by row, then column, and the reader stops at the first row
+with the wrong field count and raises for it only once the caller has
+finished with the rows above it; so does a row holding text that is not UTF-8.
 
 A file is read one of two ways, chosen once, so a parse callback runs once.
 One holding a quote, CR or NUL is read by csv.reader from its first row, in
-one range. Any other is read plain: np.loadtxt splits its body, in byte
-ranges, and a block it refuses (a comment or ragged row, text that is not
-UTF-8) is split as csv.reader splits text with no quote. Big plain bodies are
-read, and big bodies written, by a range map, on every CPU the process may
-use. ``Blocks.map`` cuts a body of RANGE_BYTES or more into
-contiguous byte ranges, each ending on a newline, and ``write_rows`` cuts
-its rows the same way. Its callers are the panel and forecast readers and
-``option-analytics``, which solves and formats a range's quotes in the map.
+one range. Any other is read plain, in byte ranges, and one splitter makes
+the text cells of its blocks: on LF, then on commas, as csv.reader splits
+text with no quote. Big plain bodies are read, and big bodies written, by a
+range map, on every CPU the process may use. ``Blocks.map`` cuts a body of
+RANGE_BYTES or more into contiguous byte ranges, each ending on a newline,
+and ``write_rows`` cuts its rows the same way. Its callers are the panel and
+forecast readers and ``option-analytics``, which solves and formats a
+range's quotes in the map.
 The parent process does the first range itself; forked workers do the
 others, each into an unlinked temporary file, and the parent takes their
 results in file order. With one CPU, no ``os.fork`` or a smaller body there
@@ -118,11 +118,14 @@ class Blocks:
         return ranges
 
     def _checked(self, blocks: Iterator) -> Iterator:
-        """The blocks a caller takes of ``blocks``, rows of any length or what ``_split_plain``
-        gives, ending at the first row with the wrong field count or non-UTF-8 text."""
+        """The blocks a caller takes of ``blocks``, lists of rows of any length or the
+        columns ``_cast_plain`` gives, ending at the first row with the wrong field count or
+        non-UTF-8 text."""
         width = len(self.header or ())
         for rows in blocks:
-            if isinstance(rows, list):
+            if isinstance(rows, tuple):
+                n, block = len(rows[0]), (rows, None, None)
+            else:
                 bad = np.fromiter(map(len, rows), int, len(rows)) != width
                 undecoded = _undecoded(rows)
                 bad[undecoded : undecoded + 1] = True
@@ -133,9 +136,6 @@ class Blocks:
                                   f"fields, expected {width}")
                     rows = rows[:i]
                 rows = np.array(rows, dtype=object).reshape(len(rows), width)
-            if isinstance(rows, tuple):
-                n, block = len(rows[0]), (rows, None, None)
-            else:
                 n, block = len(rows), rows if self._dtypes is None else (
                     *typed(rows, self._dtypes), rows)
             self.n_rows += n + (self.ended is not None)
@@ -197,12 +197,11 @@ class Blocks:
         fh.seek(start)
         yield from map(self._split, _line_blocks(fh, stop - start))
 
-    def _split(self, block: bytes) -> np.ndarray | tuple[np.ndarray, ...] | list[list[str]]:
-        """The rows of ``block`` as ``_split_plain`` gives them; where it refuses, as
-        csv.reader splits lines with no quote, CR or NUL: on LF, then on commas."""
-        rows = _split_plain(block, len(self.header), self._dtypes)
-        if rows is not None:
-            return rows
+    def _split(self, block: bytes) -> tuple[np.ndarray, ...] | list[list[str]]:
+        """The rows of ``block``: a typed reader's columns where ``_cast_plain`` casts it,
+        else as csv.reader splits lines with no quote, CR or NUL: on LF, then on commas."""
+        if self._dtypes is not None and (columns := _cast_plain(block, self._dtypes)) is not None:
+            return columns
         lines = block.decode("utf-8", "surrogateescape").split("\n")
         return list(filter(_kept, (line.split(",") for line in lines if line)))
 
@@ -318,46 +317,28 @@ def _line_blocks(fh: BinaryIO, size: int = -1) -> Iterator[bytes]:
         yield carry
 
 
-def _split_plain(block: bytes, width: int, dtypes: Sequence | None = None
-                 ) -> np.ndarray | tuple[np.ndarray, ...] | None:
-    """The body rows of ``block`` as np.loadtxt splits them, or None where its split may differ.
+def _cast_plain(block: bytes, dtypes: Sequence) -> tuple[np.ndarray, ...] | None:
+    """The columns of ``block``'s rows cast to ``dtypes`` by numpy's C reader, in one pass;
+    None where it refuses a row or a cell, or a float is not finite, and for a block with
+    a comment row, text that is not UTF-8 or no rows.
 
-    ``block`` holds whole lines. None for a quote, CR or NUL byte, a comment
-    row, undecodable text, or a row whose field count is not ``width``;
-    blank lines give no rows. With ``dtypes``, a block that ``_cast_plain``
-    casts comes back as a tuple of its typed columns instead of its cells.
+    ``block`` holds whole lines. numpy's grammar is a strict subset of
+    Python's ``int`` and ``float``, with the same values: it refuses
+    underscores, non-ASCII digits, an int cell written as a float, an empty
+    cell and an int beyond 64 bits. So a block it casts is one ``typed``
+    would cast alike with no bad cell, and any other goes to ``typed``,
+    which finds the first bad cell.
     """
-    if any(byte in block for byte in (b'"', b"\r", b"\0")) or b"#" in block and (
-            block.startswith(b"#") or block.find(b"\n#") >= 0):
+    if block.startswith(b"#") or b"\n#" in block:
         return None
+    struct = np.dtype([(f"f{j}", dtype or object) for j, dtype in enumerate(dtypes)])
     try:
         text = block.decode("utf-8")
         if not text.strip("\n"):
-            return np.empty((0, width), dtype=object)
-        if dtypes is not None and (columns := _cast_plain(text, dtypes)) is not None:
-            return columns
-        rows = np.loadtxt(io.StringIO(text), dtype=object, delimiter=",", comments=None,
-                          quotechar=None, ndmin=2)
-    except ValueError:  # UnicodeDecodeError, or rows of unequal length; csv.reader finds the first
-        return None
-    return rows if rows.shape[1] == width else None
-
-
-def _cast_plain(text: str, dtypes: Sequence) -> tuple[np.ndarray, ...] | None:
-    """The columns of ``text``'s rows cast to ``dtypes`` by numpy's C reader, in one pass;
-    None where it refuses a row or a cell, or a float is not finite.
-
-    Its grammar is a strict subset of Python's ``int`` and ``float``, with
-    the same values: it refuses underscores, non-ASCII digits, an int cell
-    written as a float, an empty cell and an int beyond 64 bits. So a block
-    it casts is one ``typed`` would cast alike with no bad cell, and any
-    other goes to ``typed``, which finds the first bad cell.
-    """
-    struct = np.dtype([(f"f{j}", dtype or object) for j, dtype in enumerate(dtypes)])
-    try:
+            return None
         rows = np.loadtxt(io.StringIO(text), dtype=struct, delimiter=",", comments=None,
                           quotechar=None, ndmin=1)
-    except ValueError:  # a cell it refuses, or a row of another length
+    except ValueError:  # not UTF-8, a cell it refuses, or a row of another length
         return None
     columns = tuple(rows[name] for name in struct.names)
     if any(column.dtype.kind == "f" and not np.isfinite(column).all() for column in columns):

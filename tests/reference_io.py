@@ -59,9 +59,11 @@ def load_csv(path) -> Panel:
     try:
         order = sorted(range(len(labels)), key=lambda i: keys[i])
     except TypeError:
-        raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
+        if any(isinstance(key, int) for key in keys):
+            raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
+        raise IngestError(f"{path}: timestamps mix labels with and without a UTC offset") from None
     if not all(keys[i] < keys[j] for i, j in zip(order, order[1:])):
-        raise IngestError("timestamps must be strictly increasing with no duplicates")
+        raise IngestError(f"{path}: timestamps must be strictly increasing with no duplicates")
     return Panel(tuple(labels[i] for i in order), tuple(variables), matrix[order])
 
 

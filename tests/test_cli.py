@@ -353,7 +353,8 @@ class TestDataErrors:
         assert not anchors.exists()
 
     @pytest.mark.parametrize("cell, name", [('"open,SPX"', "open,SPX"), ("", ""),
-                                            ("#open_SPX", "#open_SPX")])
+                                            ("#open_SPX", "#open_SPX"),
+                                            ('"""open_SPX"""', '"open_SPX"')])
     def test_a_variable_name_its_files_cannot_carry_exits_one(self, tmp_path, capsys, cell,
                                                               name):
         # Each used to exit 0 with files that split, evaluate or the anchor reader misread.

@@ -55,9 +55,11 @@ def _reference_load(path, labels):
     try:
         order = sorted(range(len(labels)), key=lambda i: keys[i])
     except TypeError:
-        raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
+        if any(isinstance(key, int) for key in keys):
+            raise IngestError(f"{path}: timestamps mix integer and calendar labels") from None
+        raise IngestError(f"{path}: timestamps mix labels with and without a UTC offset") from None
     if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
-        raise IngestError("timestamps must be strictly increasing with no duplicates")
+        raise IngestError(f"{path}: timestamps must be strictly increasing with no duplicates")
     return tuple(labels[i] for i in order), [float(i) for i in order]
 
 

@@ -12,10 +12,11 @@ import os
 import re
 import signal
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_io as ref
@@ -35,7 +36,7 @@ from finpipe import (
 )
 from finpipe import cli, table
 from finpipe.errors import FormatError, IngestError
-from finpipe.table import _split_plain, read_blocks
+from finpipe.table import Blocks, _cast_plain, read_blocks
 from ranges import assert_no_worker_left, in_ranges
 from synth import ohlcv_panel
 
@@ -180,13 +181,15 @@ def test_corrupted_panel_fails_like_reference(tmp_path, panel, data, kinds):
     ("timestamp,a\n1,1\n0,2\n1,3\n", "strictly increasing with no duplicates"),
     ("timestamp,a\n2024-01-01T00:00:00,1\n2024-01-01,2\n", "strictly increasing"),
     ("timestamp,a\n0,1\n2024-01-01,2\n", "mix integer and calendar labels"),
+    ("timestamp,a\n2024-01-02T09:30:00Z,1\n2024-01-03,2\n",
+     "mix labels with and without a UTC offset"),
 ])
 def test_panel_edge_cases_match_reference(tmp_path, text, message):
     path = tmp_path / "panel.csv"
     path.write_text(text)
     new, old = outcome(load_csv, path), outcome(ref.load_csv, path)
     assert new == old
-    assert new[0] == "error" and message in new[2]
+    assert new[0] == "error" and new[2].startswith(f"{path}: ") and message in new[2]
 
 
 # --- forecast files -----------------------------------------------------------
@@ -311,13 +314,19 @@ def test_anchor_file_matches_reference(tmp_path, data, kinds):
 
 
 @SETTINGS
-@given(rows=st.lists(st.tuples(st.sampled_from(["1.5", " 2 ", "1_0", "x", "", "-3e2", "nan"]),
-                               st.sampled_from(["0.5", "y", "٣", "inf"])), max_size=6))
-def test_cli_table_columns_match_reference(tmp_path, rows):
+@given(rows=st.lists(st.one_of(st.tuples(st.sampled_from(["1.5", " 2 ", "1_0", "x", "", "-3e2",
+                                                          "nan"]),
+                                         st.sampled_from(["0.5", "y", "٣", "inf"])),
+                               st.sampled_from(["#note,1", ""])), max_size=12),
+       block=st.integers(16, 256))
+def test_cli_table_columns_match_reference(tmp_path, monkeypatch, rows, block):
     # The curve reader reports the first bad cell of the per-cell
     # reader's columns in file order: the earliest row, then column a before b.
+    # Comment and blank rows count for neither, whichever blocks they fall in.
     path = tmp_path / "table.csv"
-    path.write_text("#seed=1\nlabel,a,b\n" + "".join(f"t{i},{a},{b}\n" for i, (a, b) in enumerate(rows)))
+    lines = [row if isinstance(row, str) else f"t{i},{row[0]},{row[1]}" for i, row in enumerate(rows)]
+    path.write_text("#seed=1\nlabel,a,b\n" + "".join(line + "\n" for line in lines))
+    monkeypatch.setattr(table, "BLOCK_BYTES", block)
     header, old_rows = ref.read_table(path)
     old = [outcome(ref.table_floats, path, header, old_rows, column) for column in ("a", "b")]
     errors = [o for o in old if o[0] == "error"]
@@ -415,18 +424,18 @@ def test_a_duplicate_above_a_non_utf8_byte_is_named(tmp_path, monkeypatch, block
         load_forecasts(path, windows)
 
 
+def python_split(block: bytes) -> list[list[str]]:
+    """The rows ``Blocks._split`` gives for ``block`` in an untyped read."""
+    return Blocks._split(SimpleNamespace(_dtypes=None), block)
+
+
 @settings(max_examples=400, deadline=None)
-@given(text=st.text(st.sampled_from('a1 ,#\n"\r\x00\t.-_e\u0663'), max_size=40),
-       width=st.integers(1, 4))
-def test_plain_split_matches_the_csv_module(text, width):
-    # Where the np.loadtxt split of a body block answers at all, its rows
-    # are csv.reader's.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        plain = _split_plain(text.encode(), width)
-    if plain is not None:
-        rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
-        assert plain.tolist() == rows
+@given(text=st.text(st.sampled_from('a1 ,#\n\t.-_e\u0663'), max_size=40))
+def test_plain_split_matches_the_csv_module(text):
+    # On text with no quote, CR or NUL, the split of a plain body block
+    # gives csv.reader's rows.
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r and not r[0].startswith("#")]
+    assert python_split(text.encode()) == rows
 
 
 # --- block edges ----------------------------------------------------------------
@@ -723,16 +732,14 @@ def plain_blocks(draw):
 @example(block=([float, float], b"1.5,nan\n1e400,2\n"))  # the first non-finite value
 def test_the_c_cast_gives_the_columns_and_bad_cell_of_the_object_split(block):
     dtypes, text = block
-    cells = _split_plain(text, len(dtypes))
-    columns, bad = table.typed(cells, dtypes)
-    cast = _split_plain(text, len(dtypes), dtypes)
-    if isinstance(cast, tuple):  # numpy's C reader took every cell
-        assert bad is None
-        cast_columns = list(cast)
-    else:
-        cast_columns, cast_bad = table.typed(cast, dtypes)
-        assert cast_bad == bad
-    for new, old in zip(cast_columns, columns, strict=True):
+    rows = python_split(text)
+    assume(rows)  # a blank block: no rows to cast
+    columns, bad = table.typed(np.array(rows, dtype=object), dtypes)
+    cast = _cast_plain(text, dtypes)
+    if cast is None:  # numpy's C reader refused the block: typed casts it and finds the bad cell
+        return
+    assert bad is None
+    for new, old in zip(cast, columns, strict=True):
         assert new.dtype == old.dtype
         if new.dtype == object:
             assert new.tolist() == old.tolist()
