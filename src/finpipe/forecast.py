@@ -120,16 +120,22 @@ def _write_blocks(path, ids: Sequence[int], variables: Sequence[str], horizon: i
     head = [*header_comments, f"#L={input_len}", f"#H={horizon}", f"#model={model}",
             f"#variables={','.join(variables)}", "sample_id,step,variable,y_pred"]
     keys = [f",{step + 1},{var}," for step in range(horizon) for var in variables]
+    steps = np.repeat(np.arange(1, horizon + 1), len(variables))  # of a sample's records
+    codes = np.tile(np.arange(len(variables)), horizon)
 
-    def lines(start: int, stop: int) -> list[str]:  # H*C lines per sample
+    def lines(start: int, stop: int) -> tuple[list[str], list]:  # H*C lines per sample
         values = block(start, stop)
         _require_finite(start, y_pred=values)
-        prefixes = map(str, map(int, ids[start:stop]))
-        return [prefix + key + repr(value)
-                for prefix, row in zip(prefixes, values.reshape(stop - start, -1).tolist())
+        samples = ids[start:stop]
+        text = [prefix + key + repr(value)
+                for prefix, row in zip(map(str, map(int, samples)),
+                                       values.reshape(stop - start, -1).tolist())
                 for key, value in zip(keys, row)]
+        n = stop - start
+        return text, [np.repeat(np.asarray(samples, np.int64), len(keys)), np.tile(steps, n),
+                      (np.tile(codes, n), variables), values]
 
-    write_rows(path, head, len(ids), lines)
+    write_rows(path, head, len(ids), lines, (np.int64, np.int64, None, float))
 
 
 def read_metadata(path) -> dict:

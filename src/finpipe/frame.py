@@ -6,12 +6,12 @@ import math
 import operator
 from dataclasses import dataclass
 from datetime import datetime
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IngestError, SplitError, WindowError
-from .table import Blocks, read_blocks, write_rows
+from .table import Blocks, carried, read_blocks, write_rows
 
 
 def _timestamp_key(label: str):
@@ -67,10 +67,8 @@ class Panel:
             raise IngestError("panel values must be finite (no gaps, NaN, or inf)")
         if len(set(self.variables)) != len(self.variables):
             raise IngestError("variable names must be unique")
-        for name in self.variables:  # a header cell, a #variables entry, an anchor row's key
-            if not name or name[0] in "#\"" or any(char in name for char in ",\r\n"):
-                raise IngestError(f"variable name {name!r} must be non-empty and hold no "
-                                  "comma, CR, LF, leading '#' or leading '\"'")
+        # A header cell, a #variables entry, an anchor row's key.
+        _require_carried("variable name", self.variables)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -152,16 +150,31 @@ def load_csv(path) -> Panel:
     return Panel(tuple(labels), variables, _Owned(matrix))
 
 
-def write_csv(panel: Panel, path, header_comments: Sequence[str] = ()) -> None:
-    """Write a panel as CSV with full round-trip precision (repr of each float)."""
-    labels, values = panel.timestamps, panel.values
+def _require_carried(what: str, names: Iterable[str]) -> None:
+    """Refuse the first of ``names`` that a file cannot carry as a cell (``table.carried``)."""
+    for name in names:
+        if not carried(name):
+            raise IngestError(f"{what} {name!r} must be non-empty and hold no comma, CR, LF, "
+                              "leading '#' or leading '\"'")
 
-    def lines(start: int, stop: int) -> list[str]:
-        return [",".join([str(label), *map(repr, row)])
-                for label, row in zip(labels[start:stop], values[start:stop].tolist())]
+
+def write_csv(panel: Panel, path, header_comments: Sequence[str] = ()) -> None:
+    """Write a panel as CSV with full round-trip precision (repr of each float).
+
+    A label that a file cannot carry as itself is refused before anything is
+    written: one whose ``str`` is empty, holds a comma, CR or LF, or starts
+    with ``#`` or ``"``.
+    """
+    labels, values = panel.timestamps, panel.values
+    _require_carried("timestamp label", map(str, labels))
+
+    def lines(start: int, stop: int) -> tuple[list[str], list]:
+        stamps, rows = list(map(str, labels[start:stop])), values[start:stop]
+        text = [",".join([stamp, *map(repr, row)]) for stamp, row in zip(stamps, rows.tolist())]
+        return text, [(np.arange(stop - start), stamps), *rows.T]
 
     head = [*header_comments, ",".join(["timestamp", *panel.variables])]
-    write_rows(path, head, len(labels), lines)
+    write_rows(path, head, len(labels), lines, [None] + [float] * panel.n_vars)
 
 
 @dataclass(frozen=True)

@@ -37,16 +37,30 @@ the parsed arrays and the errors are the same however a body is cut.
 writes its rows as it reads them. Every file is written by ``replacing``:
 into a new file beside its path, renamed over it once complete, so a
 failed write leaves the path as it was.
+
+A panel or forecast file that finpipe writes gets a typed twin beside it,
+``.<name>.typed``: the typed columns of its body, block by block, as
+``_cast_plain`` casts them, and the sha256 of the file's bytes. ``write_rows``
+makes it from the same rows it formats, and renames it into place once the
+file is; it makes none for a file that is not plain or holds a text cell
+that would not read back as itself (``carried``), and a twin that meets an
+OSError is given up with the file written all the same. ``Blocks`` hashes a
+file in the scan that chooses its reader, only when it has a twin, and
+``map`` takes the twin's columns, in one range, when the file is plain, the
+twin was made for the map's dtypes and its digest is the file's. Any other
+file, an edited one or one with a short or foreign twin, is read as text, so
+a twin changes no result, and deleting one is always safe.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import os
 import pickle
 import re
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from pathlib import Path
 from typing import BinaryIO, Callable, Generator, Iterator, NoReturn, Sequence, TypeVar
 
@@ -74,15 +88,23 @@ class Blocks:
     A scan of the file's bytes chooses its reader. One holding a quote, CR or
     NUL is read by csv.reader from its first row. Any other is read plain:
     its body is split by ``_split``, in one range when iterated and in
-    several where ``map`` cuts it.
+    several where ``map`` cuts it. The same scan hashes a file that has a
+    typed twin, for ``map`` to check the twin against.
     """
 
     def __init__(self, path: Path, fh: BinaryIO):
         self.path, self.n_rows, self.ended = path, 0, None
         self._fh, self._maps, self._dtypes = fh, [], None
-        self._plain = all(b'"' not in chunk and b"\r" not in chunk and b"\0" not in chunk
-                          for chunk in iter(lambda: fh.read(BLOCK_BYTES), b""))
+        digest = hashlib.sha256() if _twin_path(path).exists() else None
+        self._plain = True
+        for chunk in iter(lambda: fh.read(BLOCK_BYTES), b""):
+            if not _plain(chunk):
+                self._plain = False
+                break
+            if digest is not None:
+                digest.update(chunk)
         self._size = fh.tell()  # the file's, where the scan has read it to its end
+        self._digest = digest.digest() if digest is not None and self._plain else None
         fh.seek(0)
         self.head, line = _head(fh)
         if self._plain:
@@ -112,6 +134,8 @@ class Blocks:
         With ``dtypes`` (as ``typed`` takes them), the blocks come typed, as
         (columns, bad, cells): ``typed``'s columns and first bad cell, and
         the block's text cells, None where numpy's C reader cast the block.
+        Where the file has a twin made for its bytes and ``dtypes``, the
+        columns are the twin's, in one range.
         """
         self._dtypes = dtypes
         self._maps.append(ranges := self._ranges(part))
@@ -145,9 +169,10 @@ class Blocks:
                 return
 
     def _ranges(self, part) -> Iterator["Range"]:
-        cuts = self._cuts()
+        twin = self._twin()
+        cuts = [] if twin else self._cuts()
         if len(cuts) < 3:
-            yield Range(part(iter(self)))
+            yield Range(part(self._checked(twin or self._rows)))
             return
 
         def job(k: int, out: BinaryIO) -> None:
@@ -172,6 +197,24 @@ class Blocks:
                     yield Range(loaded[1])
                 if self.ended:
                     return
+
+    def _twin(self) -> Iterator | None:
+        """The body's typed blocks read from its twin; None unless the file is plain and
+        has a whole twin made for its bytes and the map's dtypes."""
+        if self._digest is None or self._dtypes is None:
+            return None
+        try:
+            fh = open(_twin_path(self.path), "rb")
+        except OSError:
+            return None
+        try:
+            sizes = _twin_sizes(fh, self._dtypes, self._digest)
+        except OSError:
+            sizes = None
+        if sizes is None:
+            fh.close()
+            return None
+        return _twin_blocks(fh, sizes, self._dtypes)
 
     def _cuts(self) -> list[int]:
         """The offsets that cut the body into ranges, each inner one just past a newline.
@@ -405,21 +448,11 @@ def quote(cells: list[str]) -> list[str]:
 def replacing(path) -> Iterator[BinaryIO]:
     """A new file beside ``path``, renamed over it when the block ends and removed
     when it raises: ``path`` keeps its old bytes until all the new ones are written.
-
-    The file is created exclusively, under a random hidden name in the output's
-    directory, with the mode ``open`` gives a new file (0o666 less the umask).
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    while True:
-        temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
-        try:
-            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:  # the name is taken; draw another
-            pass
+    temp, out = _beside(path)
     try:
-        with open(fd, "wb") as out:
+        with out:
             yield out
         os.replace(temp, path)
     except BaseException:
@@ -427,49 +460,267 @@ def replacing(path) -> Iterator[BinaryIO]:
         raise
 
 
+def _beside(path: Path) -> tuple[Path, BinaryIO]:
+    """A new file open for writing, and its path: created exclusively, under a random
+    hidden name in ``path``'s directory, with the mode ``open`` gives a new file (0o666
+    less the umask)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    while True:
+        temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+        try:
+            return temp, open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+        except FileExistsError:  # the name is taken; draw another
+            pass
+
+
 def write_rows(path, head: Sequence[str], n_rows: int = 0,
-               lines: Callable[[int, int], list[str]] | None = None) -> None:
+               lines: Callable[[int, int], list[str]] | None = None,
+               dtypes: Sequence | None = None) -> None:
     """Write the ``head`` lines, then the lines ``lines(start, stop)`` makes of rows 0..n_rows;
     with no rows, the ``head`` lines alone.
 
     Rows are formatted in blocks of about BLOCK_BYTES of text, sized from
     the first row. A body of RANGE_BYTES or more is cut into ranges of rows;
     forked workers format all but the first into unlinked temporary files
-    in the output's directory, and the parent appends them in order. The
-    file is written by ``replacing``, so a write that fails changes nothing.
+    in the output's directory, each block with its twin block, and the
+    parent appends them in order. The file is written by ``replacing``, so
+    a write that fails changes nothing.
+
+    With ``dtypes`` (as ``typed`` takes them), ``lines`` gives a pair: the
+    lines and the rows' columns, one per dtype, each an array or, for a text
+    column, (codes, names), its cells ``names[code]``. The columns go to the
+    file's typed twin (see ``_Twin``).
     """
-    row = len(_text(lines(0, 1))) if n_rows else 1
+    def formatted(start: int, stop: int) -> tuple[bytes, list | None]:  # text, twin block
+        if dtypes is None:
+            return _text(lines(start, stop)), []
+        rows, columns = lines(start, stop)
+        return _text(rows), _twin_block(columns, dtypes)
+
+    head = _text(head)
+    row = len(formatted(0, 1)[0]) if n_rows else 1
     step = max(1, BLOCK_BYTES // row)
     count = min(_range_count(row * n_rows), max(n_rows, 1))
     cuts = [n_rows * k // count for k in range(count + 1)]
 
-    def job(k: int, out: BinaryIO) -> None:
+    def job(k: int, write: Callable[[bytes, list | None], None]) -> None:
         for start in range(cuts[k], cuts[k + 1], step):
-            out.write(_text(lines(start, min(start + step, cuts[k + 1]))))
+            write(*formatted(start, min(start + step, cuts[k + 1])))
 
-    with replacing(path) as out, closing(_Forked(count, job, Path(path).parent)) as workers:
-        out.write(_text(head))
-        for k in range(count):
-            done = workers.result(k) if k else None
-            if done is None:
-                job(k, out)
-            else:
-                _append(out, done)
+    def worker(k: int, out: BinaryIO) -> None:
+        def write(text: bytes, block: list | None) -> None:  # the two sizes, then the bytes
+            size = sum(memoryview(chunk).nbytes for chunk in block or ())
+            out.write(len(text).to_bytes(8, "little") + size.to_bytes(8, "little"))
+            out.write(text)
+            out.writelines(block or ())
+
+        job(k, write)
+
+    twin = _Twin(Path(path), dtypes, head)
+    try:
+        with replacing(path) as out, closing(_Forked(count, worker, Path(path).parent)) as workers:
+            def write(text: bytes, block: list | None) -> None:
+                out.write(text)
+                twin.add(text, block)
+
+            out.write(head)
+            for k in range(count):
+                done = workers.result(k) if k else None
+                if done is None:
+                    job(k, write)
+                else:
+                    for text, block in _frames(done):
+                        write(text, block)
+    except BaseException:
+        twin.drop()
+        raise
+    twin.place()
 
 
 def _text(lines: Sequence[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode() if lines else b""
 
 
-def _append(out: BinaryIO, done: BinaryIO) -> None:
-    """Copy the whole of ``done`` to the end of ``out``, in the kernel."""
-    out.flush()
-    size, sent = os.fstat(done.fileno()).st_size, 0
-    while sent < size:
-        n = os.sendfile(out.fileno(), done.fileno(), sent, size - sent)
-        if not n:
-            raise OSError(f"{out.name}: short copy of a worker's rows")
-        sent += n
+def _frames(done: BinaryIO) -> Iterator[tuple[bytearray, list | None]]:
+    """The text and twin block (as ``_twin_block`` gives it) of each block of rows a
+    ``write_rows`` worker wrote to ``done``, read into two buffers each block reuses."""
+    text, block = bytearray(), bytearray()
+    while sizes := done.read(16):
+        for buffer, size in ((text, sizes[:8]), (block, sizes[8:])):
+            size = int.from_bytes(size, "little")
+            del buffer[size:]
+            buffer.extend(bytes(size - len(buffer)))
+            done.readinto(buffer)
+        yield text, [block] if block else None
+
+
+def _plain(data: bytes) -> bool:
+    """Whether ``data`` holds no quote, CR or NUL byte: a file of such bytes is read plain."""
+    return b'"' not in data and b"\r" not in data and b"\0" not in data
+
+
+def carried(cell: str) -> bool:
+    """Whether a plain file carries ``cell`` as itself, in any column: it is not empty,
+    holds no comma, CR or LF, and starts with neither '#' nor '"'."""
+    return bool(cell) and cell[0] not in "#\"" and "," not in cell and "\r" not in cell \
+        and "\n" not in cell
+
+
+# --- typed twins --------------------------------------------------------------
+#
+# A twin is a file ``.<name>.typed`` beside the table it was made of. It holds
+# the _TWIN_HEAD line, a line naming its dtypes, then its blocks, then the sha256
+# of the table's bytes. A block holds, as int64, its row count and the byte
+# size of each text column's names; then each column, numbers as its dtype and
+# text as int32 codes, padded to 8 bytes; then each text column's names, UTF-8,
+# joined by LF. Numbers are in the machine's byte order, which the dtypes line
+# names ('<f8'), so a twin made on a machine of the other order is not read.
+
+_TWIN_HEAD = b"finpipe typed twin 1\n"
+
+
+def _twin_path(path: Path) -> Path:
+    return path.with_name(f".{path.name}.typed")
+
+
+def _twin_head(dtypes: Sequence) -> bytes:
+    names = " ".join("text" if dtype is None else np.dtype(dtype).str for dtype in dtypes)
+    return _TWIN_HEAD + names.encode() + b"\n"
+
+
+def _padded(size: int) -> int:
+    return size + -size % 8
+
+
+def _twin_block(columns: Sequence, dtypes: Sequence) -> list | None:
+    """The buffers of the twin block of a block's ``columns``, as ``write_rows`` takes
+    them; None when a name in a text column is not ``carried``."""
+    sizes, parts, names = [], [], []
+    for column, dtype in zip(columns, dtypes):
+        if dtype is None:
+            column, text = column
+            if not all(map(carried, text)):
+                return None
+            names.append("\n".join(text).encode())
+            sizes.append(len(names[-1]))
+        data = np.ascontiguousarray(column, np.int32 if dtype is None else dtype)
+        parts += [data, bytes(-data.nbytes % 8)]
+    return [np.array([parts[0].size, *sizes], np.int64), *parts, *names]
+
+
+def _twin_sizes(fh: BinaryIO, dtypes: Sequence, digest: bytes) -> list[int] | None:
+    """The byte sizes of the blocks of the twin open as ``fh``, which is left at its first
+    block; None unless it is a whole twin of ``dtypes`` ending in ``digest``."""
+    head, end = _twin_head(dtypes), os.fstat(fh.fileno()).st_size - len(digest)
+    if fh.read(len(head)) != head or end < len(head):
+        return None
+    fh.seek(end)
+    if fh.read() != digest:
+        return None
+    texts = sum(dtype is None for dtype in dtypes)
+    widths = [4 if dtype is None else np.dtype(dtype).itemsize for dtype in dtypes]
+    sizes, at = [], len(head)
+    while at < end:
+        fh.seek(at)
+        header = fh.read(8 * (1 + texts))
+        if len(header) < 8 * (1 + texts):
+            return None
+        rows, *names = np.frombuffer(header, np.int64).tolist()
+        if rows < 1 or min(names, default=0) < 0:
+            return None
+        sizes.append(len(header) + sum(_padded(rows * width) for width in widths) + sum(names))
+        at += sizes[-1]
+    fh.seek(len(head))
+    return sizes if at == end else None
+
+
+def _twin_blocks(fh: BinaryIO, sizes: list[int], dtypes: Sequence) -> Iterator[tuple]:
+    """The columns of each block of the twin open as ``fh``, as ``_cast_plain`` casts them."""
+    texts = [j for j, dtype in enumerate(dtypes) if dtype is None]
+    with fh:
+        for size in sizes:
+            block = bytearray(size)
+            fh.readinto(block)
+            rows, *names = np.frombuffer(block, np.int64, 1 + len(texts)).tolist()
+            at, columns = 8 * (1 + len(texts)), []
+            for dtype in dtypes:
+                columns.append(np.frombuffer(block, np.int32 if dtype is None else dtype, rows, at))
+                at += _padded(columns[-1].nbytes)
+            for j, length in zip(texts, names):
+                cells = block[at : at + length].decode().split("\n")
+                columns[j] = np.array(cells, dtype=object)[columns[j]]
+                at += length
+            yield tuple(columns)
+
+
+class _Twin:
+    """The typed twin of a table ``write_rows`` writes, made as the table is.
+
+    ``add`` takes the table's bytes in file order, with the twin block of
+    their rows; ``place`` renames the twin over ``.<name>.typed`` once the
+    table is in place. A table that holds a quote, CR or NUL byte or a text
+    cell not ``carried``, or whose twin meets an OSError, gets no twin: its
+    new file is removed, and so is the twin the path had, which the new table
+    makes stale. Only an OSError is borne so; the table is written all the
+    same. With no ``dtypes``, or a head whose last line is not the header a
+    reader finds, there is no twin to make.
+    """
+
+    def __init__(self, path: Path, dtypes: Sequence | None, head: bytes):
+        self.path, self.digest, self.out = _twin_path(path), hashlib.sha256(), None
+        # The reader's header must be the last head line, with a field per dtype.
+        *above, header = head.split(b"\n")[:-1] or [b""]
+        if (dtypes is not None and header[:1] not in (b"", b"#")
+                and header.count(b",") + 1 == len(dtypes)
+                and all(line[:1] in (b"", b"#") for line in above)):
+            self._try(self._open, dtypes)
+        self.add(head, [])
+
+    def _open(self, dtypes: Sequence) -> None:
+        self.temp, self.out = _beside(self.path)
+        self.out.write(_twin_head(dtypes))
+
+    def _try(self, step: Callable, *args) -> None:
+        """``step(*args)``; any exception gives the twin up, and all but an OSError propagate."""
+        try:
+            step(*args)
+        except BaseException as exc:
+            self.drop()
+            if not isinstance(exc, OSError):
+                raise
+
+    def add(self, text: bytes, block: list | None) -> None:
+        """Take the table's next bytes and the buffers of their rows' twin block: none for
+        its head, and None where a text cell is not ``carried``."""
+        if self.out is None:
+            return
+        if block is None or not _plain(text):
+            self.drop()
+            return
+        self.digest.update(text)
+        self._try(self.out.writelines, block)
+
+    def place(self) -> None:
+        """Put the twin in place, once the table is; a twin given up takes the old one away."""
+        if self.out is not None:
+            self._try(self._place)
+        if self.out is None:
+            with suppress(OSError):
+                self.path.unlink(missing_ok=True)
+
+    def _place(self) -> None:
+        self.out.write(self.digest.digest())
+        self.out.close()
+        os.replace(self.temp, self.path)
+
+    def drop(self) -> None:
+        """Give the twin up, removing its new file."""
+        out, self.out = self.out, None
+        if out is not None:
+            with suppress(OSError):
+                out.close()
+            with suppress(OSError):
+                self.temp.unlink(missing_ok=True)
 
 
 def _range_count(size: int) -> int:

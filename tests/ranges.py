@@ -1,7 +1,9 @@
-"""Helpers that cut every CSV body into a chosen number of ranges, and check that
-no forked worker of ``finpipe.table``'s range map is left behind."""
+"""Helpers that cut every CSV body into a chosen number of ranges, check that
+no forked worker of ``finpipe.table``'s range map is left behind, and delete the
+typed twin that would let a read skip the text."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,10 @@ def in_ranges(monkeypatch, count):
 def assert_no_worker_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def without_twin(*paths):
+    """Delete the typed twin of each of ``paths``, which must have one, so that reading
+    it parses its text, in ranges and blocks."""
+    for path in paths:
+        table._twin_path(Path(path)).unlink()

@@ -1821,3 +1821,107 @@ class TestEntryPoint:
                 found += [f"{path.name}:{node.lineno}: {name}" for name in names
                           if name == "scipy" or name.startswith("scipy.")]
         assert found == []
+
+
+class _FullDisk:
+    """A new twin file whose ``fail_at``-th write raises ``error``, as on a full disk."""
+
+    def __init__(self, out, fail_at, error):
+        self.out, self.left, self.error = out, fail_at, error
+
+    def write(self, data):
+        self.writelines([data])
+
+    def writelines(self, chunks):
+        self.left -= 1
+        if self.left == 0:
+            raise self.error(28, "No space left on device")
+        self.out.writelines(chunks)
+
+    def close(self):
+        self.out.close()
+
+
+def _failing_twins(patch, where, error=OSError):
+    """Make every twin written from now on fail ``where``: at the write of its head, of its
+    first block, or at the rename that puts it in place."""
+    beside, replace = table._beside, os.replace
+
+    def new_file(path):
+        temp, out = beside(path)
+        if path.name.endswith(".typed"):
+            out = _FullDisk(out, {"head": 1, "block": 2}.get(where, 0), error)
+        return temp, out
+
+    def rename(src, dst):
+        if where == "rename" and str(dst).endswith(".typed"):
+            raise error(28, "No space left on device")
+        return replace(src, dst)
+
+    patch.setattr(table, "_beside", new_file)
+    patch.setattr(os, "replace", rename)
+
+
+class TestTypedTwins:
+    def test_only_the_panels_and_forecasts_finpipe_writes_get_a_twin(self, tmp_path, raw_csv,
+                                                                      monkeypatch):
+        # A raw panel, a quote book, anchors, metrics, curves and reports have
+        # none; the stages that read a panel or forecasts finpipe wrote take its twin.
+        reads = []
+        blocks = table._twin_blocks
+        monkeypatch.setattr(table, "_twin_blocks", lambda fh, *a: reads.append(
+            Path(fh.name).name) or blocks(fh, *a))
+        run = tmp_path / "run"
+        run_m2s_pipeline(run, raw_csv)
+        quotes = tmp_path / "quotes.csv"
+        TestOptionAnalyticsCli._quotes_csv(None, quotes)
+        assert main(["option-analytics", "--input", str(quotes),
+                     "--output", str(run / "analytics.csv")]) == 0
+        twins = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob(".*"))
+        assert twins == ["run/.forecasts.csv.typed", "run/.transformed.csv.typed",
+                         "run/splits/.test.csv.typed", "run/splits/.train.csv.typed",
+                         "run/splits/.val.csv.typed"]
+        # naive-forecast, evaluate and backtest each read transformed.csv; the latter two
+        # the forecasts too.
+        assert sorted(reads) == [".forecasts.csv.typed"] * 2 + [".transformed.csv.typed"] * 3
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("where", ["head", "block", "rename"])
+    def test_a_twin_that_cannot_be_written_changes_nothing_else(self, tmp_path, monkeypatch,
+                                                                where, count):
+        src = tmp_path / "panel.csv"
+        frame.write_csv(Panel(range(60), ("a", "b"),
+                              np.random.default_rng(3).normal(size=(60, 2))), src)
+        outputs = {}
+        for run in ("whole", "failed"):
+            argv = ["naive-forecast", "--input", str(src), "--output",
+                    str(tmp_path / run / "fc.csv"), "--input-len", "5", "--horizon", "3"]
+            assert main(argv) == 0  # the failed run replaces this file and its twin
+            with monkeypatch.context() as patch:
+                in_ranges(patch, count)
+                if run == "failed":
+                    _failing_twins(patch, where)
+                assert main(argv) == 0
+            assert_no_worker_left()
+            outputs[run] = (tmp_path / run / "fc.csv").read_bytes()
+        assert outputs["failed"] == outputs["whole"]
+        assert sorted(p.name for p in (tmp_path / "failed").iterdir()) == ["fc.csv"]
+        windows = frame.sliding_windows(load_csv(src), frame.WindowSpec(5, 3))
+        reads, casts = [], []
+        cast = table._cast_plain
+        monkeypatch.setattr(table, "_twin_blocks", lambda *a: reads.append(a))
+        monkeypatch.setattr(table, "_cast_plain", lambda *a: casts.append(a) or cast(*a))
+        batch = forecast.load_forecasts(tmp_path / "failed" / "fc.csv", windows)
+        assert reads == [] and casts  # the text is read
+        assert batch.y_pred.shape == (53, 3, 2)
+
+    @pytest.mark.parametrize("where", ["head", "block", "rename"])
+    def test_only_an_os_error_is_borne(self, tmp_path, monkeypatch, where):
+        path = tmp_path / "p.csv"
+        panel = Panel(range(5), ("a",), np.ones((5, 1)))
+        _failing_twins(monkeypatch, where, RuntimeError)
+        with pytest.raises(RuntimeError, match="No space left"):
+            frame.write_csv(panel, path)
+        # The table is in place only when the twin failed after it was.
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["p.csv"] if where == "rename"
+                                                              else [])

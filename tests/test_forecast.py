@@ -20,7 +20,7 @@ from finpipe import (
 from finpipe import table
 from finpipe.cli import main
 from finpipe.errors import AlignError, FormatError
-from ranges import assert_no_worker_left, in_ranges
+from ranges import assert_no_worker_left, in_ranges, without_twin
 from synth import ohlcv_panel, random_walk_panel
 
 
@@ -196,6 +196,7 @@ class TestForecastFileRoundTrip:
             windows = sliding_windows(panel, WindowSpec(512, 5, closes))
             path = tmp_path / f"fc{n_windows}.csv"
             write_forecasts(path, make_batch(windows, naive_forecast(windows, 5, seed=1)), 512)
+            without_twin(path)
             tracemalloc.start()
             try:
                 batch = load_forecasts(path, windows)
@@ -258,6 +259,7 @@ class TestForecastReadMemory:
         path = tmp_path / "fc.csv"
         preds = naive_forecast(windows, 5, seed=3)
         write_forecasts(path, make_batch(windows, preds), 10)
+        without_twin(path)
         monkeypatch.setattr(table, "BLOCK_BYTES", 64)  # a few records a block: many growths
         sys.setprofile(lambda *args: None)
         try:

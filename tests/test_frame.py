@@ -18,6 +18,7 @@ from finpipe import (
 )
 from finpipe import frame, table
 from finpipe.errors import IngestError, SplitError, WindowError
+from ranges import without_twin
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -188,6 +189,7 @@ class TestLoadCsv:
                       rng.normal(100.0, 10.0, (3000, 20)))
         path = tmp_path / "panel.csv"
         write_csv(panel, path)
+        without_twin(path)
         tracemalloc.start()
         try:
             loaded = load_csv(path)
@@ -297,6 +299,27 @@ class TestWriteCsv:
             tracemalloc.stop()
         np.testing.assert_array_equal(load_csv(tmp_path / "panel.csv").values, panel.values)
         assert peak < panel.values.nbytes
+
+    @pytest.mark.parametrize("label", ["#1", "", "a,b", "a\rb", "a\nb", '"1', "#"])
+    def test_a_label_a_file_cannot_carry_is_refused_and_nothing_written(self, tmp_path, label):
+        # A "#1" label was written as a comment line, so the 3-row panel read back as
+        # 2 rows; the rule is the one a variable name follows.
+        panel = Panel((label, "2", "3"), ("v",), np.ones((3, 1)))
+        message = (f"timestamp label {label!r} must be non-empty and hold no comma, CR, LF, "
+                   "leading '#' or leading '\"'")
+        with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+            write_csv(panel, tmp_path / "p.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("labels", [
+        (0, -5, 12, np.int64(7)),
+        ("2024-01-02", "2024-01-02T09:30:00+01:00", datetime(2024, 1, 3, 9, 30), " 7 ", "1_0"),
+    ])
+    def test_int_and_iso_labels_keep_their_bytes(self, tmp_path, labels):
+        panel = Panel(labels, ("v",), np.arange(len(labels), dtype=float)[:, None])
+        write_csv(panel, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_text() == "timestamp,v\n" + "".join(
+            f"{label},{float(i)!r}\n" for i, label in enumerate(labels))
 
     def test_round_trip_is_identity(self, tmp_path, rng):
         values = rng.normal(0.0, 1.0, (50, 3)) * 10.0 ** rng.integers(-8, 8, (50, 3))

@@ -7,6 +7,7 @@ reader fails the test, so an empty body must not make numpy warn.
 """
 
 import csv
+import dataclasses
 import io
 import os
 import re
@@ -37,7 +38,7 @@ from finpipe import (
 from finpipe import cli, table
 from finpipe.errors import FormatError, IngestError
 from finpipe.table import Blocks, _cast_plain, read_blocks
-from ranges import assert_no_worker_left, in_ranges
+from ranges import assert_no_worker_left, in_ranges, without_twin
 from synth import ohlcv_panel
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -545,6 +546,7 @@ def test_a_file_whose_longest_rows_come_first_matches_reference(tmp_path, monkey
     preds.flat[:4] = 1.2345678901234567e-300
     path = tmp_path / "fc.csv"
     write_forecasts(path, make_batch(windows, preds), 2)
+    without_twin(path)
     monkeypatch.setattr(table, "BLOCK_BYTES", 64)
     assert_same(outcome(load_forecasts, path, windows),
                 outcome(ref.load_forecasts, path, windows), same_batch)
@@ -560,6 +562,7 @@ def test_a_clean_body_in_one_range_is_cast_in_c_from_its_first_block(tmp_path, m
     write_csv(panel, panel_path, header_comments=PROVENANCE)
     write_forecasts(forecast_path, make_batch(windows, naive_forecast(windows, 3, seed=1)), 8,
                     header_comments=PROVENANCE)
+    without_twin(panel_path, forecast_path)
     monkeypatch.setattr(table, "MAX_RANGES", 1)
     calls, typed = [], table.typed
     monkeypatch.setattr(table, "typed", lambda cells, dtypes: calls.append(len(cells))
@@ -604,7 +607,8 @@ def test_ranged_writes_are_byte_identical(tmp_path, monkeypatch, panel, case, co
                   windows.spec.input_len, "naive", PROVENANCE)[0] == "ok"
     assert (out / "p.csv").read_bytes() == serial_panel.read_bytes()
     assert (out / "f.csv").read_bytes() == serial_forecasts.read_bytes()
-    assert sorted(p.name for p in out.iterdir()) == ["f.csv", "p.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [".f.csv.typed", ".p.csv.typed", "f.csv",
+                                                     "p.csv"]
     assert_no_worker_left()
 
 
@@ -864,6 +868,7 @@ def test_a_failed_worker_has_its_range_redone(tmp_path, monkeypatch, worker):
     batch = make_batch(windows, naive_forecast(windows, 3, seed=2))
     write_csv(panel, tmp_path / "p.csv")
     write_forecasts(tmp_path / "f.csv", batch, 8)
+    without_twin(tmp_path / "p.csv", tmp_path / "f.csv")
     monkeypatch.setattr(table, "_work", worker)
     out = tmp_path / "ranged"
     if worker is _killed:  # a writer's file is taken only from a worker that exited 0
@@ -931,3 +936,177 @@ def test_a_written_file_has_the_mode_of_a_plain_open(tmp_path):
     assert (tmp_path / "rows.csv").read_text() == "h\n0\n1\n2\n"
     assert {(tmp_path / name).stat().st_mode for name in ("lines.csv", "rows.csv")} \
         == {plain.stat().st_mode}
+
+
+# --- typed twins ----------------------------------------------------------------
+
+def spy_reads(monkeypatch) -> tuple[list, list]:
+    """The twins read and the text blocks given to numpy's C reader from now on, in this
+    process."""
+    twins, casts = [], []
+    blocks, cast = table._twin_blocks, table._cast_plain
+    monkeypatch.setattr(table, "_twin_blocks", lambda fh, *args: twins.append(fh.name)
+                        or blocks(fh, *args))
+    monkeypatch.setattr(table, "_cast_plain",
+                        lambda block, dtypes: casts.append(len(block)) or cast(block, dtypes))
+    return twins, casts
+
+
+def read_as_text(read, path, *args):
+    """The outcome of ``read(path, *args)`` with ``path``'s twin set aside, if it has one."""
+    twin = table._twin_path(path)
+    aside = twin.with_name(twin.name + ".aside")
+    if twin.exists():
+        twin.rename(aside)
+    try:
+        return outcome(read, path, *args)
+    finally:
+        if aside.exists():
+            aside.rename(twin)
+
+
+# Carried labels: integers, dates, integers among spaces, and text load_csv refuses.
+TWIN_LABELS = [st.integers(-10**6, 10**6),
+               st.integers(0, 20000).map(lambda d: str(np.datetime64("1990-01-01") + d)),
+               st.integers(0, 999).map(lambda i: f" {i} "),
+               st.text("ab é \t1", min_size=1, max_size=4).filter(table.carried)]
+
+
+@st.composite
+def twin_cases(draw):
+    """A panel, forecasts over it, and truth windows of the panel they were made for and
+    of the panel with fewer windows or other targets."""
+    n_vars = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 3))
+    input_len = draw(st.integers(1, 4))
+    n_rows = input_len + horizon + draw(st.integers(0, 5))
+    labels = draw(st.lists(draw(st.sampled_from(TWIN_LABELS)), min_size=n_rows,
+                           max_size=n_rows, unique=True))
+    values = np.array(draw(st.lists(finite, min_size=n_rows * n_vars, max_size=n_rows * n_vars)))
+    panel = Panel(labels, tuple(f"x{i}" for i in range(n_vars)), values.reshape(n_rows, n_vars))
+    targets = tuple(draw(st.lists(st.sampled_from(panel.variables), min_size=1, unique=True)))
+    windows = sliding_windows(panel, WindowSpec(input_len, horizon, targets))
+    preds = np.array(draw(st.lists(finite, min_size=windows.truth.size,
+                                   max_size=windows.truth.size))).reshape(windows.truth.shape)
+    others = [windows]
+    if len(windows) > 1:
+        others.append(sliding_windows(panel.rows(0, n_rows - 1), windows.spec))
+    if n_vars > 1:
+        others.append(sliding_windows(panel, WindowSpec(input_len, horizon, panel.variables[::-1])))
+    return panel, windows, make_batch(windows, preds), draw(st.sampled_from(others))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=twin_cases(), count=st.integers(1, 4))
+def test_a_twin_read_is_the_text_read(tmp_path, monkeypatch, case, count):
+    # Written in 1-4 ranges, a panel and a forecast file each get a twin, and a
+    # read takes its columns from the twin, casting no text, with the panel,
+    # batch or error the text gives.
+    panel, windows, batch, truth = case
+    panel_path, forecast_path = tmp_path / "p.csv", tmp_path / "f.csv"
+    with monkeypatch.context() as patch:
+        in_ranges(patch, count)
+        write_csv(panel, panel_path, header_comments=PROVENANCE)
+        write_forecasts(forecast_path, batch, windows.spec.input_len, header_comments=PROVENANCE)
+    assert_no_worker_left()
+    assert table._twin_path(panel_path).exists() and table._twin_path(forecast_path).exists()
+    for read, compare, args in ((load_csv, same_panel, (panel_path,)),
+                                (load_forecasts, same_batch, (forecast_path, truth))):
+        with monkeypatch.context() as patch:
+            twins, casts = spy_reads(patch)
+            new = outcome(read, *args)
+        assert twins == [str(table._twin_path(args[0]))] and casts == []
+        assert_same(new, read_as_text(read, *args), compare)
+
+
+TWIN_BREAKS = ["byte", "comment", "crlf", "truncated", "foreign", "dtypes"]
+
+
+def break_twin(data, path, other, kind):
+    """Edit ``path`` or its twin in one way that must leave its twin unused."""
+    twin = table._twin_path(path)
+    text, typed = path.read_bytes(), twin.read_bytes()
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(text) - 1), label="at")
+        byte = data.draw(st.sampled_from(b'09.-e,x#"\n\r\xff '), label="byte")
+        assume(text[at] != byte)
+        path.write_bytes(text[:at] + bytes([byte]) + text[at + 1 :])
+    elif kind == "comment":
+        path.write_bytes(text + b"#appended\n")
+    elif kind == "crlf":
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+    elif kind == "truncated":
+        twin.write_bytes(typed[: data.draw(st.integers(0, len(typed) - 1), label="size")])
+    elif kind == "foreign":
+        twin.write_bytes(table._twin_path(other).read_bytes())
+    else:  # the dtypes line of the other kind of file, over this file's digest
+        head = typed.split(b"\n", 2)
+        other_head = table._twin_path(other).read_bytes().split(b"\n", 2)
+        twin.write_bytes(b"\n".join([head[0], other_head[1], head[2]]))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=twin_cases(), data=st.data(), kind=st.sampled_from(TWIN_BREAKS))
+def test_an_edited_table_or_a_broken_twin_is_read_as_text(tmp_path, monkeypatch, case, data,
+                                                           kind):
+    panel, windows, batch, truth = case
+    panel_path, forecast_path = tmp_path / "p.csv", tmp_path / "f.csv"
+    write_csv(panel, panel_path, header_comments=PROVENANCE)
+    write_forecasts(forecast_path, batch, windows.spec.input_len, header_comments=PROVENANCE)
+    path = data.draw(st.sampled_from([panel_path, forecast_path]), label="file")
+    break_twin(data, path, forecast_path if path == panel_path else panel_path, kind)
+    read, compare, args = ((load_csv, same_panel, (path,)) if path == panel_path
+                           else (load_forecasts, same_batch, (path, truth)))
+    with monkeypatch.context() as patch:
+        twins, _ = spy_reads(patch)
+        new = outcome(read, *args)
+    assert twins == []
+    assert_same(new, read_as_text(read, *args), compare)
+
+
+@pytest.mark.parametrize("variables, head", [
+    (("a", 'b"c'), []), (("a",), ['#note="x"']),  # read by csv.reader, never from a twin
+    (("a",), ["note,1"]), (("a",), ["#note", "b,c", ""]),  # a head line read as the header
+])
+def test_a_table_a_twin_cannot_stand_in_for_gets_none(tmp_path, variables, head):
+    panel = Panel(range(3), variables, np.ones((3, len(variables))))
+    path = tmp_path / "p.csv"
+    write_csv(panel, path, header_comments=head)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+    write_csv(panel.select(["a"]), path)
+    assert table._twin_path(path).exists()
+
+
+def test_a_twin_is_the_same_bytes_every_time(tmp_path):
+    panel = ohlcv_panel(300, seed=5, assets=("A", "B"))
+    windows = sliding_windows(panel, WindowSpec(8, 3))
+    batch = make_batch(windows, naive_forecast(windows, 3, seed=2))
+    twins = []
+    for run in ("a", "b"):
+        write_csv(panel, tmp_path / run / "p.csv")
+        write_forecasts(tmp_path / run / "f.csv", batch, 8)
+        twins.append([table._twin_path(tmp_path / run / name).read_bytes()
+                      for name in ("p.csv", "f.csv")])
+    assert twins[0] == twins[1]
+
+
+def test_a_table_written_without_a_twin_takes_the_old_one_away(tmp_path):
+    # A table finpipe writes with no typed columns leaves no twin of an
+    # earlier table at its path.
+    path = tmp_path / "t.csv"
+    write_csv(Panel(range(3), ("a",), np.ones((3, 1))), path)
+    assert table._twin_path(path).exists()
+    table.write_rows(path, ["h,a", "0,1"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "#a", ""])
+def test_a_forecast_naming_a_variable_a_file_cannot_carry_gets_no_twin(tmp_path, name):
+    # Its records would not read back as written, or might not: only text is read.
+    panel = Panel(range(8), ("v0", "v1"), np.ones((8, 2)))
+    windows = sliding_windows(panel, WindowSpec(2, 2))
+    batch = make_batch(windows, windows.truth)
+    write_forecasts(tmp_path / "f.csv", dataclasses.replace(batch, variables=(name, "v1")), 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
