@@ -119,21 +119,15 @@ def _write_blocks(path, ids: Sequence[int], variables: Sequence[str], horizon: i
     """
     head = [*header_comments, f"#L={input_len}", f"#H={horizon}", f"#model={model}",
             f"#variables={','.join(variables)}", "sample_id,step,variable,y_pred"]
-    keys = [f",{step + 1},{var}," for step in range(horizon) for var in variables]
     steps = np.repeat(np.arange(1, horizon + 1), len(variables))  # of a sample's records
     codes = np.tile(np.arange(len(variables)), horizon)
 
-    def lines(start: int, stop: int) -> tuple[list[str], list]:  # H*C lines per sample
+    def lines(start: int, stop: int) -> list:  # the columns of H*C records per sample
         values = block(start, stop)
         _require_finite(start, y_pred=values)
-        samples = ids[start:stop]
-        text = [prefix + key + repr(value)
-                for prefix, row in zip(map(str, map(int, samples)),
-                                       values.reshape(stop - start, -1).tolist())
-                for key, value in zip(keys, row)]
         n = stop - start
-        return text, [np.repeat(np.asarray(samples, np.int64), len(keys)), np.tile(steps, n),
-                      (np.tile(codes, n), variables), values]
+        return [np.repeat(np.asarray(ids[start:stop], np.int64), len(codes)),
+                np.tile(steps, n), (np.tile(codes, n), variables), values.reshape(-1)]
 
     write_rows(path, head, len(ids), lines, (np.int64, np.int64, None, float))
 
@@ -177,8 +171,13 @@ def load_forecasts(path, truth: WindowSet | Callable[[dict], WindowSet]) -> Fore
     def part(typed_blocks):  # one range's records as grid keys and values, up to its first bad one
         for (ids, steps, names, values), bad, cells in typed_blocks:
             codes = {name: i for i, name in enumerate(targets)}  # the targets, then other names
-            code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(names)}
-            var_codes = np.fromiter(map(code_of.__getitem__, names), np.int64, len(names))
+            if isinstance(names, tuple):  # a twin's codes into its names: one lookup table
+                index, names = names
+                lut = np.array([codes.setdefault(raw.strip(), len(codes)) for raw in names])
+                var_codes = lut[index]
+            else:
+                code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(names)}
+                var_codes = np.fromiter(map(code_of.__getitem__, names), np.int64, len(names))
             keys = ids * horizon  # (id*H + step-1)*T + code, wrapping where it is off the grid
             keys += steps
             keys -= 1

@@ -115,6 +115,9 @@ def load_csv(path) -> Panel:
 
         def part(typed_blocks):  # one range's labels and float rows, up to its first bad cell
             for (stamps, *values), bad, cells in typed_blocks:
+                if isinstance(stamps, tuple):  # a twin's codes into its names
+                    index, names = stamps
+                    stamps = [names[i] for i in index.tolist()]
                 rows = np.reshape(values, (len(values), len(stamps))).T.copy()  # in C order
                 yield list(map(str.strip, stamps)), rows
                 if bad:
@@ -159,7 +162,8 @@ def _require_carried(what: str, names: Iterable[str]) -> None:
 
 
 def write_csv(panel: Panel, path, header_comments: Sequence[str] = ()) -> None:
-    """Write a panel as CSV with full round-trip precision (repr of each float).
+    """Write a panel as CSV with full round-trip precision: each float as the bytes
+    ``repr`` gives, made by the table's column formatter.
 
     A label that a file cannot carry as itself is refused before anything is
     written: one whose ``str`` is empty, holds a comma, CR or LF, or starts
@@ -168,10 +172,9 @@ def write_csv(panel: Panel, path, header_comments: Sequence[str] = ()) -> None:
     labels, values = panel.timestamps, panel.values
     _require_carried("timestamp label", map(str, labels))
 
-    def lines(start: int, stop: int) -> tuple[list[str], list]:
-        stamps, rows = list(map(str, labels[start:stop])), values[start:stop]
-        text = [",".join([stamp, *map(repr, row)]) for stamp, row in zip(stamps, rows.tolist())]
-        return text, [(np.arange(stop - start), stamps), *rows.T]
+    def lines(start: int, stop: int) -> list:
+        return [(np.arange(stop - start), list(map(str, labels[start:stop]))),
+                *values[start:stop].T]
 
     head = [*header_comments, ",".join(["timestamp", *panel.variables])]
     write_rows(path, head, len(labels), lines, [None] + [float] * panel.n_vars)

@@ -36,7 +36,10 @@ the parsed arrays and the errors are the same however a body is cut.
 ``write_rows`` is the one writer of a table; ``option-analytics`` alone
 writes its rows as it reads them. Every file is written by ``replacing``:
 into a new file beside its path, renamed over it once complete, so a
-failed write leaves the path as it was.
+failed write leaves the path as it was. A typed table, a panel or forecast
+file, is written from its columns: ``rows.format_rows`` makes the text of
+a block of rows from their ints, floats and text cells, with no ``repr``
+or ``str`` per cell; its floats are the bytes ``repr`` gives.
 
 A panel or forecast file that finpipe writes gets a typed twin beside it,
 ``.<name>.typed``: the typed columns of its body, block by block, as
@@ -49,7 +52,8 @@ file in the scan that chooses its reader, only when it has a twin, and
 ``map`` takes the twin's columns, in one range, when the file is plain, the
 twin was made for the map's dtypes and its digest is the file's. Any other
 file, an edited one or one with a short or foreign twin, is read as text, so
-a twin changes no result, and deleting one is always safe.
+a twin changes no result, and deleting one is always safe; a twin that does
+not end in its file's digest is stale, and the read that finds it unlinks it.
 """
 
 from __future__ import annotations
@@ -135,7 +139,8 @@ class Blocks:
         (columns, bad, cells): ``typed``'s columns and first bad cell, and
         the block's text cells, None where numpy's C reader cast the block.
         Where the file has a twin made for its bytes and ``dtypes``, the
-        columns are the twin's, in one range.
+        columns are the twin's, in one range, and a text column comes as
+        (codes, names), its cells ``names[code]``.
         """
         self._dtypes = dtypes
         self._maps.append(ranges := self._ranges(part))
@@ -148,7 +153,8 @@ class Blocks:
         width = len(self.header or ())
         for rows in blocks:
             if isinstance(rows, tuple):
-                n, block = len(rows[0]), (rows, None, None)
+                first = rows[0][0] if isinstance(rows[0], tuple) else rows[0]
+                n, block = len(first), (rows, None, None)
             else:
                 bad = np.fromiter(map(len, rows), int, len(rows)) != width
                 undecoded = _undecoded(rows)
@@ -200,19 +206,26 @@ class Blocks:
 
     def _twin(self) -> Iterator | None:
         """The body's typed blocks read from its twin; None unless the file is plain and
-        has a whole twin made for its bytes and the map's dtypes."""
+        has a whole twin made for its bytes and the map's dtypes. A twin that does not
+        end in the file's digest is stale, and is unlinked."""
         if self._digest is None or self._dtypes is None:
             return None
+        twin = _twin_path(self.path)
         try:
-            fh = open(_twin_path(self.path), "rb")
+            fh = open(twin, "rb")
         except OSError:
             return None
         try:
-            sizes = _twin_sizes(fh, self._dtypes, self._digest)
+            fh.seek(max(os.fstat(fh.fileno()).st_size - len(self._digest), 0))
+            stale = fh.read() != self._digest
+            sizes = None if stale else _twin_sizes(fh, self._dtypes, len(self._digest))
         except OSError:
-            sizes = None
+            stale, sizes = False, None
         if sizes is None:
             fh.close()
+            if stale:
+                with suppress(OSError):
+                    twin.unlink()
             return None
         return _twin_blocks(fh, sizes, self._dtypes)
 
@@ -486,16 +499,19 @@ def write_rows(path, head: Sequence[str], n_rows: int = 0,
     parent appends them in order. The file is written by ``replacing``, so
     a write that fails changes nothing.
 
-    With ``dtypes`` (as ``typed`` takes them), ``lines`` gives a pair: the
-    lines and the rows' columns, one per dtype, each an array or, for a text
-    column, (codes, names), its cells ``names[code]``. The columns go to the
-    file's typed twin (see ``_Twin``).
+    With ``dtypes`` (as ``typed`` takes them), ``lines`` gives the rows'
+    columns instead, one per dtype, each an array or, for a text column,
+    (codes, names), its cells ``names[code]``. The text is made of them by
+    ``format_rows``, and the file's typed twin (see ``_Twin``) of the same columns.
     """
     def formatted(start: int, stop: int) -> tuple[bytes, list | None]:  # text, twin block
         if dtypes is None:
             return _text(lines(start, stop)), []
-        rows, columns = lines(start, stop)
-        return _text(rows), _twin_block(columns, dtypes)
+        from .rows import format_rows  # on first use: a stage with no typed table skips it
+
+        columns = lines(start, stop)
+        text, carried = format_rows(columns, dtypes)
+        return text, _twin_block(columns, dtypes) if carried else None
 
     head = _text(head)
     row = len(formatted(0, 1)[0]) if n_rows else 1
@@ -592,15 +608,12 @@ def _padded(size: int) -> int:
     return size + -size % 8
 
 
-def _twin_block(columns: Sequence, dtypes: Sequence) -> list | None:
-    """The buffers of the twin block of a block's ``columns``, as ``write_rows`` takes
-    them; None when a name in a text column is not ``carried``."""
+def _twin_block(columns: Sequence, dtypes: Sequence) -> list:
+    """The buffers of the twin block of a block's ``columns``, as ``write_rows`` takes them."""
     sizes, parts, names = [], [], []
     for column, dtype in zip(columns, dtypes):
         if dtype is None:
             column, text = column
-            if not all(map(carried, text)):
-                return None
             names.append("\n".join(text).encode())
             sizes.append(len(names[-1]))
         data = np.ascontiguousarray(column, np.int32 if dtype is None else dtype)
@@ -608,14 +621,12 @@ def _twin_block(columns: Sequence, dtypes: Sequence) -> list | None:
     return [np.array([parts[0].size, *sizes], np.int64), *parts, *names]
 
 
-def _twin_sizes(fh: BinaryIO, dtypes: Sequence, digest: bytes) -> list[int] | None:
+def _twin_sizes(fh: BinaryIO, dtypes: Sequence, tail: int) -> list[int] | None:
     """The byte sizes of the blocks of the twin open as ``fh``, which is left at its first
-    block; None unless it is a whole twin of ``dtypes`` ending in ``digest``."""
-    head, end = _twin_head(dtypes), os.fstat(fh.fileno()).st_size - len(digest)
+    block; None unless it is a whole twin of ``dtypes``, its last ``tail`` bytes a digest."""
+    head, end = _twin_head(dtypes), os.fstat(fh.fileno()).st_size - tail
+    fh.seek(0)
     if fh.read(len(head)) != head or end < len(head):
-        return None
-    fh.seek(end)
-    if fh.read() != digest:
         return None
     texts = sum(dtype is None for dtype in dtypes)
     widths = [4 if dtype is None else np.dtype(dtype).itemsize for dtype in dtypes]
@@ -635,7 +646,8 @@ def _twin_sizes(fh: BinaryIO, dtypes: Sequence, digest: bytes) -> list[int] | No
 
 
 def _twin_blocks(fh: BinaryIO, sizes: list[int], dtypes: Sequence) -> Iterator[tuple]:
-    """The columns of each block of the twin open as ``fh``, as ``_cast_plain`` casts them."""
+    """The columns of each block of the twin open as ``fh``, as ``_cast_plain`` casts them
+    but for a text column, which comes as (codes, names), its cells ``names[code]``."""
     texts = [j for j, dtype in enumerate(dtypes) if dtype is None]
     with fh:
         for size in sizes:
@@ -647,8 +659,7 @@ def _twin_blocks(fh: BinaryIO, sizes: list[int], dtypes: Sequence) -> Iterator[t
                 columns.append(np.frombuffer(block, np.int32 if dtype is None else dtype, rows, at))
                 at += _padded(columns[-1].nbytes)
             for j, length in zip(texts, names):
-                cells = block[at : at + length].decode().split("\n")
-                columns[j] = np.array(cells, dtype=object)[columns[j]]
+                columns[j] = (columns[j], block[at : at + length].decode().split("\n"))
                 at += length
             yield tuple(columns)
 

@@ -99,3 +99,24 @@ def historical_vol_oracle(prices, window):
         ss = math.fsum((r - mean) ** 2 for r in chunk)
         out.append(math.sqrt(ss / (window - 1)))
     return out
+
+
+def panel_csv_text(labels, variables, rows, head=()):
+    """A panel file's text, one cell at a time: ``str`` of each label, ``repr`` of each
+    float, joined by commas, one row per line."""
+    lines = list(head) + [",".join(["timestamp"] + list(variables))]
+    for label, row in zip(labels, rows):
+        lines.append(",".join([str(label)] + [repr(float(v)) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def forecast_csv_text(sample_ids, variables, preds, input_len, model="naive", head=()):
+    """A forecast file's text, one record at a time: preds[i][step][j] is the prediction
+    of sample sample_ids[i] for step + 1 and variables[j]."""
+    lines = list(head) + [f"#L={input_len}", f"#H={len(preds[0])}", f"#model={model}",
+                          "#variables=" + ",".join(variables), "sample_id,step,variable,y_pred"]
+    for sample, grid in zip(sample_ids, preds):
+        for step, values in enumerate(grid, start=1):
+            for name, value in zip(variables, values):
+                lines.append(f"{int(sample)},{step},{name},{float(value)!r}")
+    return "\n".join(lines) + "\n"
