@@ -22,6 +22,7 @@ written by ``repr`` alone, one cell at a time.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import groupby
 from typing import Sequence
 
@@ -77,30 +78,36 @@ def _group_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 _GROUPS, _KINDS = _group_table()
-_EXPONENTS = np.full((801, 5), _PAD, np.uint8)  # "e-05" at row 396: repr's exponent -5 + 401
-_EXPONENTS[1:, 0] = ord("e")
-_EXPONENTS[1:, 1] = np.where(np.arange(-400, 400) < 0, ord("-"), ord("+"))
-_EXPONENTS[1:, 2:] = _GROUPS[np.abs(np.arange(-400, 400))].view(np.uint8).reshape(-1, 4)[:, 1:]
-_EXPONENTS[1:, 2][np.abs(np.arange(-400, 400)) < 100] = _PAD
 
 
+def _exponent_table() -> np.ndarray:
+    """repr's exponent of a float, "e-05" to "e+308", at row 401 + the exponent, padded
+    to 5 bytes with _PAD."""
+    exponent = np.arange(-401, 400)
+    table = np.full((801, 5), _PAD, np.uint8)
+    table[:, 0] = ord("e")
+    table[:, 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    table[:, 2:] = _GROUPS[np.abs(exponent)].view(np.uint8).reshape(-1, 4)[:, 1:]
+    table[np.abs(exponent) < 100, 2] = _PAD
+    return table
+
+
+_EXPONENTS = _exponent_table()
+
+
+@cache
 def _offsets(k_int: int, k_frac: int) -> np.ndarray:
     """Where in _GROUPS each group of a number's text is taken from: its k_int integral
     groups and then its k_frac fractional ones, each highest first, by row 22 * c + f for
     c integral digits, aligned right, and f fractional ones, aligned right."""
-    if (k_int, k_frac) not in _OFFSETS:
-        count, f = np.arange(21)[:, None, None], np.arange(22)[None, :, None]
-        at, lead = np.arange(k_int)[::-1], (count - 1) // 4
-        integral = 4 * (at >= lead) + (at > lead)  # below the leading group, in it, above it
-        at, last = np.arange(k_frac)[::-1], (f - 1) // 4  # the group of the first one
-        fraction = (at == last) * ((f - 4 * last) % 4) + 5 * (at > last)
-        kinds = np.concatenate([np.broadcast_to(integral, (21, 22, k_int)),
-                                np.broadcast_to(fraction, (21, 22, k_frac))], axis=2)
-        _OFFSETS[k_int, k_frac] = _KINDS.astype(np.int32)[kinds].reshape(21 * 22, -1)
-    return _OFFSETS[k_int, k_frac]
-
-
-_OFFSETS: dict = {}
+    count, f = np.arange(21)[:, None, None], np.arange(22)[None, :, None]
+    at, lead = np.arange(k_int)[::-1], (count - 1) // 4
+    integral = 4 * (at >= lead) + (at > lead)  # below the leading group, in it, above it
+    at, last = np.arange(k_frac)[::-1], (f - 1) // 4  # the group of the first one
+    fraction = (at == last) * ((f - 4 * last) % 4) + 5 * (at > last)
+    kinds = np.concatenate([np.broadcast_to(integral, (21, 22, k_int)),
+                            np.broadcast_to(fraction, (21, 22, k_frac))], axis=2)
+    return _KINDS.astype(np.int32)[kinds].reshape(21 * 22, -1)
 
 
 def _text_groups(parts: Sequence[tuple[np.ndarray, int]], offsets: np.ndarray) -> np.ndarray:
