@@ -296,20 +296,30 @@ def _header(blocks: table.Blocks, path, kind: str, required: tuple[str, ...]) ->
     return header
 
 
-def _read_columns(path, required: tuple[str, ...], floats: tuple[str, ...]):
-    """Header, cells and the ``floats`` columns of a curve table."""
+def _read_curve(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The stripped timestamps, net values and period returns of a curve table."""
+    names = ("timestamp", "net_value", "period_return")
 
     def parse(blocks: table.Blocks):
-        header = _header(blocks, path, "curve", required)
-        cells = np.concatenate([np.empty((0, len(header)), dtype=object), *blocks])
+        at = list(map(_header(blocks, path, "curve", names).index, names))
+        dtypes = [float if j in at[1:] else None for j in range(len(blocks.header))]
+
+        def part(typed_blocks):  # one range's labels and (net, ret) rows, up to a bad cell
+            for columns, bad, _ in typed_blocks:
+                yield table.stripped(columns[at[0]]), np.column_stack([columns[j] for j in at[1:]])
+                if bad:
+                    return f"bad value in column {blocks.header[bad[1]]!r}"
+
+        stamps, values = [], [np.empty((0, 2))]
+        for rows in blocks.map(part, dtypes):
+            for labels, block in rows:
+                stamps += labels
+                values.append(block)
+            if rows.tail:
+                raise FormatError(f"{path}: row {len(stamps) + 2}: {rows.tail}")
         if not blocks.n_rows:
             raise FormatError(f"{path}: curve file has no rows")
-        at = [header.index(c) for c in floats]
-        dtypes = [float if j in at else None for j in range(len(header))]
-        columns, bad = table.typed(cells, dtypes)
-        if bad:
-            raise FormatError(f"{path}: row {bad[0] + 2}: bad value in column {header[bad[1]]!r}")
-        return header, cells, [columns[j] for j in at]
+        return stamps, *np.concatenate(values).T
 
     return table.read_blocks(path, parse)
 
@@ -392,21 +402,18 @@ def cmd_evaluate(opts: dict, stamp: list[str]) -> None:
 
 def cmd_backtest(opts: dict, stamp: list[str]) -> None:
     positions, curve = _backtest(opts)  # all else the stage built is freed by now
-    assets, weights = positions.assets, positions.weights
+    # A position cell per distinct row of weights: the assets held, or the one weight.
+    held, codes = np.unique(positions.weights, axis=0, return_inverse=True)
+    names = ["|".join(a for a, w in zip(positions.assets, row) if w > 0)
+             if opts["strategy"] == "topk" else repr(row[0]) for row in held.tolist()]
 
-    def lines(start: int, stop: int) -> list[str]:  # the curve rows [start, stop)
-        if opts["strategy"] == "topk":
-            held = ["|".join(a for a, w in zip(assets, row) if w > 0)
-                    for row in weights[start:stop].tolist()]
-        else:
-            held = map(repr, weights[start:stop, 0].tolist())
-        return [f"{label},{net!r},{ret!r},{position}"
-                for label, net, ret, position in zip(
-                    curve.timestamps[start:stop], curve.net_values[start:stop].tolist(),
-                    curve.period_returns[start:stop].tolist(), held)]
+    def lines(start: int, stop: int) -> list:  # the columns of the curve rows [start, stop)
+        return [(np.arange(stop - start), list(map(str, curve.timestamps[start:stop]))),
+                curve.net_values[start:stop], curve.period_returns[start:stop],
+                (codes[start:stop], names)]
 
     head = [*stamp, "timestamp,net_value,period_return,position"]
-    table.write_rows(opts["output"], head, len(curve.timestamps), lines)
+    table.write_rows(opts["output"], head, len(codes), lines, (None, float, float, None))
 
 
 def _backtest(opts: dict):
@@ -459,11 +466,7 @@ def _backtest(opts: dict):
 
 
 def cmd_report(opts: dict, stamp: list[str]) -> None:
-    header, cells, (net, rets) = _read_columns(
-        opts["input"], ("timestamp", "net_value", "period_return"),
-        ("net_value", "period_return"),
-    )
-    timestamps = tuple(label.strip() for label in cells[:, header.index("timestamp")])
+    timestamps, net, rets = _read_curve(opts["input"])
     curve = EquityCurve(timestamps, rets)
     off = np.flatnonzero(~np.isclose(net, curve.net_values, rtol=1e-9, atol=0.0))
     if off.size:

@@ -11,7 +11,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IngestError, SplitError, WindowError
-from .table import Blocks, carried, read_blocks, write_rows
+from .table import Blocks, carried, read_blocks, stripped, write_rows
 
 
 def _timestamp_key(label: str):
@@ -115,11 +115,8 @@ def load_csv(path) -> Panel:
 
         def part(typed_blocks):  # one range's labels and float rows, up to its first bad cell
             for (stamps, *values), bad, cells in typed_blocks:
-                if isinstance(stamps, tuple):  # a twin's codes into its names
-                    index, names = stamps
-                    stamps = [names[i] for i in index.tolist()]
-                rows = np.reshape(values, (len(values), len(stamps))).T.copy()  # in C order
-                yield list(map(str.strip, stamps)), rows
+                stamps = stripped(stamps)
+                yield stamps, np.reshape(values, (len(values), len(stamps))).T.copy()  # in C order
                 if bad:
                     return bad[1], cells[bad[0], bad[1]]
 

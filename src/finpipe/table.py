@@ -6,8 +6,8 @@ first field starts with ``#`` are skipped; the other rows are numbered from
 file's head, the lines down to its header, is scanned once, by ``_head``.
 Its cells come back as text in blocks of about BLOCK_BYTES; callers cast
 them with ``typed``, and numpy calls Python's ``int``/``float`` on each
-cell, so the accepted grammar is theirs. The panel and forecast readers take
-their blocks typed instead (``Blocks.map`` with ``dtypes``): each plain
+cell, so the accepted grammar is theirs. The panel, forecast and curve readers
+take their blocks typed instead (``Blocks.map`` with ``dtypes``): each plain
 block with no comment row goes through numpy's C reader in one call, whose
 grammar is a strict subset of Python's with the same values, and a block it
 refuses, or that holds a float that is not finite, falls back to the text
@@ -23,9 +23,9 @@ the text cells of its blocks: on LF, then on commas, as csv.reader splits
 text with no quote. Big plain bodies are read, and big bodies written, by a
 range map, on every CPU the process may use. ``Blocks.map`` cuts a body of
 RANGE_BYTES or more into contiguous byte ranges, each ending on a newline,
-and ``write_rows`` cuts its rows the same way. Its callers are the panel and
-forecast readers and ``option-analytics``, which solves and formats a
-range's quotes in the map.
+and ``write_rows`` cuts its rows the same way. Its callers are the panel,
+forecast and curve readers and ``option-analytics``, which solves and formats
+a range's quotes in the map.
 The parent process does the first range itself; forked workers do the
 others, each into an unlinked temporary file, and the parent takes their
 results in file order. With one CPU, no ``os.fork`` or a smaller body there
@@ -36,13 +36,13 @@ the parsed arrays and the errors are the same however a body is cut.
 ``write_rows`` is the one writer of a table; ``option-analytics`` alone
 writes its rows as it reads them. Every file is written by ``replacing``:
 into a new file beside its path, renamed over it once complete, so a
-failed write leaves the path as it was. A typed table, a panel or forecast
-file, is written from its columns: ``rows.format_rows`` makes the text of
-a block of rows from their ints, floats and text cells, with no ``repr``
+failed write leaves the path as it was. A table is head lines alone or has a
+body of typed columns (a panel, forecast or curve file): ``rows.format_rows``
+makes a block's text from its ints, floats and text cells, with no ``repr``
 or ``str`` per cell; its floats are the bytes ``repr`` gives.
 
-A panel or forecast file that finpipe writes gets a typed twin beside it,
-``.<name>.typed``: the typed columns of its body, block by block, as
+A panel, forecast or curve file that finpipe writes gets a typed twin beside
+it, ``.<name>.typed``: the typed columns of its body, block by block, as
 ``_cast_plain`` casts them, and the sha256 of the file's bytes. ``write_rows``
 makes it from the same rows it formats, and renames it into place once the
 file is; it makes none for a file that is not plain or holds a text cell
@@ -280,7 +280,7 @@ class Range:
 
 def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitError] = FormatError,
                 what: str = "file") -> Parsed:
-    """What ``parse`` makes of the body blocks of ``path``; a missing file raises ``error``.
+    """What ``parse`` makes of the body blocks of ``path``; one it cannot open raises ``error``.
 
     ``parse`` runs once and reads every block or raises. A row with the wrong
     field count or (a comment row too) text that is not UTF-8 ends the blocks,
@@ -288,10 +288,13 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
     that errors come in file order and no caller sees a table cut short.
     """
     path = Path(path)
-    if not path.exists():
-        raise error(f"no such {what}: {path}")
     try:
-        parsed, ended = _parse(path, parse)
+        fh = open(path, "rb")
+    except OSError as exc:  # missing, a directory, or a file this process may not read
+        raise error(f"cannot open {what} {path}: {exc.strerror}" if path.exists()
+                    else f"no such {what}: {path}") from None
+    try:
+        parsed, ended = _parse(path, fh, parse)
     except UnicodeDecodeError:  # the head's, or a header row's
         raise error(f"{path}: not UTF-8 text") from None
     if ended:
@@ -299,8 +302,8 @@ def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitErro
     return parsed
 
 
-def _parse(path: Path, parse: Callable[[Blocks], Parsed]) -> tuple[Parsed, str | None]:
-    with open(path, "rb") as fh, closing(Blocks(path, fh)) as blocks:
+def _parse(path: Path, fh: BinaryIO, parse: Callable) -> tuple[Parsed, str | None]:
+    with fh, closing(Blocks(path, fh)) as blocks:
         return parse(blocks), blocks.ended
 
 
@@ -426,6 +429,13 @@ def typed(cells: np.ndarray, dtypes: Sequence) -> tuple[list[np.ndarray], tuple 
     return [column[:n] for column in columns], bad
 
 
+def stripped(column) -> list[str]:
+    """The stripped cells of a text column ``Blocks.map`` gives: ``str``s or (codes, names)."""
+    if isinstance(column, tuple):  # each name stripped once
+        return list(map([name.strip() for name in column[1]].__getitem__, column[0].tolist()))
+    return list(map(str.strip, column))
+
+
 def _cast(cells: np.ndarray, dtype) -> np.ndarray:
     """The leading cells of ``cells`` that convert to ``dtype``, converted.
 
@@ -487,33 +497,27 @@ def _beside(path: Path) -> tuple[Path, BinaryIO]:
 
 
 def write_rows(path, head: Sequence[str], n_rows: int = 0,
-               lines: Callable[[int, int], list[str]] | None = None,
+               lines: Callable[[int, int], list] | None = None,
                dtypes: Sequence | None = None) -> None:
-    """Write the ``head`` lines, then the lines ``lines(start, stop)`` makes of rows 0..n_rows;
-    with no rows, the ``head`` lines alone.
+    """Write the ``head`` lines, then rows 0..n_rows made of the columns ``lines(start, stop)``
+    gives, one per entry of ``dtypes`` (as ``typed`` takes them): an array or, for a text
+    column, (codes, names), its cells ``names[code]``; with no rows, the ``head`` lines alone.
 
-    Rows are formatted in blocks of about BLOCK_BYTES of text, sized from
-    the first row. A body of RANGE_BYTES or more is cut into ranges of rows;
-    forked workers format all but the first into unlinked temporary files
-    in the output's directory, each block with its twin block, and the
-    parent appends them in order. The file is written by ``replacing``, so
-    a write that fails changes nothing.
-
-    With ``dtypes`` (as ``typed`` takes them), ``lines`` gives the rows'
-    columns instead, one per dtype, each an array or, for a text column,
-    (codes, names), its cells ``names[code]``. The text is made of them by
-    ``format_rows``, and the file's typed twin (see ``_Twin``) of the same columns.
+    ``format_rows`` makes the text of the columns, and ``_Twin`` the file's typed twin of
+    them. Rows are formatted in blocks of about BLOCK_BYTES of text, sized from the first
+    row. A body of RANGE_BYTES or more is cut into ranges of rows; forked workers format
+    all but the first into unlinked temporary files in the output's directory, each block
+    with its twin block, and the parent appends them in order. The file is written by
+    ``replacing``, so a write that fails changes nothing.
     """
     def formatted(start: int, stop: int) -> tuple[bytes, list | None]:  # text, twin block
-        if dtypes is None:
-            return _text(lines(start, stop)), []
         from .rows import format_rows  # on first use: a stage with no typed table skips it
 
         columns = lines(start, stop)
         text, carried = format_rows(columns, dtypes)
         return text, _twin_block(columns, dtypes) if carried else None
 
-    head = _text(head)
+    head = "".join(line + "\n" for line in head).encode()
     row = len(formatted(0, 1)[0]) if n_rows else 1
     step = max(1, BLOCK_BYTES // row)
     count = min(_range_count(row * n_rows), max(n_rows, 1))
@@ -551,10 +555,6 @@ def write_rows(path, head: Sequence[str], n_rows: int = 0,
         twin.drop()
         raise
     twin.place()
-
-
-def _text(lines: Sequence[str]) -> bytes:
-    return ("\n".join(lines) + "\n").encode() if lines else b""
 
 
 def _frames(done: BinaryIO) -> Iterator[tuple[bytearray, list | None]]:

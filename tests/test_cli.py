@@ -29,7 +29,7 @@ from finpipe import cli, forecast, frame, metrics, preprocess, table
 from finpipe.cli import COMMANDS, OPTIONS, derive_seed, main
 from finpipe.errors import MetricError
 from finpipe.forecast import read_metadata
-from ranges import assert_no_worker_left, in_ranges
+from ranges import assert_no_worker_left, in_ranges, without_twin
 from synth import ohlcv_panel, write_raw_csv
 
 
@@ -340,6 +340,30 @@ class TestDataErrors:
                    "--anchors", str(tmp_path / "a.csv")])
         assert rc == 1
         assert "no such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["panel", "forecast", "anchor", "curve", "quote"])
+    def test_an_input_that_cannot_be_opened_exits_one(self, tmp_path, capsys, kind):
+        # A directory given as an input used to exit with an IsADirectoryError traceback.
+        run = _small_run(tmp_path / "run")
+        folder, out = tmp_path / "folder", tmp_path / "out.csv"
+        folder.mkdir()
+        argv, what = {
+            "panel": (["preprocess", "--input", folder, "--output", out,
+                       "--anchors", tmp_path / "a.csv"], "file"),
+            "forecast": (["evaluate", "--truth", run["transformed"], "--forecasts", folder,
+                          "--output", out], "forecast file"),
+            "anchor": (["backtest", "--forecasts", run["forecasts"], "--panel",
+                        run["transformed"], "--anchors", folder, "--output", out,
+                        "--strategy", "timing", "--target-var", "close_X", "--window", "5"],
+                       "anchor file"),
+            "curve": (["report", "--input", folder, "--output", out], "file"),
+            "quote": (["option-analytics", "--input", folder, "--output", out], "file"),
+        }[kind]
+        capsys.readouterr()
+        assert main(list(map(str, argv))) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            f"finpipe {argv[0]}: error: cannot open {what} {folder}: Is a directory\n"
 
     def test_failed_run_writes_nothing(self, tmp_path, raw_csv):
         out = tmp_path / "t.csv"
@@ -1863,10 +1887,10 @@ def _failing_twins(patch, where, error=OSError):
 
 
 class TestTypedTwins:
-    def test_only_the_panels_and_forecasts_finpipe_writes_get_a_twin(self, tmp_path, raw_csv,
-                                                                      monkeypatch):
-        # A raw panel, a quote book, anchors, metrics, curves and reports have
-        # none; the stages that read a panel or forecasts finpipe wrote take its twin.
+    def test_only_the_panels_forecasts_and_curves_finpipe_writes_get_a_twin(self, tmp_path,
+                                                                            raw_csv, monkeypatch):
+        # A raw panel, a quote book, anchors, metrics and reports have none; the
+        # stages that read a panel, forecasts or a curve finpipe wrote take its twin.
         reads = []
         blocks = table._twin_blocks
         monkeypatch.setattr(table, "_twin_blocks", lambda fh, *a: reads.append(
@@ -1878,12 +1902,43 @@ class TestTypedTwins:
         assert main(["option-analytics", "--input", str(quotes),
                      "--output", str(run / "analytics.csv")]) == 0
         twins = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob(".*"))
-        assert twins == ["run/.forecasts.csv.typed", "run/.transformed.csv.typed",
-                         "run/splits/.test.csv.typed", "run/splits/.train.csv.typed",
-                         "run/splits/.val.csv.typed"]
+        assert twins == ["run/.curve.csv.typed", "run/.forecasts.csv.typed",
+                         "run/.transformed.csv.typed", "run/splits/.test.csv.typed",
+                         "run/splits/.train.csv.typed", "run/splits/.val.csv.typed"]
         # naive-forecast, evaluate and backtest each read transformed.csv; the latter two
-        # the forecasts too.
-        assert sorted(reads) == [".forecasts.csv.typed"] * 2 + [".transformed.csv.typed"] * 3
+        # the forecasts too; report reads the curve.
+        assert sorted(reads) == ([".curve.csv.typed"] + [".forecasts.csv.typed"] * 2
+                                 + [".transformed.csv.typed"] * 3)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("strategy", ["timing", "longshort", "topk"])
+    def test_a_report_through_the_curve_twin_is_the_report_of_its_text(self, tmp_path,
+                                                                       monkeypatch, strategy,
+                                                                       count):
+        # Written and read in 1-4 ranges: report takes the curve's twin and casts no
+        # text, and writes the bytes it writes once the twin is deleted.
+        argv = TestBacktestCli._backtest_argv(tmp_path, 70, ("A", "B", "C"), strategy)
+        curve, out = tmp_path / "curve.csv", tmp_path / "report.csv"
+        reports = []
+        with monkeypatch.context() as patch:
+            in_ranges(patch, count)
+            assert main(argv) == 0
+            for twin in (True, False):
+                if not twin:
+                    without_twin(curve)
+                reads, casts = [], []
+                blocks, cast, typed = table._twin_blocks, table._cast_plain, table.typed
+                with monkeypatch.context() as spy:
+                    spy.setattr(table, "_twin_blocks", lambda fh, *a: reads.append(
+                        Path(fh.name).name) or blocks(fh, *a))
+                    spy.setattr(table, "_cast_plain", lambda *a: casts.append(a) or cast(*a))
+                    spy.setattr(table, "typed", lambda *a: casts.append(a) or typed(*a))
+                    assert main(["report", "--input", str(curve), "--output", str(out)]) == 0
+                assert (reads, bool(casts)) == (([".curve.csv.typed"], False) if twin
+                                                else ([], True))
+                reports.append(out.read_bytes())
+        assert_no_worker_left()
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("where", ["head", "block", "rename"])

@@ -39,7 +39,7 @@ from finpipe import cli, table
 from finpipe.errors import FormatError, IngestError
 from finpipe.table import Blocks, _cast_plain, read_blocks
 from ranges import assert_no_worker_left, in_ranges, without_twin
-from synth import ohlcv_panel
+from synth import ohlcv_panel, write_raw_csv
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -321,25 +321,27 @@ def test_anchor_file_matches_reference(tmp_path, data, kinds):
                                st.sampled_from(["#note,1", ""])), max_size=12),
        block=st.integers(16, 256))
 def test_cli_table_columns_match_reference(tmp_path, monkeypatch, rows, block):
-    # The curve reader reports the first bad cell of the per-cell
-    # reader's columns in file order: the earliest row, then column a before b.
-    # Comment and blank rows count for neither, whichever blocks they fall in.
+    # The curve reader reports the first bad cell of the per-cell reader's
+    # columns in file order: the earliest row, then net_value before
+    # period_return. Comment and blank rows count for neither, whichever
+    # blocks they fall in.
     path = tmp_path / "table.csv"
     lines = [row if isinstance(row, str) else f"t{i},{row[0]},{row[1]}" for i, row in enumerate(rows)]
-    path.write_text("#seed=1\nlabel,a,b\n" + "".join(line + "\n" for line in lines))
+    path.write_text("#seed=1\ntimestamp,net_value,period_return\n"
+                    + "".join(line + "\n" for line in lines))
     monkeypatch.setattr(table, "BLOCK_BYTES", block)
     header, old_rows = ref.read_table(path)
-    old = [outcome(ref.table_floats, path, header, old_rows, column) for column in ("a", "b")]
+    old = [outcome(ref.table_floats, path, header, old_rows, column)
+           for column in ("net_value", "period_return")]
     errors = [o for o in old if o[0] == "error"]
-    new = outcome(cli._read_columns, path, ("label", "a", "b"), ("a", "b"))
+    new = outcome(cli._read_curve, path)
     if not old_rows:
         assert new == ("error", FormatError, f"{path}: curve file has no rows")
     elif errors:
         assert new == min(errors, key=lambda o: int(re.search(r"row (\d+):", o[2])[1]))
     else:
-        new_header, cells, columns = new[1]
-        assert new_header == header
-        assert cells.tolist() == old_rows
+        stamps, *columns = new[1]
+        assert stamps == [row[0].strip() for row in old_rows]
         for new_column, (_, old_column) in zip(columns, old):
             np.testing.assert_array_equal(new_column, old_column)
 
@@ -897,11 +899,11 @@ def test_no_worker_or_file_outlives_a_failure(tmp_path, monkeypatch):
     def lines(start, stop):  # the parent's own range fails, while the workers format theirs
         if start == 0 and stop > 1:
             raise RuntimeError("disk full")
-        return [f"{i},{i}" for i in range(start, stop)]
+        return [np.arange(start, stop), np.arange(start, stop)]
 
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="disk full"):
-        table.write_rows(out / "t.csv", ["h,a"], 400, lines)
+        table.write_rows(out / "t.csv", ["h,a"], 400, lines, (np.int64, np.int64))
     assert list(out.iterdir()) == []
     assert_no_worker_left()
 
@@ -916,13 +918,13 @@ def test_a_failed_write_leaves_the_earlier_file_as_it_was(tmp_path, monkeypatch,
     def lines(start, stop):
         if start >= 8:
             raise RuntimeError("disk full")
-        return [f"{i},{i}" for i in range(start, stop)]
+        return [np.arange(start, stop), np.arange(start, stop)]
 
     with pytest.raises(RuntimeError, match="disk full"):
         if writer == "write_rows":
-            table.write_rows(path, ["h,a"], 20, lines)
+            table.write_rows(path, ["h,a"], 20, lines, (np.int64, np.int64))
         else:
-            table.write_rows(path, (line for i in range(20) for line in lines(i, i + 1)))
+            table.write_rows(path, (f"{i},{i}" for i in range(20) if lines(i, i + 1)))
     assert path.read_bytes() == b"h,a\nearlier,1\n"
     assert list(tmp_path.iterdir()) == [path]
 
@@ -931,7 +933,7 @@ def test_a_written_file_has_the_mode_of_a_plain_open(tmp_path):
     plain = tmp_path / "plain"
     plain.write_text("")
     table.write_rows(tmp_path / "lines.csv", ["h", "1"])
-    table.write_rows(tmp_path / "rows.csv", ["h"], 3, lambda a, b: [str(i) for i in range(a, b)])
+    table.write_rows(tmp_path / "rows.csv", ["h"], 3, lambda a, b: [np.arange(a, b)], (np.int64,))
     assert (tmp_path / "lines.csv").read_text() == "h\n1\n"
     assert (tmp_path / "rows.csv").read_text() == "h\n0\n1\n2\n"
     assert {(tmp_path / name).stat().st_mode for name in ("lines.csv", "rows.csv")} \
@@ -1064,6 +1066,57 @@ def test_an_edited_table_or_a_broken_twin_is_read_as_text(tmp_path, monkeypatch,
         new = outcome(read, *args)
     assert twins == []
     assert_same(new, read_as_text(read, *args), compare)
+
+
+@pytest.fixture(scope="module")
+def curves(tmp_path_factory):
+    """A directory holding a transformed panel and the timing, longshort and topk curves
+    ``backtest`` writes of a forecast over it, each with its twin."""
+    run = tmp_path_factory.mktemp("curves")
+    raw, t, a, fc = (str(run / name) for name in ("raw.csv", "t.csv", "a.csv", "fc.csv"))
+    write_raw_csv(raw, ohlcv_panel(70, seed=31, assets=("A", "B", "C")))
+    assert cli.main(["preprocess", "--input", raw, "--output", t, "--anchors", a]) == 0
+    assert cli.main(["naive-forecast", "--input", t, "--output", fc, "--input-len", "20",
+                     "--horizon", "5", "--task", "m2p",
+                     "--target-vars", "close_A,close_B,close_C"]) == 0
+    for strategy, flags in (("timing", ["--target-var", "close_A"]),
+                            ("longshort", ["--target-var", "close_A"]), ("topk", ["--k", "2"])):
+        assert cli.main(["backtest", "--forecasts", fc, "--panel", t, "--anchors", a,
+                         "--output", str(run / f"{strategy}.csv"), "--strategy", strategy,
+                         "--window", "5", *flags]) == 0
+    return run
+
+
+def report_of(path) -> bytes:
+    """The bytes ``report`` writes of the curve at ``path``."""
+    out = path.with_name("report.csv")
+    cli.cmd_report({"input": str(path), "output": str(out), "periods_per_year": 252.0,
+                    "risk_free": 0.0}, PROVENANCE)
+    return out.read_bytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(strategy=st.sampled_from(["timing", "longshort", "topk"]), data=st.data(),
+       kind=st.sampled_from(TWIN_BREAKS))
+def test_an_edited_curve_or_a_broken_twin_is_read_as_text(tmp_path, monkeypatch, curves,
+                                                           strategy, data, kind):
+    # The report or error is the text's, and a stale twin is unlinked by the
+    # read that finds it: one that does not end in the digest of a plain curve.
+    path = tmp_path / "curve.csv"
+    for source, target in ((curves / f"{strategy}.csv", path),
+                           (table._twin_path(curves / f"{strategy}.csv"), table._twin_path(path))):
+        target.write_bytes(source.read_bytes())
+    break_twin(data, path, curves / "t.csv", kind)
+    mapped, map_ = [], table.Blocks.map
+    with monkeypatch.context() as patch:
+        twins, _ = spy_reads(patch)
+        patch.setattr(table.Blocks, "map", lambda *a: mapped.append(1) or map_(*a))
+        new = outcome(report_of, path)
+    assert twins == []
+    stale = kind != "dtypes" and table._plain(path.read_bytes()) and bool(mapped)
+    assert table._twin_path(path).exists() != stale
+    assert new == read_as_text(report_of, path)
 
 
 @pytest.mark.parametrize("variables, head", [
