@@ -308,15 +308,13 @@ def _read_curve(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             for columns, bad, _ in typed_blocks:
                 yield table.stripped(columns[at[0]]), np.column_stack([columns[j] for j in at[1:]])
                 if bad:
-                    return f"bad value in column {blocks.header[bad[1]]!r}"
+                    raise FormatError(f"{path}: row {blocks.above + bad[0] + 2}: "
+                                      f"bad value in column {blocks.header[bad[1]]!r}")
 
         stamps, values = [], [np.empty((0, 2))]
-        for rows in blocks.map(part, dtypes):
-            for labels, block in rows:
-                stamps += labels
-                values.append(block)
-            if rows.tail:
-                raise FormatError(f"{path}: row {len(stamps) + 2}: {rows.tail}")
+        for labels, block in blocks.map(part, dtypes):
+            stamps += labels
+            values.append(block)
         if not blocks.n_rows:
             raise FormatError(f"{path}: curve file has no rows")
         return stamps, *np.concatenate(values).T
@@ -499,7 +497,10 @@ def _analytics(blocks: table.Blocks, opts: dict, stamp: list[str], out) -> None:
     Errors come in file order: a block's first bad cell (in the five float
     columns or the ``--hv-source`` column) is raised once the quotes above
     it are solved, a quote's pricing error at its row, and a non-positive
-    ``hv`` price once its block is solved.
+    ``hv`` price once its block is solved. ``part`` yields a block's rows,
+    its hv prices and None, or its range's first error as its last item,
+    (row in its block, class, message), which the parent raises in turn, so
+    that no range is solved twice.
     """
     path, window, source = opts["input"], opts["hv_window"], opts["hv_source"]
     header = _header(blocks, path, "quote",
@@ -530,23 +531,24 @@ def _analytics(blocks: table.Blocks, opts: dict, stamp: list[str], out) -> None:
                     quote = OptionQuote(*row)
                     iv = implied_vol(quote)
                 except ToolkitError as exc:
-                    return i, type(exc), str(exc)
+                    yield None, None, (i, type(exc), str(exc))
+                    return
                 extended[i] = (iv, *greeks(quote, iv))
             if bad:
-                return bad[0], FormatError, f"bad value in column {header[bad[1]]!r}"
-            yield _analytics_rows(cells, extended), None if hv_at is None else columns[hv_at]
+                yield None, None, (bad[0], FormatError, f"bad value in column {header[bad[1]]!r}")
+                return
+            yield _analytics_rows(cells, extended), None if hv_at is None else columns[hv_at], None
 
     done, prices = 0, np.empty(0)  # rows written, and the last ``window`` hv prices
-    for rows in blocks.map(part):
-        for text, hv_prices in rows:
-            if window is not None:
-                hv, prices = _hv_cells(path, window, done, prices, hv_prices)
-                text = list(map(",".join, zip(text, hv)))
-            out.write(("\n".join(text) + "\n").encode())
-            done += len(text)
-        if rows.tail:  # the block's rows above its error are not written
-            i, error, message = rows.tail
-            raise error(f"{path}: row {done + i + 2}: {message}")
+    for text, hv_prices, error in blocks.map(part):
+        if error:  # the range's first error: its block's rows above it are not written
+            i, exc_type, message = error
+            raise exc_type(f"{path}: row {done + i + 2}: {message}")
+        if window is not None:
+            hv, prices = _hv_cells(path, window, done, prices, hv_prices)
+            text = list(map(",".join, zip(text, hv)))
+        out.write(("\n".join(text) + "\n").encode())
+        done += len(text)
     if not blocks.n_rows:
         raise FormatError(f"{path}: quote file has no rows")
     if window is not None and done <= window and not blocks.ended:  # its error comes first

@@ -168,33 +168,6 @@ def load_forecasts(path, truth: WindowSet | Callable[[dict], WindowSet]) -> Fore
     path = Path(path)
     windows = horizon = targets = n_windows = None  # once the head is read
 
-    def part(typed_blocks):  # one range's records as grid keys and values, up to its first bad one
-        for (ids, steps, names, values), bad, cells in typed_blocks:
-            codes = {name: i for i, name in enumerate(targets)}  # the targets, then other names
-            if isinstance(names, tuple):  # a twin's codes into its names: one lookup table
-                index, names = names
-                lut = np.array([codes.setdefault(raw.strip(), len(codes)) for raw in names])
-                var_codes = lut[index]
-            else:
-                code_of = {raw: codes.setdefault(raw.strip(), len(codes)) for raw in set(names)}
-                var_codes = np.fromiter(map(code_of.__getitem__, names), np.int64, len(names))
-            keys = ids * horizon  # (id*H + step-1)*T + code, wrapping where it is off the grid
-            keys += steps
-            keys -= 1
-            keys *= len(targets)
-            keys += var_codes
-            on = ((ids >= 0) & (ids < n_windows) & (steps >= 1) & (steps <= horizon)
-                  & (var_codes < len(targets)))
-            if on.all():
-                yield keys, values, None
-            else:
-                off = np.flatnonzero(~on)
-                yield keys[on], values[on], (off, ids[off], steps[off], var_codes[off],
-                                             list(codes)[len(targets):])
-            if bad:  # a cell that does not convert, or else a value that is not finite
-                n = len(ids)
-                return (True, list(cells[n])) if bad[2] else (False, cells[n, 3])
-
     def parse(blocks: Blocks):
         nonlocal windows, horizon, targets, n_windows
         meta = _metadata(blocks)
@@ -211,13 +184,43 @@ def load_forecasts(path, truth: WindowSet | Callable[[dict], WindowSet]) -> Fore
             )
         if blocks.header != ["sample_id", "step", "variable", "y_pred"]:
             raise FormatError(f"{path}: expected header sample_id,step,variable,y_pred")
+
+        def part(typed_blocks):  # one range's records as grid keys and values, to a bad one
+            for (ids, steps, names, values), bad, cells in typed_blocks:
+                codes = {name: i for i, name in enumerate(targets)}  # the targets, then others
+                if isinstance(names, tuple):  # a twin's codes into its names: one lookup table
+                    index, names = names
+                    lut = np.array([codes.setdefault(raw.strip(), len(codes)) for raw in names])
+                    var_codes = lut[index]
+                else:
+                    code_of = {raw: codes.setdefault(raw.strip(), len(codes))
+                               for raw in set(names)}
+                    var_codes = np.fromiter(map(code_of.__getitem__, names), np.int64, len(names))
+                keys = ids * horizon  # (id*H + step-1)*T + code, wrapping off the grid
+                keys += steps
+                keys -= 1
+                keys *= len(targets)
+                keys += var_codes
+                on = ((ids >= 0) & (ids < n_windows) & (steps >= 1) & (steps <= horizon)
+                      & (var_codes < len(targets)))
+                if on.all():
+                    yield keys, values, None
+                else:
+                    off = np.flatnonzero(~on)
+                    yield keys[on], values[on], (off, ids[off], steps[off], var_codes[off],
+                                                 list(codes)[len(targets):])
+                if bad:  # a cell that does not convert, or else a value that is not finite
+                    row, cell = blocks.above + len(ids) + 2, cells[len(ids)]
+                    raise FormatError(
+                        f"{path}: row {row}: malformed record {list(cell)!r}" if bad[2] else
+                        f"{path}: non-finite value {cell[3]!r} at row {row}, column 'y_pred'")
+
         grid, bad = _Grid(n_windows, horizon, targets), None
-        for rows in blocks.map(part, (np.int64, np.int64, None, float)):
-            for keys, values, off in rows:
+        try:
+            for keys, values, off in blocks.map(part, (np.int64, np.int64, None, float)):
                 grid.add(keys, values, off)
-            bad = rows.tail
-            if bad:  # the rows below a malformed or non-finite record are not read
-                break
+        except FormatError as exc:  # a malformed or non-finite record; the rows below are not read
+            bad = exc
         if not blocks.n_rows:
             raise FormatError(f"{path}: no forecast records")
         # In file order: a duplicate above the first bad record, then that record.
@@ -228,10 +231,7 @@ def load_forecasts(path, truth: WindowSet | Callable[[dict], WindowSet]) -> Fore
                 f"{path}: duplicate record for sample {sample}, step {step}, variable {name!r}"
             )
         if bad:
-            failed, cells = bad
-            row = grid.n_records + 2
-            raise FormatError(f"{path}: row {row}: malformed record {cells!r}" if failed else
-                              f"{path}: non-finite value {cells!r} at row {row}, column 'y_pred'")
+            raise bad
         return grid
 
     grid = read_blocks(path, parse, FormatError, "forecast file")
@@ -338,6 +338,7 @@ class _Grid:
         samples = np.sort(samples[self.row[samples] < 0])
         if not samples.size:
             return
+        # Not np.unique: it imports numpy.ma, which adds about 0.8 MB to evaluate's peak RSS.
         samples = samples[np.concatenate(([True], samples[1:] != samples[:-1]))]
         self.row[samples] = np.arange(self.rows, self.rows + len(samples))
         self.rows += len(samples)

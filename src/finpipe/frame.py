@@ -118,17 +118,14 @@ def load_csv(path) -> Panel:
                 stamps = stripped(stamps)
                 yield stamps, np.reshape(values, (len(values), len(stamps))).T.copy()  # in C order
                 if bad:
-                    return bad[1], cells[bad[0], bad[1]]
+                    row, j = bad[:2]
+                    raise IngestError(f"{path}: non-numeric value {cells[row, j]!r} at row "
+                                      f"{blocks.above + row + 2}, column {header[j]!r}")
 
         labels, parts = [], [np.empty((0, len(header) - 1))]  # only floats and labels are kept
-        for rows in blocks.map(part, dtypes):
-            for stamps, values in rows:
-                labels += stamps
-                parts.append(values)
-            if rows.tail:
-                j, cell = rows.tail
-                raise IngestError(f"{path}: non-numeric value {cell!r} at row {len(labels) + 2}, "
-                                  f"column {header[j]!r}")
+        for stamps, values in blocks.map(part, dtypes):
+            labels += stamps
+            parts.append(values)
         if not blocks.n_rows:
             raise IngestError(f"{path}: no data rows")
         return path, labels, tuple(header[1:]), np.concatenate(parts)

@@ -76,7 +76,7 @@ class PositionSeries:
                 f"weights shape {w.shape} does not match "
                 f"{len(self.timestamps)} periods x {len(self.assets)} assets"
             )
-        if w.size and (np.abs(w) > 1).any():
+        if not (np.abs(w) <= 1).all():  # a NaN weight fails too
             raise StrategyError("weights must lie in [-1, 1]")
         if self.rebalance_period < 1:
             raise StrategyError(f"rebalance period must be >= 1, got {self.rebalance_period}")
@@ -157,6 +157,8 @@ class EquityCurve:
             raise StrategyError("period returns must be 1-D, one per timestamp")
         if pr.size == 0:
             raise StrategyError("equity curve must cover at least one period")
+        if not np.isfinite(pr).all():
+            raise StrategyError("period returns must be finite")
         if (pr <= -1).any():
             raise StrategyError("a period return of -100% or worse wipes out the equity")
         nv = np.cumprod(1.0 + pr)

@@ -12,9 +12,10 @@ block with no comment row goes through numpy's C reader in one call, whose
 grammar is a strict subset of Python's with the same values, and a block it
 refuses, or that holds a float that is not finite, falls back to the text
 cells and ``typed``. Errors come in file order: ``typed`` finds a block's
-first bad cell by row, then column, and the reader stops at the first row
-with the wrong field count and raises for it only once the caller has
-finished with the rows above it; so does a row holding text that is not UTF-8.
+first bad cell by row, then column, and the caller's map part raises for it
+there; the reader stops at the first row with the wrong field count and
+raises for it only once the caller has finished with the rows above it; so
+does a row holding text that is not UTF-8.
 
 A file is read one of two ways, chosen once, so a parse callback runs once.
 One holding a quote, CR or NUL is read by csv.reader from its first row, in
@@ -29,9 +30,11 @@ a range's quotes in the map.
 The parent process does the first range itself; forked workers do the
 others, each into an unlinked temporary file, and the parent takes their
 results in file order. With one CPU, no ``os.fork`` or a smaller body there
-is one range, done by the parent alone. A worker that fails, or meets a row
-that ends the body, has its range redone by the parent, so the output bytes,
-the parsed arrays and the errors are the same however a body is cut.
+is one range, done by the parent alone. A worker that fails, whose part
+raises for a bad row or that meets a row ending the body has its range redone
+by the parent, so the output bytes, the parsed arrays and the errors are the
+same however a body is cut. ``option-analytics`` alone passes its range's
+first error back as the part's last object, so that no range is solved twice.
 
 ``write_rows`` is the one writer of a table; ``option-analytics`` alone
 writes its rows as it reads them. Every file is written by ``replacing``:
@@ -66,7 +69,7 @@ import pickle
 import re
 from contextlib import closing, contextmanager, suppress
 from pathlib import Path
-from typing import BinaryIO, Callable, Generator, Iterator, NoReturn, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -88,6 +91,8 @@ class Blocks:
     object array of ``str``, one row per body row. ``n_rows`` counts the body
     rows read so far and, once the blocks have ended at a row with the wrong
     field count or non-UTF-8 text, that row; ``ended`` then holds its error.
+    ``above`` counts the body rows above the block last taken, for a ``map``
+    part to number a bad row by; in a worker it counts from the range's first.
 
     A scan of the file's bytes chooses its reader. One holding a quote, CR or
     NUL is read by csv.reader from its first row. Any other is read plain:
@@ -97,7 +102,7 @@ class Blocks:
     """
 
     def __init__(self, path: Path, fh: BinaryIO):
-        self.path, self.n_rows, self.ended = path, 0, None
+        self.path, self.n_rows, self.above, self.ended = path, 0, 0, None
         self._fh, self._maps, self._dtypes = fh, [], None
         digest = hashlib.sha256() if _twin_path(path).exists() else None
         self._plain = True
@@ -123,17 +128,17 @@ class Blocks:
     def __iter__(self) -> Iterator:
         return self._checked(self._rows)
 
-    def map(self, part: Callable[[Iterator], Generator], dtypes: Sequence | None = None
-            ) -> Iterator["Range"]:
-        """``part`` run over the body's blocks range by range, as the ranges in file order.
+    def map(self, part: Callable[[Iterator], Iterator], dtypes: Sequence | None = None
+            ) -> Iterator:
+        """The objects ``part`` yields of the body's blocks, range by range, in file order.
 
         ``part`` takes one range's blocks and yields what the caller reads
-        of them, picklable objects, ending early where it likes; what it
-        returns becomes the range's ``tail``. It runs in a forked worker
-        for every range but the first, so it must not rely on state it
-        changes. A range whose blocks end at a row ``read_blocks`` raises
-        for is the last read; a worker's is read again by the parent, which
-        numbers that row from the file's first.
+        of them, picklable objects, ending early where it likes. It runs in
+        a forked worker for every range but the first, so it must not rely on
+        state it changes. It raises its data error where it finds it,
+        numbering its row from ``above``; a worker that raises, or whose
+        blocks end at a row ``read_blocks`` raises for, has its range read
+        again by the parent, where ``above`` counts from the file's first row.
 
         With ``dtypes`` (as ``typed`` takes them), the blocks come typed, as
         (columns, bad, cells): ``typed``'s columns and first bad cell, and
@@ -168,39 +173,37 @@ class Blocks:
                 rows = np.array(rows, dtype=object).reshape(len(rows), width)
                 n, block = len(rows), rows if self._dtypes is None else (
                     *typed(rows, self._dtypes), rows)
+            self.above = self.n_rows
             self.n_rows += n + (self.ended is not None)
             if n:
                 yield block
             if self.ended:
                 return
 
-    def _ranges(self, part) -> Iterator["Range"]:
+    def _ranges(self, part) -> Iterator:
         twin = self._twin()
         cuts = [] if twin else self._cuts()
         if len(cuts) < 3:
-            yield Range(part(self._checked(twin or self._rows)))
+            yield from part(self._checked(twin or self._rows))
             return
 
         def job(k: int, out: BinaryIO) -> None:
             self.n_rows = 0
             with open(self.path, "rb") as fh:
-                items = Range(part(self._checked(self._range(fh, cuts[k], cuts[k + 1]))))
-                for item in items:
+                for item in part(self._checked(self._range(fh, cuts[k], cuts[k + 1]))):
                     pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
             if self.ended:  # numbered from the range's first row: the parent redoes it
                 raise FormatError(self.ended)
-            at = out.tell()
-            pickle.dump((self.n_rows, items.tail), out, pickle.HIGHEST_PROTOCOL)
-            out.write(at.to_bytes(8, "little"))
+            out.write(self.n_rows.to_bytes(8, "little"))
 
         with closing(_Forked(len(cuts) - 1, job)) as workers:
             for k in range(len(cuts) - 1):
                 loaded = _load(workers.result(k)) if k else None
                 if loaded is None:
-                    yield Range(part(self._checked(self._range(self._fh, cuts[k], cuts[k + 1]))))
+                    yield from part(self._checked(self._range(self._fh, cuts[k], cuts[k + 1])))
                 else:
                     self.n_rows += loaded[0]
-                    yield Range(loaded[1])
+                    yield from loaded[1]
                 if self.ended:
                     return
 
@@ -265,17 +268,6 @@ class Blocks:
         for ranges in self._maps:
             ranges.close()
         self._rows.close()
-
-
-class Range:
-    """The objects a ``Blocks.map`` part yields for one range; once they are read,
-    ``tail`` holds what the part returned."""
-
-    def __init__(self, items: Generator):
-        self._items, self.tail = items, None
-
-    def __iter__(self):
-        self.tail = yield from self._items
 
 
 def read_blocks(path, parse: Callable[[Blocks], Parsed], error: type[ToolkitError] = FormatError,
@@ -805,27 +797,23 @@ def _work(job: Callable[[int, BinaryIO], None], k: int, out: BinaryIO) -> NoRetu
         os._exit(code)
 
 
-def _load(out: BinaryIO | None) -> tuple[int, Generator] | None:
-    """The body rows a worker read and a generator of the objects it wrote, which returns
-    its part's tail; None when it failed or its file is short.
+def _load(out: BinaryIO | None) -> tuple[int, Iterator] | None:
+    """The body rows a worker read and an iterator of the objects it wrote; None when it
+    failed or its file is short.
 
-    The file holds the pickled objects, the pickled (rows, tail) and, in its
-    last 8 bytes, the offset of that pair.
+    The file holds the pickled objects and, in its last 8 bytes, the row count.
     """
     if out is None:
         return None
     try:
-        out.seek(-8, os.SEEK_END)
-        at = int.from_bytes(out.read(8), "little")
-        out.seek(at)
-        rows, tail = pickle.load(out)
-    except (OSError, EOFError, ValueError, pickle.UnpicklingError):  # short: the range is redone
+        at = out.seek(-8, os.SEEK_END)
+    except OSError:  # short: the range is redone
         return None
+    rows = int.from_bytes(out.read(8), "little")
 
     def items():
         out.seek(0)
         while out.tell() < at:
             yield pickle.load(out)
-        return tail
 
     return rows, items()

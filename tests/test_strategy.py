@@ -352,6 +352,16 @@ class TestEquityCurve:
         with pytest.raises(StrategyError, match=r"\[-1, 1\]"):
             PositionSeries(range(2), ("spx",), np.full((2, 1), 1.5), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_weight_that_is_not_finite_is_refused(self, bad):
+        with pytest.raises(StrategyError, match=r"\[-1, 1\]"):
+            PositionSeries(range(3), ("spx",), [[0.5], [bad], [1.0]], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_period_return_that_is_not_finite_is_refused(self, bad):
+        with pytest.raises(StrategyError, match="finite"):
+            EquityCurve(range(3), [0.01, bad, 0.02])
+
 
 class TestNoLookahead:
     def test_future_signal_changes_leave_prefix_unchanged(self, rng):

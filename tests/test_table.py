@@ -709,6 +709,28 @@ def test_ranged_panel_reads_match_one_range(tmp_path, monkeypatch, data, kind, c
     assert_no_worker_left()
 
 
+@SETTINGS
+@given(data=st.data(), kind=st.sampled_from(["bad_cell", "non_finite", "not_utf8", "ragged",
+                                             "comment"]),
+       count=st.integers(2, 4), n_rows=st.integers(2, 30))
+def test_ranged_curve_reads_match_one_range(tmp_path, monkeypatch, data, kind, count, n_rows):
+    # The report of a curve read as text, its last cell a period return.
+    returns = np.array(data.draw(st.lists(st.sampled_from([0.125, 0.25, -0.5]), min_size=n_rows,
+                                          max_size=n_rows), label="returns"))
+    net = np.cumprod(1.0 + returns)
+    path = tmp_path / "curve.csv"
+    table.write_rows(path, [*PROVENANCE, "timestamp,net_value,period_return"], n_rows,
+                     lambda start, stop: [(np.arange(stop - start), [str(100 + i) for i in
+                                                                     range(start, stop)]),
+                                          net[start:stop], returns[start:stop]],
+                     (None, float, float))
+    without_twin(path)
+    corrupt_at_a_cut(monkeypatch, data, path, len(PROVENANCE) + 1, count, kind)
+    serial = outcome(report_of, path)
+    assert ranged(monkeypatch, count, report_of, path) == serial
+    assert_no_worker_left()
+
+
 # --- the typed C cast -------------------------------------------------------------
 
 # Cells numpy's C reader refuses or reads as not finite, where Python's int and
