@@ -334,7 +334,6 @@ def cmd_split(opts: dict, stamp: list[str]) -> None:
     spec = SplitSpec(opts["train"], opts["val"], opts["test"])
     train, val, test = chronological_split(panel, spec)
     out_dir = Path(opts["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", train), ("val", val), ("test", test)):
         write_csv(part, out_dir / f"{name}.csv", header_comments=stamp)
 

@@ -28,12 +28,13 @@ and ``write_rows`` cuts its rows the same way. Its callers are the panel,
 forecast and curve readers and ``option-analytics``, which solves and formats
 a range's quotes in the map.
 The parent process does the first range itself; forked workers do the
-others, each into an unlinked temporary file, and the parent takes their
-results in file order. With one CPU, no ``os.fork`` or a smaller body there
-is one range, done by the parent alone. A worker that fails, whose part
-raises for a bad row or that meets a row ending the body has its range redone
-by the parent, so the output bytes, the parsed arrays and the errors are the
-same however a body is cut. ``option-analytics`` alone passes its range's
+others, each pickling its items into an unlinked temporary file, and the
+parent takes them in file order. Every range of a read is taken by offset
+from the one file the process opened and scanned. With one CPU, no
+``os.fork`` or a smaller body there is one range. A worker that fails,
+whose part raises for a bad row or that meets a row ending the body has its
+range redone by the parent, so the output bytes, the parsed arrays and the
+errors are the same however a body is cut. ``option-analytics`` alone passes its range's
 first error back as the part's last object, so that no range is solved twice.
 
 ``write_rows`` is the one writer of a table; ``option-analytics`` alone
@@ -119,9 +120,9 @@ class Blocks:
         if self._plain:
             self._start = fh.tell()
             header = line.rstrip("\n").split(",") if line else None
-            self._rows = self._range(fh, self._start, self._size)
+            self._rows = self._range(self._start, self._size)
         else:
-            self._rows = _rows(path)
+            self._rows = _rows(fh)
             header = next(self._rows)
         self.header = None if header is None else [h.strip() for h in header]
 
@@ -134,11 +135,12 @@ class Blocks:
 
         ``part`` takes one range's blocks and yields what the caller reads
         of them, picklable objects, ending early where it likes. It runs in
-        a forked worker for every range but the first, so it must not rely on
-        state it changes. It raises its data error where it finds it,
-        numbering its row from ``above``; a worker that raises, or whose
-        blocks end at a row ``read_blocks`` raises for, has its range read
-        again by the parent, where ``above`` counts from the file's first row.
+        a forked worker for every range but the first, on blocks read from
+        this object's open file, so it must not rely on state it changes.
+        It raises its data error where it finds it, numbering its row from
+        ``above``; a worker that raises, or whose blocks end at a row
+        ``read_blocks`` raises for, has its range read again by the parent,
+        where ``above`` counts from the file's first row.
 
         With ``dtypes`` (as ``typed`` takes them), the blocks come typed, as
         (columns, bad, cells): ``typed``'s columns and first bad cell, and
@@ -189,9 +191,8 @@ class Blocks:
 
         def job(k: int, out: BinaryIO) -> None:
             self.n_rows = 0
-            with open(self.path, "rb") as fh:
-                for item in part(self._checked(self._range(fh, cuts[k], cuts[k + 1]))):
-                    pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+            for item in part(self._checked(self._range(cuts[k], cuts[k + 1]))):
+                pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
             if self.ended:  # numbered from the range's first row: the parent redoes it
                 raise FormatError(self.ended)
             out.write(self.n_rows.to_bytes(8, "little"))
@@ -200,7 +201,7 @@ class Blocks:
             for k in range(len(cuts) - 1):
                 loaded = _load(workers.result(k)) if k else None
                 if loaded is None:
-                    yield from part(self._checked(self._range(self._fh, cuts[k], cuts[k + 1])))
+                    yield from part(self._checked(self._range(cuts[k], cuts[k + 1])))
                 else:
                     self.n_rows += loaded[0]
                     yield from loaded[1]
@@ -251,10 +252,9 @@ class Blocks:
             cuts.append(self._fh.tell())
         return cuts + [size]
 
-    def _range(self, fh: BinaryIO, start: int, stop: int) -> Iterator:
+    def _range(self, start: int, stop: int) -> Iterator:
         """The rows of the body lines from ``start`` to ``stop``, a block at a time."""
-        fh.seek(start)
-        yield from map(self._split, _line_blocks(fh, stop - start))
+        yield from map(self._split, _line_blocks(self._fh, start, stop))
 
     def _split(self, block: bytes) -> tuple[np.ndarray, ...] | list[list[str]]:
         """The rows of ``block``: a typed reader's columns where ``_cast_plain`` casts it,
@@ -317,10 +317,11 @@ def _head(fh: BinaryIO) -> tuple[list[str], str]:
     return lines, ""
 
 
-def _rows(path: Path) -> Iterator:
+def _rows(fh: BinaryIO) -> Iterator:
     """The header row (None when the file has no rows), then blocks of body rows, as
-    csv.reader reads the file from its first row; rows ``_kept`` drops are skipped."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as text:
+    csv.reader reads ``fh`` from its first row; rows ``_kept`` drops are skipped."""
+    fh.seek(0)
+    with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="") as text:
         rows = filter(_kept, csv.reader(text))
         header = next(rows, None)
         if header and _undecoded([header]) == 0:  # a quoted header cell may span lines
@@ -353,12 +354,20 @@ def _undecoded(rows: Sequence[Sequence[str]]) -> int:
     return int(np.searchsorted(np.cumsum(list(map(len, texts))), found.start(), side="right"))
 
 
-def _line_blocks(fh: BinaryIO, size: int = -1) -> Iterator[bytes]:
-    """The next ``size`` bytes of ``fh`` (all, when negative) in blocks of about BLOCK_BYTES,
-    each ending a line but the last."""
+def _line_blocks(fh: BinaryIO, start: int, stop: int) -> Iterator[bytes]:
+    """The bytes of ``fh`` from ``start`` to ``stop`` in blocks of about BLOCK_BYTES, each
+    ending a line but the last; read by offset, so no forked worker moves the file's position."""
     carry = b""
-    while chunk := fh.read(BLOCK_BYTES if size < 0 else min(BLOCK_BYTES, size)):
-        size -= len(chunk)
+    while start < stop:
+        size = min(BLOCK_BYTES, stop - start)
+        if hasattr(os, "pread"):
+            chunk = os.pread(fh.fileno(), size, start)
+        else:  # nor is there os.fork, so no worker shares the position
+            fh.seek(start)
+            chunk = fh.read(size)
+        if not chunk:  # the file is shorter than its scan
+            break
+        start += len(chunk)
         carry += chunk
         cut = carry.rfind(b"\n") + 1
         if cut:
@@ -462,17 +471,28 @@ def quote(cells: list[str]) -> list[str]:
 @contextmanager
 def replacing(path) -> Iterator[BinaryIO]:
     """A new file beside ``path``, renamed over it when the block ends and removed
-    when it raises: ``path`` keeps its old bytes until all the new ones are written.
+    when it raises: ``path`` keeps its old bytes until all the new ones are written. An
+    OSError making or renaming the new file raises ``cannot write <path>: <reason>``.
     """
     path = Path(path)
-    temp, out = _beside(path)
+    try:
+        temp, out = _beside(path)
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
     try:
         with out:
             yield out
-        os.replace(temp, path)
+        try:
+            os.replace(temp, path)
+        except OSError as exc:
+            raise _unwritable(path, exc) from None
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def _unwritable(path: Path, exc: OSError) -> ToolkitError:
+    return ToolkitError(f"cannot write {path}: {exc.strerror}")
 
 
 def _beside(path: Path) -> tuple[Path, BinaryIO]:
@@ -498,9 +518,9 @@ def write_rows(path, head: Sequence[str], n_rows: int = 0,
     ``format_rows`` makes the text of the columns, and ``_Twin`` the file's typed twin of
     them. Rows are formatted in blocks of about BLOCK_BYTES of text, sized from the first
     row. A body of RANGE_BYTES or more is cut into ranges of rows; forked workers format
-    all but the first into unlinked temporary files in the output's directory, each block
-    with its twin block, and the parent appends them in order. The file is written by
-    ``replacing``, so a write that fails changes nothing.
+    all but the first into unlinked temporary files in the output's directory, pickling
+    each block's text and twin block as a read's worker its items, and the parent appends
+    them in order. The file is written by ``replacing``, so a failed write changes nothing.
     """
     def formatted(start: int, stop: int) -> tuple[bytes, list | None]:  # text, twin block
         from .rows import format_rows  # on first use: a stage with no typed table skips it
@@ -515,51 +535,29 @@ def write_rows(path, head: Sequence[str], n_rows: int = 0,
     count = min(_range_count(row * n_rows), max(n_rows, 1))
     cuts = [n_rows * k // count for k in range(count + 1)]
 
-    def job(k: int, write: Callable[[bytes, list | None], None]) -> None:
+    def blocks(k: int) -> Iterator[tuple[bytes, list | None]]:  # range k's, formatted
         for start in range(cuts[k], cuts[k + 1], step):
-            write(*formatted(start, min(start + step, cuts[k + 1])))
+            yield formatted(start, min(start + step, cuts[k + 1]))
 
-    def worker(k: int, out: BinaryIO) -> None:
-        def write(text: bytes, block: list | None) -> None:  # the two sizes, then the bytes
-            size = sum(memoryview(chunk).nbytes for chunk in block or ())
-            out.write(len(text).to_bytes(8, "little") + size.to_bytes(8, "little"))
-            out.write(text)
-            out.writelines(block or ())
-
-        job(k, write)
+    def job(k: int, out: BinaryIO) -> None:
+        for text, block in blocks(k):  # a twin block pickles fastest as one buffer
+            pickle.dump((text, block and [b"".join(block)]), out, pickle.HIGHEST_PROTOCOL)
+        out.write((cuts[k + 1] - cuts[k]).to_bytes(8, "little"))
 
     twin = _Twin(Path(path), dtypes, head)
     try:
-        with replacing(path) as out, closing(_Forked(count, worker, Path(path).parent)) as workers:
-            def write(text: bytes, block: list | None) -> None:
-                out.write(text)
-                twin.add(text, block)
-
+        with replacing(path) as out, closing(_Forked(count, job, Path(path).parent)) as workers:
             out.write(head)
             for k in range(count):
-                done = workers.result(k) if k else None
-                if done is None:
-                    job(k, write)
-                else:
-                    for text, block in _frames(done):
-                        write(text, block)
+                loaded = _load(workers.result(k)) if k else None
+                for text, block in blocks(k) if loaded is None else loaded[1]:
+                    out.write(text)
+                    twin.add(text, block)
+                    del text, block  # so no block is held while the next is made
     except BaseException:
         twin.drop()
         raise
     twin.place()
-
-
-def _frames(done: BinaryIO) -> Iterator[tuple[bytearray, list | None]]:
-    """The text and twin block (as ``_twin_block`` gives it) of each block of rows a
-    ``write_rows`` worker wrote to ``done``, read into two buffers each block reuses."""
-    text, block = bytearray(), bytearray()
-    while sizes := done.read(16):
-        for buffer, size in ((text, sizes[:8]), (block, sizes[8:])):
-            size = int.from_bytes(size, "little")
-            del buffer[size:]
-            buffer.extend(bytes(size - len(buffer)))
-            done.readinto(buffer)
-        yield text, [block] if block else None
 
 
 def _plain(data: bytes) -> bool:
@@ -787,7 +785,8 @@ class _Forked:
 
 
 def _work(job: Callable[[int, BinaryIO], None], k: int, out: BinaryIO) -> NoReturn:
-    """The body of a forked worker: run ``job``, then exit at once, with 0 only if it returned."""
+    """The body of a forked worker: run ``job``, which writes ``out`` as ``_load`` reads it,
+    then exit at once, with 0 only if it returned."""
     code = 1
     try:
         job(k, out)
@@ -798,10 +797,11 @@ def _work(job: Callable[[int, BinaryIO], None], k: int, out: BinaryIO) -> NoRetu
 
 
 def _load(out: BinaryIO | None) -> tuple[int, Iterator] | None:
-    """The body rows a worker read and an iterator of the objects it wrote; None when it
+    """The rows of a worker's range and an iterator of the objects it wrote; None when it
     failed or its file is short.
 
-    The file holds the pickled objects and, in its last 8 bytes, the row count.
+    Every worker's file, a read's or a write's, holds the pickled objects, each loaded
+    on its own, so none is held once dropped, and in its last 8 bytes the row count.
     """
     if out is None:
         return None

@@ -365,6 +365,47 @@ class TestDataErrors:
         assert capsys.readouterr().err == \
             f"finpipe {argv[0]}: error: cannot open {what} {folder}: Is a directory\n"
 
+    @pytest.mark.parametrize("how", ["directory", "under_a_file"])
+    @pytest.mark.parametrize("kind", ["panel", "anchors", "forecast", "metrics", "curve",
+                                      "report", "analytics"])
+    def test_an_output_that_cannot_be_written_exits_one(self, tmp_path, capsys, kind, how):
+        # An output that is a directory used to exit with an IsADirectoryError traceback
+        # from the rename, and one under a file with a FileExistsError from the mkdir.
+        run = _small_run(tmp_path / "run")
+        curve, quotes, where = tmp_path / "curve.csv", tmp_path / "quotes.csv", tmp_path / "out"
+        _write_curve(curve)
+        TestOptionAnalyticsCli()._quotes_csv(quotes)
+        split = "test.csv" if how == "directory" else "train.csv"  # its last and first output
+        bad = where / (split if kind == "panel" else "x.csv")
+        if how == "directory":
+            bad.mkdir(parents=True)
+        else:
+            where.write_text("")
+        argv = {
+            "panel": ["split", "--input", run["raw"], "--output-dir", where],
+            "anchors": ["preprocess", "--input", run["raw"], "--output", tmp_path / "t.csv",
+                        "--anchors", bad],
+            "forecast": ["naive-forecast", "--input", run["transformed"], "--output", bad,
+                         "--input-len", "20", "--horizon", "5", "--task", "m2s",
+                         "--target-vars", "close_X"],
+            "metrics": ["evaluate", "--truth", run["transformed"], "--forecasts",
+                        run["forecasts"], "--output", bad],
+            "curve": ["backtest", "--forecasts", run["forecasts"], "--panel", run["transformed"],
+                      "--anchors", run["anchors"], "--output", bad, "--strategy", "timing",
+                      "--target-var", "close_X", "--window", "5"],
+            "report": ["report", "--input", curve, "--output", bad],
+            "analytics": ["option-analytics", "--input", quotes, "--output", bad],
+        }[kind]
+        capsys.readouterr()
+        assert main(list(map(str, argv))) == 1
+        reason = "Is a directory" if how == "directory" else "File exists"
+        assert capsys.readouterr().err == \
+            f"finpipe {argv[0]}: error: cannot write {bad}: {reason}\n"
+        if how == "directory":  # no temporary file is left, the table's or its twin's
+            assert bad.is_dir() and not any(bad.iterdir())
+            assert [p.name for p in where.iterdir()
+                    if not p.name.endswith((".csv", ".csv.typed"))] == []
+
     def test_failed_run_writes_nothing(self, tmp_path, raw_csv):
         out = tmp_path / "t.csv"
         anchors = tmp_path / "a.csv"

@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 
 import reference_io as ref
 from finpipe import (
+    OptionQuote,
     Panel,
     WindowSpec,
+    bs_price,
     load_anchor_file,
     load_csv,
     load_forecasts,
@@ -907,6 +909,49 @@ def test_a_failed_worker_has_its_range_redone(tmp_path, monkeypatch, worker):
     assert_no_worker_left()
 
 
+def test_a_short_write_worker_file_has_its_range_formatted_again(tmp_path, monkeypatch):
+    # A write worker's file was read as size-prefixed frames: one that exited 0 holding
+    # a byte gave the panel 256 NUL bytes and no twin, and reading it back failed.
+    panel = ohlcv_panel(300, seed=5, assets=("A", "B"))
+    windows = sliding_windows(panel, WindowSpec(8, 3))
+    batch = make_batch(windows, naive_forecast(windows, 3, seed=2))
+    write_csv(panel, tmp_path / "p.csv")
+    write_forecasts(tmp_path / "f.csv", batch, 8)
+    whole, short = tmp_path / "whole", tmp_path / "short"
+    for out in (whole, short):
+        with monkeypatch.context() as patch:
+            if out is short:
+                patch.setattr(table, "_work", _short)
+            assert ranged(patch, 3, write_csv, panel, out / "p.csv")[0] == "ok"
+            assert ranged(patch, 3, write_forecasts, out / "f.csv", batch, 8)[0] == "ok"
+    for name in ("p.csv", "f.csv"):
+        assert (short / name).read_bytes() == (tmp_path / name).read_bytes()
+    for name in (".p.csv.typed", ".f.csv.typed"):  # a twin's blocks follow the ranges
+        assert (short / name).read_bytes() == (whole / name).read_bytes()
+    assert_same(outcome(load_csv, short / "p.csv"), outcome(load_csv, tmp_path / "p.csv"),
+                same_panel)
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_every_range_is_read_from_the_file_the_read_opened(tmp_path, monkeypatch, count):
+    # A worker used to open the path again, so a table renamed over it during the read
+    # gave the rows of both files, with no error.
+    in_ranges(monkeypatch, count)
+    path, other = tmp_path / "t.csv", tmp_path / "other.csv"
+    for file, value in ((path, 1.0), (other, 2.0)):
+        file.write_text("a,b\n" + f"{value!r},{value!r}\n" * 1000)
+
+    def parse(blocks):
+        os.replace(other, path)
+        part = lambda typed: (columns[1] for columns, bad, cells in typed)
+        return np.concatenate(list(blocks.map(part, (float, float))))
+
+    values = read_blocks(path, parse)
+    assert len(values) == 1000 and set(values.tolist()) == {1.0}
+    assert_no_worker_left()
+
+
 def test_no_worker_or_file_outlives_a_failure(tmp_path, monkeypatch):
     in_ranges(monkeypatch, 3)
     panel = Panel(range(40), ("a",), np.arange(40.0)[:, None])
@@ -1185,3 +1230,45 @@ def test_a_forecast_naming_a_variable_a_file_cannot_carry_gets_no_twin(tmp_path,
     batch = make_batch(windows, windows.truth)
     write_forecasts(tmp_path / "f.csv", dataclasses.replace(batch, variables=(name, "v1")), 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_with_neither_pread_nor_fork_every_table_reads_as_before(tmp_path, monkeypatch, curves,
+                                                                 capsys, count):
+    # A system with no os.pread has no os.fork either, and reads each body in one range.
+    monkeypatch.setattr(table, "BLOCK_BYTES", 512)  # a few blocks a body
+    for name in ("raw.csv", "t.csv", "a.csv", "fc.csv", "timing.csv"):  # with no twin
+        (tmp_path / name).write_bytes((curves / name).read_bytes())
+    raw = (curves / "raw.csv").read_text()
+    (tmp_path / "quoted.csv").write_text('"' + raw.replace(",", '",', 1))  # read by csv.reader
+    lines = raw.splitlines(keepends=True)
+    (tmp_path / "bad.csv").write_text("".join(lines[:-2]) + lines[-2].replace(",", ",x", 1))
+    quotes = ["timestamp,spot,strike,rate,expiry,kind,market_price"]
+    for i in range(200):
+        q = OptionQuote(95.0 + i % 11, 100.0, 0.03, 0.25 + i % 5 / 4, ("call", "put")[i % 2])
+        quotes.append(f"{i},{q.spot!r},100.0,0.03,{q.expiry!r},{q.kind},{bs_price(q, 0.3)!r}")
+    (tmp_path / "quotes.csv").write_text("\n".join(quotes) + "\n")
+
+    def run(out):
+        t, fc, a = (str(tmp_path / name) for name in ("t.csv", "fc.csv", "a.csv"))
+        argvs = [["preprocess", "--input", tmp_path / name, "--output", out / f"t_{name}",
+                  "--anchors", out / f"a_{name}"] for name in ("raw.csv", "quoted.csv", "bad.csv")]
+        argvs += [["evaluate", "--truth", t, "--forecasts", fc, "--output", out / "m.csv"],
+                  ["backtest", "--forecasts", fc, "--panel", t, "--anchors", a, "--output",
+                   out / "c.csv", "--strategy", "topk", "--k", "2", "--window", "5"],
+                  ["report", "--input", tmp_path / "timing.csv", "--output", out / "r.csv"],
+                  ["option-analytics", "--input", tmp_path / "quotes.csv", "--output",
+                   out / "o.csv"]]
+        capsys.readouterr()
+        codes = [cli.main(list(map(str, argv))) for argv in argvs]
+        # The twins are left out: their blocks follow the ranges.
+        return codes, capsys.readouterr().err, {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+    with monkeypatch.context() as patch:
+        in_ranges(patch, count)
+        before = run(tmp_path / "before")
+        patch.delattr(os, "pread")
+        patch.delattr(os, "fork")
+        assert run(tmp_path / "after") == before
+    assert before[0] == [0, 0, 1, 0, 0, 0, 0] and "row 70" in before[1]
+    assert_no_worker_left()
