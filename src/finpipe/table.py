@@ -501,7 +501,7 @@ def _beside(path: Path) -> tuple[Path, BinaryIO]:
     less the umask)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     while True:
-        temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+        temp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
         try:
             return temp, open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
         except FileExistsError:  # the name is taken; draw another
@@ -586,7 +586,7 @@ _TWIN_HEAD = b"finpipe typed twin 1\n"
 
 
 def _twin_path(path: Path) -> Path:
-    return path.with_name(f".{path.name}.typed")
+    return path.parent / f".{path.name}.typed"  # "." has no name for with_name to replace
 
 
 def _twin_head(dtypes: Sequence) -> bytes:

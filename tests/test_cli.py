@@ -406,6 +406,32 @@ class TestDataErrors:
             assert [p.name for p in where.iterdir()
                     if not p.name.endswith((".csv", ".csv.typed"))] == []
 
+    @pytest.mark.parametrize("output", [".", ""])
+    @pytest.mark.parametrize("stage", ["preprocess", "evaluate", "report", "option-analytics"])
+    def test_an_output_naming_no_file_exits_one(self, tmp_path, monkeypatch, capsys, stage,
+                                                output):
+        # "." (which "" names too) used to exit with a ValueError traceback from naming the
+        # output's new file or its twin.
+        run = _small_run(tmp_path / "run")
+        curve, quotes, where = tmp_path / "curve.csv", tmp_path / "quotes.csv", tmp_path / "out"
+        _write_curve(curve)
+        TestOptionAnalyticsCli()._quotes_csv(quotes)
+        where.mkdir()
+        monkeypatch.chdir(where)
+        argv = {
+            "preprocess": ["--input", run["raw"], "--output", "t.csv", "--anchors", output],
+            "evaluate": ["--truth", run["transformed"], "--forecasts", run["forecasts"],
+                         "--output", output],
+            "report": ["--input", curve, "--output", output],
+            "option-analytics": ["--input", quotes, "--output", output],
+        }[stage]
+        capsys.readouterr()
+        assert main([stage, *map(str, argv)]) == 1
+        assert capsys.readouterr().err.startswith(f"finpipe {stage}: error: cannot write .: ")
+        # No temporary file is left; preprocess wrote its panel before its anchors.
+        assert sorted(p.name for p in where.iterdir()) == \
+            ([".t.csv.typed", "t.csv"] if stage == "preprocess" else [])
+
     def test_failed_run_writes_nothing(self, tmp_path, raw_csv):
         out = tmp_path / "t.csv"
         anchors = tmp_path / "a.csv"
