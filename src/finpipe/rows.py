@@ -15,9 +15,7 @@ float-to-string conversion", PLDI 2018), made over whole arrays with int64
 limb arithmetic, and laid out by repr's rules, fixed notation for
 -4 < decpt <= 16 with ".0" on an integral value, else d.ddde+XX. Zero is
 laid out as 0 * 10**0. A float outside the kernel's domain (a subnormal,
-|x| >= 2**53, not finite), or one whose lower bound is itself the shortest
-decimal (Ryu's vmIsTrailingZeros, only for |x| in [2**50, 2**54)), is
-written by ``repr`` alone, one cell at a time.
+|x| >= 2**53, not finite) is written by ``repr`` alone, one cell at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +25,8 @@ from itertools import groupby
 from typing import Sequence
 
 import numpy as np
+
+from .table import carried
 
 _PAD = 0xFF
 _CHUNK = 2048  # cells of a kind formatted at once: bounds the formatter's working set
@@ -159,17 +159,14 @@ def format_rows(columns: Sequence, dtypes: Sequence) -> tuple[bytes, bool]:
 
 def _names(names: Sequence[str]) -> tuple[np.ndarray, bool]:
     """The cells ``names`` as rows of bytes padded with _PAD, each followed by a ',',
-    and whether every name is one a plain file carries (``table.carried``)."""
+    and whether every name is one a plain file carries (``carried``)."""
     encoded = [name.encode() for name in names]
     sizes = np.fromiter(map(len, encoded), np.int64, len(encoded))
     width = int(sizes.max(initial=0))
     table = np.array(encoded, f"S{width + 1}").view(np.uint8).reshape(len(encoded), width + 1)
     table[np.arange(width + 1) >= sizes[:, None]] = _PAD
     table[:, width] = ord(",")
-    joined = b"".join(encoded)
-    ok = (sizes.all() and not (b"," in joined or b"\r" in joined or b"\n" in joined)
-          and not ((table[:, 0] == ord("#")) | (table[:, 0] == ord('"'))).any())
-    return table, bool(ok)
+    return table, all(map(carried, names))
 
 
 def _int_cells(values: np.ndarray) -> np.ndarray:
@@ -234,10 +231,12 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v += carry
     del limbs, low, high, product, column, carry
     vr, vp, vm = v
-    near = np.flatnonzero(ryu[3] <= 1)  # Ryu's q <= 1, x in [2**50, 2**54)
-    if len(near):
-        even = (m2[near] & 1) == 0
-        vp[near[~even]] -= 1
+    # Ryu's q <= 1 steps (vp -= 1 for an odd m2, vmIsTrailingZeros) change nothing: q <= 1
+    # only for |x| in [2**50, 2**53), where vr is 1000x, 100x, 100x on its three binades and
+    # vp - vr = vr - vm = 125, 25, 50 (mmShift 1). So vm ends in 125/375/625/875 or 25/75, or
+    # is 50 mod 100 with k = 2: never a multiple of 10**k. vp - 1 keeps k (widths 249, 49) and
+    # vp // p (vp ends in 5); for an odd x >= 2**52 it gives k = 1 + 1 where none gives 2 + 0,
+    # as 100x is a multiple of 100 in (vm, vp - 1] and no multiple of 1000 is in (vm, vp].
     k = 1 + (vp - vm >= 100)
     p = _POW10.take(k + 1)
     k += vp // p * p > vm
@@ -252,10 +251,7 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         up[tie] |= (m4[tie] & low != 0) | (digits[tie] & 1 == 1)
     digits += up
     k += ryu[2]
-    fallen = ryu[4] == 0
-    if len(near):  # vmIsTrailingZeros
-        fallen[near[even & shift[near] & (bound[near] * p[near] == vm[near])]] = True
-    return digits, k, fallen
+    return digits, k, ryu[4] == 0
 
 
 def _strip(digits: np.ndarray, exponent: np.ndarray) -> None:

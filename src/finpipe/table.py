@@ -24,9 +24,9 @@ the text cells of its blocks: on LF, then on commas, as csv.reader splits
 text with no quote. Big plain bodies are read, and big bodies written, by a
 range map, on every CPU the process may use. ``Blocks.map`` cuts a body of
 RANGE_BYTES or more into contiguous byte ranges, each ending on a newline,
-and ``write_rows`` cuts its rows the same way. Its callers are the panel,
-forecast and curve readers and ``option-analytics``, which solves and formats
-a range's quotes in the map.
+and ``write_rows`` cuts its rows into ranges of whole blocks. Its callers
+are the panel, forecast and curve readers and ``option-analytics``, which
+solves and formats a range's quotes in the map.
 The parent process does the first range itself; forked workers do the
 others, each pickling its items into an unlinked temporary file, and the
 parent takes them in file order. Every range of a read is taken by offset
@@ -517,10 +517,11 @@ def write_rows(path, head: Sequence[str], n_rows: int = 0,
 
     ``format_rows`` makes the text of the columns, and ``_Twin`` the file's typed twin of
     them. Rows are formatted in blocks of about BLOCK_BYTES of text, sized from the first
-    row. A body of RANGE_BYTES or more is cut into ranges of rows; forked workers format
-    all but the first into unlinked temporary files in the output's directory, pickling
-    each block's text and twin block as a read's worker its items, and the parent appends
-    them in order. The file is written by ``replacing``, so a failed write changes nothing.
+    row. A body of RANGE_BYTES or more is cut into ranges of whole blocks, so its twin does
+    not depend on how many ranges there are; forked workers format all but the first into
+    unlinked temporary files in the output's directory, pickling each block's text and
+    twin block as a read's worker its items, and the parent appends them in order. The
+    file is written by ``replacing``, so a failed write changes nothing.
     """
     def formatted(start: int, stop: int) -> tuple[bytes, list | None]:  # text, twin block
         from .rows import format_rows  # on first use: a stage with no typed table skips it
@@ -532,8 +533,9 @@ def write_rows(path, head: Sequence[str], n_rows: int = 0,
     head = "".join(line + "\n" for line in head).encode()
     row = len(formatted(0, 1)[0]) if n_rows else 1
     step = max(1, BLOCK_BYTES // row)
-    count = min(_range_count(row * n_rows), max(n_rows, 1))
-    cuts = [n_rows * k // count for k in range(count + 1)]
+    count = _range_count(row * n_rows)
+    cuts = sorted({n_rows * k // count // step * step for k in range(count)} | {n_rows})
+    count = len(cuts) - 1  # no range is empty, so no worker is forked for nothing
 
     def blocks(k: int) -> Iterator[tuple[bytes, list | None]]:  # range k's, formatted
         for start in range(cuts[k], cuts[k + 1], step):

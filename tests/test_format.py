@@ -65,6 +65,37 @@ def test_the_edge_values_are_written_as_repr_writes_them(chunk):
             for cell in formatted(values[start : start + chunk])] == list(map(repr, values))
 
 
+def proof_lanes() -> list[float]:
+    """The lanes of Ryu's q <= 1, |x| in [2**50, 2**53), where ``_shortest`` leaves out its
+    steps: in each binade, n * ulp within 3 ulps of multiples of 10**j and significands n
+    within 3 of them, odd and even; 2**50, 2**51, 2**52 and their neighbours."""
+    significands = set()  # (binade, n) for n * 2**(binade - 52)
+    for binade in (50, 51, 52):
+        for j in range(1, 17):  # n * ulp a multiple of 10**j, then n one
+            for unit in (10**j * 2 ** (52 - binade), 10**j):
+                multiples = range(-(-2**52 // unit) * unit, 2**53, unit)
+                picks = {*multiples[:4], *multiples[len(multiples) // 2 :][:4], *multiples[-4:]}
+                significands |= {(binade, m + d) for m in picks for d in range(-3, 4)}
+        significands |= {(binade, 2**52 + d) for d in range(8)}
+        significands |= {(binade, 2**53 - 1 - d) for d in range(8)}
+    values = [math.ldexp(n, binade - 52) for binade, n in significands if 2**52 <= n < 2**53]
+    for power in (2.0**50, 2.0**51, 2.0**52):
+        below = power
+        for _ in range(4):
+            below = math.nextafter(below, 0)
+            values.append(below)
+    return sorted(values) + [-v for v in values]
+
+
+def test_ryus_q_le_1_lanes_are_written_as_repr_writes_them_by_the_kernel():
+    # Where Ryu's q <= 1 (vp -= 1 for an odd significand, vmIsTrailingZeros) would act,
+    # the kernel's digits are repr's without them, and no lane falls back.
+    values = proof_lanes()
+    assert len(values) > 2000
+    assert formatted(values) == list(map(repr, values))
+    assert not rows._shortest(np.array(values))[2].any()
+
+
 def test_a_lane_the_kernel_does_not_cover_falls_back_alone():
     # Zero is laid out by the kernel; a subnormal, a value >= 2**53 or a non-finite one
     # falls back to repr, lane by lane, and its neighbours are still formatted.
@@ -164,6 +195,35 @@ def test_written_files_are_the_per_cell_writers_files(tmp_path, monkeypatch, cas
     if batch.variables[0] == "v0":
         np.testing.assert_array_equal(load_forecasts(tmp_path / "f.csv", windows).y_pred,
                                       batch.y_pred)
+
+
+def test_a_twin_is_the_same_bytes_in_any_number_of_ranges(tmp_path, monkeypatch):
+    # Ranges are cut at whole blocks, so a twin's blocks, like its file's bytes, do not
+    # follow the CPU count: a panel, a forecast file and a curve, each in 1 to 4 ranges.
+    rng = np.random.default_rng(5)
+    panel = Panel(range(97), ("a", "b"), rng.normal(size=(97, 2)))
+    windows = sliding_windows(panel, WindowSpec(2, 2))
+    batch = make_batch(windows, windows.truth * 1.5)
+    labels, codes = [str(np.datetime64("2000-01-03") + i) for i in range(97)], np.arange(97) % 3
+
+    def curve(start, stop):
+        return [(np.arange(stop - start), labels[start:stop]), panel.values[start:stop, 0],
+                panel.values[start:stop, 1], (codes[start:stop], ["a", "b", "a|b"])]
+
+    written = []
+    for count in range(1, 5):
+        out = tmp_path / str(count)
+        with monkeypatch.context() as patch:
+            in_ranges(patch, count)
+            patch.setattr(table, "BLOCK_BYTES", 300)
+            write_csv(panel, out / "p.csv", header_comments=HEAD)
+            write_forecasts(out / "f.csv", batch, 2, header_comments=HEAD)
+            table.write_rows(out / "c.csv", [*HEAD, "timestamp,net_value,period_return,position"],
+                             97, curve, (None, float, float, None))
+        assert_no_worker_left()
+        written.append([(out / name).read_bytes() + table._twin_path(out / name).read_bytes()
+                        for name in ("p.csv", "f.csv", "c.csv")])
+    assert written[1:] == written[:1] * 3
 
 
 def test_a_stale_twin_is_unlinked_by_the_read_that_finds_it(tmp_path, monkeypatch):
